@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 
 from .instances import fisher_yates
-from .multigraph import W, Z, TwoFactorPair, components
+from .multigraph import W, Z, ComponentReport, TwoFactorPair, components
 
 FixTrail = list  # entries: (edge id, prior side, prior fixed flag)
 
@@ -66,10 +66,12 @@ def record(pair: TwoFactorPair, trail: FixTrail, edge_id: int) -> None:
 
 def rollback(pair: TwoFactorPair, trail: FixTrail, mark: int) -> None:
     """Restore sides and fixed flags to the state at `mark`."""
-    while len(trail) > mark:
-        edge_id, side, fixed = trail.pop()
-        pair.set_side(edge_id, side)
-        pair.fixed[edge_id] = fixed
+    side, fixed, move = pair.side, pair.fixed, pair.move
+    for edge_id, prior_side, prior_fixed in reversed(trail[mark:]):
+        if side[edge_id] != prior_side:
+            move(edge_id)
+        fixed[edge_id] = prior_fixed
+    del trail[mark:]
 
 
 def fix_parallel_copies(pair: TwoFactorPair) -> None:
@@ -115,24 +117,27 @@ def fix_edge(
 
 def _fix_chain_directed(pair, edge_id, side, trail) -> bool:
     g = pair.graph
+    out_arcs, in_arcs, tail, head = g.out_arcs, g.in_arcs, g.tail, g.head
+    sides, fixed, move = pair.side, pair.fixed, pair.move
     stack = [(edge_id, side)]
     while stack:
         eid, want = stack.pop()
-        if pair.fixed[eid]:
-            if pair.side[eid] != want:
+        if fixed[eid]:
+            if sides[eid] != want:
                 return False
             continue
-        record(pair, trail, eid)
-        pair.set_side(eid, want)
-        pair.fixed[eid] = True
-        e = g.edges[eid]
+        prior = sides[eid]
+        trail.append((eid, prior, False))
+        if prior != want:
+            move(eid)
+        fixed[eid] = True
         other = W if want == Z else Z
         # the factor has out-degree 1 at the tail and in-degree 1 at the
         # head, so the sibling arcs are forced to the other factor
-        for sib in g.out_arcs[e.tail]:
+        for sib in out_arcs[tail[eid]]:
             if sib != eid:
                 stack.append((sib, other))
-        for sib in g.in_arcs[e.head]:
+        for sib in in_arcs[head[eid]]:
             if sib != eid:
                 stack.append((sib, other))
     return True
@@ -140,29 +145,32 @@ def _fix_chain_directed(pair, edge_id, side, trail) -> bool:
 
 def _fix_chain_undirected(pair, edge_id, side, trail) -> bool:
     g = pair.graph
+    inc, tail, head = g.inc, g.tail, g.head
+    sides, fixed, move = pair.side, pair.fixed, pair.move
     stack = [(edge_id, side)]
     while stack:
         eid, want = stack.pop()
-        if pair.fixed[eid]:
-            if pair.side[eid] != want:
+        if fixed[eid]:
+            if sides[eid] != want:
                 return False
             continue
-        record(pair, trail, eid)
-        pair.set_side(eid, want)
-        pair.fixed[eid] = True
-        e = g.edges[eid]
+        prior = sides[eid]
+        trail.append((eid, prior, False))
+        if prior != want:
+            move(eid)
+        fixed[eid] = True
         other = W if want == Z else Z
-        for v in (e.tail, e.head):
-            pinned = sum(
-                1
-                for oid in g.inc[v]
-                if pair.fixed[oid] and pair.side[oid] == want
-            )
+        for v in (tail[eid], head[eid]):
+            around = inc[v]
+            pinned = 0
+            for oid in around:
+                if fixed[oid] and sides[oid] == want:
+                    pinned += 1
             if pinned > 2:
                 return False
             if pinned == 2:
-                for oid in g.inc[v]:
-                    if not pair.fixed[oid]:
+                for oid in around:
+                    if not fixed[oid]:
                         stack.append((oid, other))
     return True
 
@@ -172,11 +180,11 @@ def _pick(seq, rng):
 
 
 def _movable(pair, v, from_side):
-    g = pair.graph
+    side, fixed = pair.side, pair.fixed
     return [
         oid
-        for oid in g.inc[v]
-        if not pair.fixed[oid] and pair.side[oid] == from_side
+        for oid in pair.graph.inc[v]
+        if not fixed[oid] and side[oid] == from_side
     ]
 
 
@@ -200,10 +208,11 @@ def _repair_all(pair, rng, trail, recursive) -> bool:
 
 
 def _unfixed_z_edges(pair, rng):
+    fixed = pair.fixed
     order = [
-        e.id
-        for e in pair.graph.edges
-        if pair.side[e.id] == Z and not pair.fixed[e.id]
+        eid
+        for eid, side in enumerate(pair.side)
+        if side == Z and not fixed[eid]
     ]
     fisher_yates(order, rng)
     return order
@@ -219,18 +228,20 @@ def local_search_directed(
     cut_sink=None,
     trace: TraceRecorder | None = None,
     deadline: float | None = None,
+    report: ComponentReport | None = None,
 ) -> TwoFactorPair:
     """Descend by single chain-fixed moves until no move improves.
 
     Every accepted state's subtours are reported to `cut_sink`; after
     an acceptance all non-parallel pins are released and the sweep
-    restarts over a fresh shuffle.
+    restarts over a fresh shuffle.  `report` may give the cycle count
+    of the starting state.
     """
     if not pair.graph.directed:
         raise ValueError("this search works on directed unions")
     trail: FixTrail = []
     fix_parallel_copies(pair)
-    best = components(pair).total
+    best = (report if report is not None else components(pair)).total
     if trace:
         trace.open_run(best)
     while best > 2:
@@ -265,25 +276,29 @@ def ls_first_neighbourhood(
     trace: TraceRecorder | None = None,
     recursive: bool = True,
     deadline: float | None = None,
-) -> TwoFactorPair:
+    report: ComponentReport | None = None,
+) -> ComponentReport:
     """One sweep of move-then-repair; returns at the first improvement.
 
     Each candidate move is given `attempt_limit` randomized repair
     replays from the post-move state.  Cascades that leave no broken
-    vertex are deterministic, so they get a single attempt.
+    vertex are deterministic, so they get a single attempt.  `report`,
+    when given, is the cycle count of the starting state; the return
+    value is the one of the state the sweep leaves.
     """
     if pair.graph.directed:
         raise ValueError("this neighbourhood works on undirected unions")
     trail: FixTrail = []
     fix_parallel_copies(pair)
-    base = components(pair).total
+    start_report = report if report is not None else components(pair)
+    base = start_report.total
     if trace:
         trace.open_run(base)
     if base == 2:
-        return pair
+        return start_report
     for eid in _unfixed_z_edges(pair, rng):
         if _expired(deadline):
-            return pair
+            break
         start = len(trail)
         if not fix_edge(pair, eid, W, trail, recursive):
             rollback(pair, trail, start)
@@ -292,18 +307,18 @@ def ls_first_neighbourhood(
         attempts = 1 if not pair.broken else params.attempt_limit
         for _ in range(attempts):
             if _repair_all(pair, rng, trail, recursive):
-                report = components(pair)
-                if report.total < base:
+                found = components(pair)
+                if found.total < base:
                     if cut_sink:
-                        cut_sink(report)
+                        cut_sink(found)
                     if trace:
-                        trace.accept(pair, report.total)
+                        trace.accept(pair, found.total)
                     unfix_non_parallel(pair)
                     trail.clear()
-                    return pair
+                    return found
             rollback(pair, trail, checkpoint)
         rollback(pair, trail, start)
-    return pair
+    return start_report
 
 
 def ls_second_neighbourhood(
@@ -313,38 +328,46 @@ def ls_second_neighbourhood(
     trace: TraceRecorder | None = None,
     recursive: bool = True,
     deadline: float | None = None,
-) -> TwoFactorPair:
-    """Depth-bounded backtracking over repair choices, first improvement."""
+    report: ComponentReport | None = None,
+) -> ComponentReport:
+    """Depth-bounded backtracking over repair choices, first improvement.
+
+    `report` and the return value are as in `ls_first_neighbourhood`.
+    """
     if pair.graph.directed:
         raise ValueError("this neighbourhood works on undirected unions")
     trail: FixTrail = []
     fix_parallel_copies(pair)
-    base = components(pair).total
+    start_report = report if report is not None else components(pair)
+    base = start_report.total
     if trace:
         trace.open_run(base)
     if base == 2:
-        return pair
+        return start_report
     for eid in _unfixed_z_edges(pair, rng):
         if _expired(deadline):
-            return pair
+            break
         start = len(trail)
-        if fix_edge(pair, eid, W, trail, recursive) and _dive(
+        found = fix_edge(pair, eid, W, trail, recursive) and _dive(
             pair, 1, params.depth_limit, base, rng, trail, recursive
-        ):
+        )
+        if found:
             if trace:
-                trace.accept(pair, components(pair).total)
+                trace.accept(pair, found.total)
             unfix_non_parallel(pair)
             trail.clear()
-            return pair
+            return found
         rollback(pair, trail, start)
-    return pair
+    return start_report
 
 
-def _dive(pair, depth, limit, base, rng, trail, recursive) -> bool:
+def _dive(pair, depth, limit, base, rng, trail, recursive):
+    """The report of an improving completion, or None if none is found."""
     if not pair.broken:
-        return components(pair).total < base
+        found = components(pair)
+        return found if found.total < base else None
     if depth > limit:
-        return False
+        return None
     v = _pick(sorted(pair.broken), rng)
     if pair.deg_z[v] < 2:
         want, pool = Z, _movable(pair, v, W)
@@ -352,12 +375,12 @@ def _dive(pair, depth, limit, base, rng, trail, recursive) -> bool:
         want, pool = W, _movable(pair, v, Z)
     for eid in pool:
         mark = len(trail)
-        if fix_edge(pair, eid, want, trail, recursive) and _dive(
-            pair, depth + 1, limit, base, rng, trail, recursive
-        ):
-            return True
+        if fix_edge(pair, eid, want, trail, recursive):
+            found = _dive(pair, depth + 1, limit, base, rng, trail, recursive)
+            if found:
+                return found
         rollback(pair, trail, mark)
-    return False
+    return None
 
 
 def vnd_undirected(
@@ -368,6 +391,7 @@ def vnd_undirected(
     trace: TraceRecorder | None = None,
     recursive: bool = True,
     deadline: float | None = None,
+    report: ComponentReport | None = None,
 ) -> TwoFactorPair:
     """Alternate the two neighbourhoods until neither improves.
 
@@ -375,31 +399,32 @@ def vnd_undirected(
     bounded-backtracking one gets a pass; any improvement there loops
     back to the first.  Improvements found by the second neighbourhood
     report their subtours to `cut_sink` here, since that search keeps
-    no cut machinery of its own.
+    no cut machinery of its own.  Each neighbourhood hands back the
+    cycle count of the state it leaves, so no state is counted twice;
+    `report` may give the count of the starting state.
     """
-    current = components(pair).total
-    while current > 2:
+    current = report if report is not None else components(pair)
+    while current.total > 2:
         while True:
-            ls_first_neighbourhood(
-                pair, params, rng, cut_sink, trace, recursive, deadline
+            found = ls_first_neighbourhood(
+                pair, params, rng, cut_sink, trace, recursive, deadline,
+                current,
             )
-            total = components(pair).total
-            if total < current:
-                current = total
-                if current == 2:
+            if found.total < current.total:
+                current = found
+                if current.total == 2:
                     return pair
                 continue
             break
         if _expired(deadline):
             return pair
-        ls_second_neighbourhood(
-            pair, params, rng, trace, recursive, deadline
+        found = ls_second_neighbourhood(
+            pair, params, rng, trace, recursive, deadline, current
         )
-        total = components(pair).total
-        if total < current:
-            current = total
+        if found.total < current.total:
+            current = found
             if cut_sink:
-                cut_sink(components(pair))
+                cut_sink(current)
             continue
         return pair
     return pair

@@ -8,7 +8,7 @@ Parallel copies of an edge stay distinct objects linked through their
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 Z = 0
 W = 1
@@ -85,9 +85,6 @@ class Edge:
     origin: int
     partner: int | None = None
 
-    def other_end(self, v: int) -> int:
-        return self.head if v == self.tail else self.tail
-
 
 @dataclass
 class UnionMultigraph:
@@ -97,13 +94,12 @@ class UnionMultigraph:
     inc: list[list[int]]          # incident edge ids per vertex (degree 4)
     out_arcs: list[list[int]]     # directed only: out-arc ids per vertex
     in_arcs: list[list[int]]      # directed only: in-arc ids per vertex
+    tail: list[int]               # tail[e.id] == e.tail, for hot loops
+    head: list[int]               # head[e.id] == e.head
 
     def multi_edge_count(self) -> int:
         """Number of edges that have a parallel copy (both copies count)."""
         return sum(1 for e in self.edges if e.partner is not None)
-
-    def edges_from(self, cycle_origin: int) -> list[Edge]:
-        return [e for e in self.edges if e.origin == cycle_origin]
 
     def unique_edge_ids(self, cycle_origin: int) -> list[int]:
         """Edges of one originating cycle that the other cycle lacks."""
@@ -150,7 +146,16 @@ def build_union(x: HamCycle, y: HamCycle) -> UnionMultigraph:
             out_arcs[e.tail].append(e.id)
             in_arcs[e.head].append(e.id)
 
-    return UnionMultigraph(n, directed, edges, inc, out_arcs, in_arcs)
+    return UnionMultigraph(
+        n,
+        directed,
+        edges,
+        inc,
+        out_arcs,
+        in_arcs,
+        [e.tail for e in edges],
+        [e.head for e in edges],
+    )
 
 
 class TwoFactorPair:
@@ -191,21 +196,42 @@ class TwoFactorPair:
 
     def move(self, edge_id: int) -> None:
         """Flip one edge to the other factor, updating degrees and broken."""
-        e = self.graph.edges[edge_id]
-        new_side = W if self.side[edge_id] == Z else Z
-        self.side[edge_id] = new_side
-        delta = 1 if new_side == Z else -1
-        if self.graph.directed:
-            self.out_z[e.tail] += delta
-            self.in_z[e.head] += delta
+        g = self.graph
+        u = g.tail[edge_id]
+        v = g.head[edge_id]
+        side = self.side
+        broken = self.broken
+        if side[edge_id] == Z:
+            side[edge_id] = W
+            delta = -1
         else:
-            self.deg_z[e.tail] += delta
-            self.deg_z[e.head] += delta
-        for v in (e.tail, e.head):
-            if self.vertex_ok(v):
-                self.broken.discard(v)
+            side[edge_id] = Z
+            delta = 1
+        if g.directed:
+            out_z = self.out_z
+            in_z = self.in_z
+            out_z[u] += delta
+            in_z[v] += delta
+            if out_z[u] == 1 and in_z[u] == 1:
+                broken.discard(u)
             else:
-                self.broken.add(v)
+                broken.add(u)
+            if out_z[v] == 1 and in_z[v] == 1:
+                broken.discard(v)
+            else:
+                broken.add(v)
+        else:
+            deg_z = self.deg_z
+            deg_z[u] += delta
+            deg_z[v] += delta
+            if deg_z[u] == 2:
+                broken.discard(u)
+            else:
+                broken.add(u)
+            if deg_z[v] == 2:
+                broken.discard(v)
+            else:
+                broken.add(v)
 
     def set_side(self, edge_id: int, side: int) -> None:
         if self.side[edge_id] != side:
@@ -231,10 +257,10 @@ class ComponentReport:
 
     z_cycles: list[list[int]]
     w_cycles: list[list[int]]
-    total: int = field(default=0)
 
-    def __post_init__(self):
-        self.total = len(self.z_cycles) + len(self.w_cycles)
+    @property
+    def total(self) -> int:
+        return len(self.z_cycles) + len(self.w_cycles)
 
     def subtours(self, n: int) -> list[list[int]]:
         """Components that are proper subtours (do not span all vertices)."""
@@ -258,13 +284,14 @@ def components(pair: TwoFactorPair) -> ComponentReport:
 def _factor_cycles(pair: TwoFactorPair, side: int) -> list[list[int]]:
     g = pair.graph
     n = g.n
+    tail, head = g.tail, g.head
     seen = [False] * (n + 1)
     cycles = []
     if g.directed:
         succ = [0] * (n + 1)
-        for e in g.edges:
-            if pair.side[e.id] == side:
-                succ[e.tail] = e.head
+        for eid, s in enumerate(pair.side):
+            if s == side:
+                succ[tail[eid]] = head[eid]
         for s in range(1, n + 1):
             if seen[s]:
                 continue
@@ -276,22 +303,23 @@ def _factor_cycles(pair: TwoFactorPair, side: int) -> list[list[int]]:
                 v = succ[v]
             cycles.append(comp)
     else:
-        adj: list[list[Edge]] = [[] for _ in range(n + 1)]
-        for e in g.edges:
-            if pair.side[e.id] == side:
-                adj[e.tail].append(e)
-                adj[e.head].append(e)
+        adj: list[list[int]] = [[] for _ in range(n + 1)]
+        for eid, s in enumerate(pair.side):
+            if s == side:
+                adj[tail[eid]].append(eid)
+                adj[head[eid]].append(eid)
         for s in range(1, n + 1):
             if seen[s]:
                 continue
             comp = []
-            v, entered = s, None
+            v, entered = s, -1
             while True:
                 seen[v] = True
                 comp.append(v)
                 a, b = adj[v]
-                e = b if a is entered else a
-                v = e.other_end(v)
+                e = b if a == entered else a
+                # the far end of e, without an Edge lookup
+                v = tail[e] + head[e] - v
                 entered = e
                 if v == s:
                     break

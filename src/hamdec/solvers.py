@@ -158,7 +158,7 @@ def _cutting_loop(
         # integer point that came back must expose a new subtour
         assert added > 0
         if heuristic is not None:
-            moves = heuristic(pair, pool, deadline)
+            moves = heuristic(pair, report, pool, deadline)
             work += moves
             # the search may slide back into {x, y}; only a genuinely
             # different decomposition settles the question
@@ -204,7 +204,7 @@ def solve_dfj_heuristic(
     rng = np.random.default_rng(params.seed)
     trace = TraceRecorder()
 
-    def run_search(pair, pool, deadline):
+    def run_search(pair, report, pool, deadline):
         before = sum(len(s) - 1 for s in trace.sequences)
 
         def sink(report):
@@ -212,7 +212,12 @@ def solve_dfj_heuristic(
 
         if variant == "ls":
             local_search_directed(
-                pair, rng, cut_sink=sink, trace=trace, deadline=deadline
+                pair,
+                rng,
+                cut_sink=sink,
+                trace=trace,
+                deadline=deadline,
+                report=report,
             )
         else:
             vnd_undirected(
@@ -223,6 +228,7 @@ def solve_dfj_heuristic(
                 trace=trace,
                 recursive=variant == "vnd-fix",
                 deadline=deadline,
+                report=report,
             )
         return sum(len(s) - 1 for s in trace.sequences) - before
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamdec.instances import InstanceKind, InstanceSpec, generate_instance
 from hamdec.multigraph import (
     W,
     Z,
@@ -173,6 +174,16 @@ def test_union_degree_invariants_hold_for_random_cycles(n, directed, seed):
                 assert (mate.tail, mate.head) == (e.tail, e.head)
             else:
                 assert {mate.tail, mate.head} == {e.tail, e.head}
+
+
+@pytest.mark.parametrize("kind", list(InstanceKind))
+@pytest.mark.parametrize("directed", [False, True])
+def test_flat_endpoint_lists_mirror_edges(kind, directed):
+    for seed in range(3):
+        spec = InstanceSpec(kind, 12, directed, seed)
+        _, _, g = generate_instance(spec)
+        assert g.tail == [e.tail for e in g.edges]
+        assert g.head == [e.head for e in g.edges]
 
 
 # ---------------------------------------------------------------- factors
