@@ -18,7 +18,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .instances import fisher_yates
 from .multigraph import W, Z, ComponentReport, TwoFactorPair, components
 
 FixTrail = list  # entries: (edge id, prior side, prior fixed flag)
@@ -176,7 +175,7 @@ def _fix_chain_undirected(pair, edge_id, side, trail) -> bool:
 
 
 def _pick(seq, rng):
-    return seq[int(rng.integers(0, len(seq)))]
+    return seq[int(rng.random() * len(seq))]
 
 
 def _movable(pair, v, from_side):
@@ -214,7 +213,7 @@ def _unfixed_z_edges(pair, rng):
         for eid, side in enumerate(pair.side)
         if side == Z and not fixed[eid]
     ]
-    fisher_yates(order, rng)
+    rng.shuffle(order)
     return order
 
 

@@ -9,10 +9,9 @@ counts are exact solver-call counts; heuristic sweeps are free.
 from __future__ import annotations
 
 import enum
+import random
 import time
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .formulations import (
     build_dfj_base,
@@ -201,7 +200,7 @@ def solve_dfj_heuristic(
             raise ValueError(f"variant {variant!r} needs an undirected instance")
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    rng = np.random.default_rng(params.seed)
+    rng = random.Random(params.seed)
     trace = TraceRecorder()
 
     def run_search(pair, report, pool, deadline):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import statistics
 import subprocess
@@ -60,6 +61,37 @@ def test_generate_reruns_byte_identical(tmp_path):
     assert main(args + ["--out-dir", str(b)]) == 0
     for f in sorted(a.iterdir()):
         assert f.read_bytes() == (b / f.name).read_bytes()
+
+
+# SHA-256 of the instance file `hamdec generate --n 12 --count 1` writes
+# for each (kind, seed).  Instance files must stay byte-reproducible from
+# their seeds whatever PRNG the heuristics use.
+GENERATE_SHA256 = {
+    ("random-permutation", 0):
+        "45f2b9af9a9eebf6a46406df22e7c4e40c9c7a4fea4f1bfb90e0dc9c2d864c13",
+    ("random-permutation", 7):
+        "a0a3133c6921aace4be68185bbebebd9e7bce1a5a2880759a6c81e30d3099a42",
+    ("pyramidal", 0):
+        "83787612c00fed0a72beb58be17eae7e1d91a537fdc5adb2e2d8cfabfc41abe5",
+    ("pyramidal", 7):
+        "2a154a36ad3f007e644ca8cb8392d931953d54715aea20af1c9be063305f40e5",
+    ("four-peak", 0):
+        "0e53a55384645181cae065c5dd60699c8d47d698fd8de2ed90db2e0c62dccb5c",
+    ("four-peak", 7):
+        "f5f700ddff48ec66dbb5883ee4113b775a0bff581fec56f4ac67f242cd6be3e7",
+}
+
+
+@pytest.mark.parametrize("kind, seed", sorted(GENERATE_SHA256))
+def test_generate_output_matches_pinned_digest(tmp_path, kind, seed):
+    out = tmp_path / "batch"
+    rc = main([
+        "generate", "--kind", kind, "--n", "12", "--count", "1",
+        "--seed", str(seed), "--out-dir", str(out),
+    ])
+    assert rc == 0
+    data = (out / f"{kind}_n12_und_0000.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == GENERATE_SHA256[(kind, seed)]
 
 
 def test_generate_rejects_small_four_peak(tmp_path):

@@ -250,6 +250,35 @@ def test_results_are_seed_deterministic():
             ]
 
 
+@pytest.mark.parametrize(
+    "variant, directed", [("ls", True), ("vnd", False), ("vnd-fix", False)]
+)
+def test_same_heuristic_seed_repeats_the_run(variant, directed):
+    searched = 0
+    for i in range(4):
+        spec = InstanceSpec(
+            InstanceKind.RANDOM_PERMUTATION, 40, directed, 300 + i
+        )
+        x, y, g = generate_instance(spec)
+        a, b = (
+            solve_dfj_heuristic(
+                g, x, y, HeuristicParams(seed=i), BUDGET, variant=variant
+            )
+            for _ in range(2)
+        )
+        assert (a.verdict, a.iterations, a.cuts_added, a.work) == (
+            b.verdict, b.iterations, b.cuts_added, b.work
+        )
+        assert a.trace.sequences == b.trace.sequences
+        if a.witness:
+            assert [c.order for c in a.witness] == [
+                c.order for c in b.witness
+            ]
+        searched += sum(len(s) - 1 for s in a.trace.sequences)
+    # the searches must have accepted moves, or the check shows nothing
+    assert searched > 0
+
+
 def test_work_counts_solver_nodes():
     x, y, g = random_instance(8, 4, directed=True)
     res = solve_dfj(g, x, y, BUDGET)
