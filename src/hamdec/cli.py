@@ -71,7 +71,11 @@ def read_instance(path):
     for key in ("n", "directed", "x", "y"):
         if key not in doc:
             raise UsageError(f"instance file missing key {key!r}")
-    directed = bool(doc["directed"])
+    directed = doc["directed"]
+    if not isinstance(directed, bool):
+        raise UsageError("instance field 'directed' must be true or false")
+    if isinstance(doc["n"], bool) or not isinstance(doc["n"], int):
+        raise UsageError("instance field 'n' must be an integer")
     x = HamCycle.from_order(doc["x"], directed)
     y = HamCycle.from_order(doc["y"], directed)
     if x.n != doc["n"] or y.n != doc["n"]:

@@ -126,7 +126,7 @@ def _fix_chain_directed(pair, edge_id, side, trail) -> bool:
                 return False
             continue
         prior = sides[eid]
-        trail.append((eid, prior, False))
+        trail.append((eid, prior, False))  # it was unfixed until now
         if prior != want:
             move(eid)
         fixed[eid] = True
@@ -154,7 +154,7 @@ def _fix_chain_undirected(pair, edge_id, side, trail) -> bool:
                 return False
             continue
         prior = sides[eid]
-        trail.append((eid, prior, False))
+        trail.append((eid, prior, False))  # it was unfixed until now
         if prior != want:
             move(eid)
         fixed[eid] = True

@@ -103,7 +103,8 @@ def _finish(result_args, started):
 
 
 def _witness(pair, x, y):
-    assert is_second_decomposition(pair, x, y)
+    if not is_second_decomposition(pair, x, y):
+        raise RuntimeError("witness is not a second decomposition")
     return cycle_from_factor(pair, Z), cycle_from_factor(pair, W)
 
 
@@ -155,7 +156,8 @@ def _cutting_loop(
         added = pool.add_report(report)
         # both cut halves are in the model for every known set, so any
         # integer point that came back must expose a new subtour
-        assert added > 0
+        if added <= 0:
+            raise RuntimeError("integer point repeats a cut subtour set")
         if heuristic is not None:
             moves = heuristic(pair, report, pool, deadline)
             work += moves
@@ -260,8 +262,8 @@ def solve_mtz(
         args["verdict"] = Verdict.INFEASIBLE
     elif out.status is Status.FEASIBLE:
         pair = decode(out.assignment, mapping, g)
-        report = components(pair)
-        assert report.total == 2
+        if components(pair).total != 2:
+            raise RuntimeError("order model returned split factors")
         args["verdict"] = Verdict.FEASIBLE
         args["witness"] = _witness(pair, x, y)
     return _finish(args, started)

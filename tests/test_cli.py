@@ -182,6 +182,35 @@ def test_solve_corrupt_instance_is_usage_error(tmp_path):
                  "--out-csv", str(tmp_path / "r.csv")]) == 1
 
 
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_solve_rejects_non_boolean_directed(tmp_path, ring6, capsys, value):
+    # "false" used to load as a directed instance
+    x, y = ring6
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(
+        {"n": 6, "directed": value, "x": list(x.order), "y": list(y.order)}
+    ))
+    out = tmp_path / "r.csv"
+    rc = main(["solve", str(bad), "--algorithm", "dfj", "--out-csv", str(out)])
+    assert rc == 1
+    assert "'directed'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["6", 6.0, True, None])
+def test_solve_rejects_non_integer_n(tmp_path, ring6, capsys, value):
+    x, y = ring6
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(
+        {"n": value, "directed": False, "x": list(x.order), "y": list(y.order)}
+    ))
+    out = tmp_path / "r.csv"
+    rc = main(["solve", str(bad), "--algorithm", "dfj", "--out-csv", str(out)])
+    assert rc == 1
+    assert "'n'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_exports_parseable_model(tmp_path, ring6_file):
     from hamdec.ilp import parse_lp
 

@@ -15,6 +15,7 @@ from hamdec.oracle import enumerate_decompositions, has_second_decomposition
 from hamdec.solvers import (
     RunResult,
     Verdict,
+    _CutPool,
     solve_dfj,
     solve_dfj_heuristic,
     solve_mtz,
@@ -277,6 +278,15 @@ def test_same_heuristic_seed_repeats_the_run(variant, directed):
         searched += sum(len(s) - 1 for s in a.trace.sequences)
     # the searches must have accepted moves, or the check shows nothing
     assert searched > 0
+
+
+def test_cut_round_that_adds_no_cut_raises(monkeypatch):
+    # without new cuts the loop would re-solve the same integer point
+    # until the deadline; this must fail loudly, also under python -O
+    monkeypatch.setattr(_CutPool, "add_report", lambda self, report: 0)
+    x, y, g = random_instance(10, 0)
+    with pytest.raises(RuntimeError, match="subtour"):
+        solve_dfj(g, x, y, BUDGET)
 
 
 def test_work_counts_solver_nodes():
