@@ -272,26 +272,28 @@ def components(pair: TwoFactorPair) -> ComponentReport:
 
     Only defined when every vertex meets the factor-degree contract.
     """
-    if pair.broken:
-        raise ValueError(
-            f"degree contract violated at vertices {sorted(pair.broken)}"
-        )
     return ComponentReport(
         _factor_cycles(pair, Z), _factor_cycles(pair, W)
     )
 
 
 def _factor_cycles(pair: TwoFactorPair, side: int) -> list[list[int]]:
+    """Cycles of one factor, walked through the incidence lists.
+
+    The walk takes at each vertex the first factor edge it did not come
+    in by, so it needs the degree contract to hold everywhere.
+    """
+    if pair.broken:
+        raise ValueError(
+            f"degree contract violated at vertices {sorted(pair.broken)}"
+        )
     g = pair.graph
     n = g.n
-    tail, head = g.tail, g.head
+    sides, tail, head = pair.side, g.tail, g.head
     seen = [False] * (n + 1)
     cycles = []
     if g.directed:
-        succ = [0] * (n + 1)
-        for eid, s in enumerate(pair.side):
-            if s == side:
-                succ[tail[eid]] = head[eid]
+        out_arcs = g.out_arcs
         for s in range(1, n + 1):
             if seen[s]:
                 continue
@@ -300,14 +302,13 @@ def _factor_cycles(pair: TwoFactorPair, side: int) -> list[list[int]]:
             while not seen[v]:
                 seen[v] = True
                 comp.append(v)
-                v = succ[v]
+                for e in out_arcs[v]:
+                    if sides[e] == side:
+                        break
+                v = head[e]
             cycles.append(comp)
     else:
-        adj: list[list[int]] = [[] for _ in range(n + 1)]
-        for eid, s in enumerate(pair.side):
-            if s == side:
-                adj[tail[eid]].append(eid)
-                adj[head[eid]].append(eid)
+        inc = g.inc
         for s in range(1, n + 1):
             if seen[s]:
                 continue
@@ -316,8 +317,9 @@ def _factor_cycles(pair: TwoFactorPair, side: int) -> list[list[int]]:
             while True:
                 seen[v] = True
                 comp.append(v)
-                a, b = adj[v]
-                e = b if a == entered else a
+                for e in inc[v]:
+                    if e != entered and sides[e] == side:
+                        break
                 # the far end of e, without an Edge lookup
                 v = tail[e] + head[e] - v
                 entered = e
@@ -330,7 +332,7 @@ def _factor_cycles(pair: TwoFactorPair, side: int) -> list[list[int]]:
 def cycle_from_factor(pair: TwoFactorPair, side: int) -> HamCycle:
     """Extract one factor as a Hamiltonian cycle; fails if it is split."""
     cycles = _factor_cycles(pair, side)
-    if pair.broken or len(cycles) != 1 or len(cycles[0]) != pair.graph.n:
+    if len(cycles) != 1 or len(cycles[0]) != pair.graph.n:
         raise ValueError("factor is not a single Hamiltonian cycle")
     return HamCycle.from_order(cycles[0], pair.graph.directed)
 
