@@ -190,7 +190,8 @@ def solve_dfj_heuristic(
     the undirected neighbourhood alternation with chain fixing, "vnd"
     the same with plain single-edge moves.  Defaults by directedness to
     "ls" or "vnd-fix".  Improvements found between solver calls emit
-    their subtour cuts into the shared model.
+    their subtour cuts into the shared model.  Every search pass of one
+    run draws from the same `random.Random(params.seed)`.
     """
     if variant is None:
         variant = "ls" if g.directed else "vnd-fix"
@@ -207,10 +208,7 @@ def solve_dfj_heuristic(
 
     def run_search(pair, report, pool, deadline):
         before = sum(len(s) - 1 for s in trace.sequences)
-
-        def sink(report):
-            pool.add_report(report)
-
+        sink = pool.add_report
         if variant == "ls":
             local_search_directed(
                 pair,
