@@ -343,6 +343,43 @@ def test_experiment_deterministic_mode_reruns_identically(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+# A small grid that runs all five algorithms, and the SHA-256 digests of
+# the deterministic-mode CSV and of its witness sidecars (each file's
+# name, a newline and its bytes, in name order).  A change that alters
+# a heuristic random stream on purpose updates both digests.
+PINNED_GRID = [
+    {"kind": "random-permutation", "n": 14, "count": 4, "directed": False,
+     "algorithms": ["dfj", "mtz", "dfj-vnd", "dfj-vnd-fix"],
+     "per_set_time_limit_ms": 600000, "seed": 11},
+    {"kind": "four-peak", "n": 16, "count": 2, "directed": False,
+     "algorithms": ["dfj-vnd-fix", "dfj-vnd"],
+     "per_set_time_limit_ms": 600000, "seed": 3},
+    {"kind": "random-permutation", "n": 14, "count": 4, "directed": True,
+     "algorithms": ["dfj", "mtz", "dfj-ls"],
+     "per_set_time_limit_ms": 600000, "seed": 5},
+]
+PINNED_GRID_CSV_SHA256 = (
+    "3fd0e5a62547df544308cc1ca4d97492a9bf8956dc6fb940453a4469dd564b30"
+)
+PINNED_GRID_WITNESS_SHA256 = (
+    "93684f81b3b96ee09cbe7563d72c2ef6ac6522fa699f0f0c359d7e8065e98501"
+)
+
+
+def test_experiment_deterministic_output_matches_pinned_digests(tmp_path):
+    cfg = write_config(tmp_path, PINNED_GRID)
+    out = tmp_path / "grid.csv"
+    assert main(["experiment", str(cfg), "--out-csv", str(out),
+                 "--time-mode", "deterministic"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        PINNED_GRID_CSV_SHA256
+    )
+    digest = hashlib.sha256()
+    for side in sorted((tmp_path / "grid_witnesses").iterdir()):
+        digest.update(side.name.encode() + b"\n" + side.read_bytes())
+    assert digest.hexdigest() == PINNED_GRID_WITNESS_SHA256
+
+
 def test_experiment_empty_algorithms_gives_header_only(tmp_path):
     cfg = write_config(tmp_path, [
         {"kind": "pyramidal", "n": 8, "count": 2, "directed": False,
