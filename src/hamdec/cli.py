@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import sys
-import time
 from pathlib import Path
 
 from .heuristics import HeuristicParams
@@ -20,7 +18,8 @@ from .ilp import export_lp
 from .instances import InstanceKind, InstanceSpec, generate_instance
 from .multigraph import HamCycle, build_union
 from .oracle import MAX_ORACLE_N, enumerate_decompositions, has_second_decomposition
-from .solvers import Verdict, solve_dfj, solve_dfj_heuristic, solve_mtz
+from .solvers import ALGORITHMS, Verdict, check_directedness
+from .solvers import solve_dfj, solve_dfj_heuristic, solve_mtz
 
 CSV_COLUMNS = [
     "instance_id",
@@ -35,10 +34,6 @@ CSV_COLUMNS = [
     "time_ms",
     "multi_edges",
 ]
-
-ALGORITHMS = ("dfj", "mtz", "dfj-ls", "dfj-vnd", "dfj-vnd-fix")
-UNDIRECTED_ONLY = ("dfj-vnd", "dfj-vnd-fix")
-DIRECTED_ONLY = ("dfj-ls",)
 
 
 class UsageError(Exception):
@@ -65,17 +60,26 @@ def write_instance(path, x: HamCycle, y: HamCycle) -> None:
     Path(path).write_text(json.dumps(doc) + "\n")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def read_instance(path):
     """Load and validate an instance file; returns (x, y, union)."""
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise UsageError("instance file must hold a JSON object")
     for key in ("n", "directed", "x", "y"):
         if key not in doc:
             raise UsageError(f"instance file missing key {key!r}")
     directed = doc["directed"]
     if not isinstance(directed, bool):
         raise UsageError("instance field 'directed' must be true or false")
-    if isinstance(doc["n"], bool) or not isinstance(doc["n"], int):
+    if not _is_int(doc["n"]):
         raise UsageError("instance field 'n' must be an integer")
+    for key in ("x", "y"):
+        if not isinstance(doc[key], list) or not all(map(_is_int, doc[key])):
+            raise UsageError(f"instance field {key!r} must be a list of vertices")
     x = HamCycle.from_order(doc["x"], directed)
     y = HamCycle.from_order(doc["y"], directed)
     if x.n != doc["n"] or y.n != doc["n"]:
@@ -150,18 +154,13 @@ def load_witness(path, x: HamCycle, y: HamCycle):
 # ------------------------------------------------------------- solving
 
 def _run_algorithm(algorithm, g, x, y, params, budget_s):
-    if algorithm in DIRECTED_ONLY and not g.directed:
-        raise UsageError(f"{algorithm} requires a directed instance")
-    if algorithm in UNDIRECTED_ONLY and g.directed:
-        raise UsageError(f"{algorithm} requires an undirected instance")
-    if algorithm == "dfj":
-        return solve_dfj(g, x, y, budget_s)
+    variant = ALGORITHMS[algorithm][0]
+    if variant is not None:
+        # raises ValueError when the instance has the wrong directedness
+        return solve_dfj_heuristic(g, x, y, params, budget_s, variant=variant)
     if algorithm == "mtz":
         return solve_mtz(g, x, y, budget_s)
-    variant = {"dfj-ls": "ls", "dfj-vnd": "vnd", "dfj-vnd-fix": "vnd-fix"}[
-        algorithm
-    ]
-    return solve_dfj_heuristic(g, x, y, params, budget_s, variant=variant)
+    return solve_dfj(g, x, y, budget_s)
 
 
 def _time_field(res, time_mode) -> int:
@@ -255,17 +254,23 @@ def _experiment_tasks(config):
     for si, block in enumerate(config):
         try:
             kind = InstanceKind(block["kind"])
-            n = int(block["n"])
-            count = int(block["count"])
-            directed = bool(block["directed"])
-            algorithms = list(block["algorithms"])
+            n, count, seed = block["n"], block["count"], block["seed"]
+            directed = block["directed"]
+            algorithms = block["algorithms"]
             limit_ms = float(block["per_set_time_limit_ms"])
-            seed = int(block["seed"])
+            for key, value in (("n", n), ("count", count), ("seed", seed)):
+                if not _is_int(value):
+                    raise ValueError(f"{key!r} must be an integer")
+            if not isinstance(directed, bool):
+                raise ValueError("'directed' must be true or false")
+            if not isinstance(algorithms, list):
+                raise ValueError("'algorithms' must be a list")
+            for alg in algorithms:
+                if not isinstance(alg, str) or alg not in ALGORITHMS:
+                    raise ValueError(f"unknown algorithm {alg!r}")
+                check_directedness(alg, directed)
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"config set {si}: {exc}")
-        for alg in algorithms:
-            if alg not in ALGORITHMS:
-                raise UsageError(f"config set {si}: unknown algorithm {alg!r}")
         budget_s = limit_ms / 1000.0 / max(count, 1)
         for alg in algorithms:
             for i in range(count):
@@ -338,21 +343,7 @@ def cmd_experiment(args) -> int:
     except json.JSONDecodeError as exc:
         raise UsageError(f"config is not valid JSON: {exc}")
     tasks = _experiment_tasks(config)
-    workers = max(1, int(os.environ.get("HAMDEC_THREADS", "1")))
-    results = [None] * len(tasks)
-    if workers == 1 or len(tasks) <= 1:
-        for i, task in enumerate(tasks):
-            results[i] = _run_task(task, args.time_mode)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [
-                pool.submit(_run_task, task, args.time_mode)
-                for task in tasks
-            ]
-            for i, fut in enumerate(futs):
-                results[i] = fut.result()
+    results = [_run_task(task, args.time_mode) for task in tasks]
     rows = []
     rows_by_set = {}
     for task, (row, witness, cycles) in zip(tasks, results):
@@ -413,7 +404,7 @@ def build_parser() -> _Parser:
 
     slv = sub.add_parser("solve", help="solve one instance file")
     slv.add_argument("instance")
-    slv.add_argument("--algorithm", required=True, choices=ALGORITHMS)
+    slv.add_argument("--algorithm", required=True, choices=list(ALGORITHMS))
     slv.add_argument("--time-limit-ms", type=float, default=60000.0)
     slv.add_argument("--seed", type=int, default=0)
     slv.add_argument("--attempt-limit", type=int, default=10)

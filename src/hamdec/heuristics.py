@@ -187,6 +187,13 @@ def _movable(pair, v, from_side):
     ]
 
 
+def _repair_choice(pair, rng):
+    """A random broken vertex's missing factor and the edges to move in."""
+    v = _pick(sorted(pair.broken), rng)
+    want = Z if pair.deg_z[v] < 2 else W
+    return want, _movable(pair, v, W if want == Z else Z)
+
+
 def _repair_all(pair, rng, trail, recursive) -> bool:
     """Move edges at random broken vertices until none remain."""
     guard = 4 * len(pair.graph.edges)
@@ -194,11 +201,7 @@ def _repair_all(pair, rng, trail, recursive) -> bool:
         guard -= 1
         if guard < 0:
             return False
-        v = _pick(sorted(pair.broken), rng)
-        if pair.deg_z[v] < 2:
-            want, pool = Z, _movable(pair, v, W)
-        else:
-            want, pool = W, _movable(pair, v, Z)
+        want, pool = _repair_choice(pair, rng)
         if not pool:
             return False
         if not fix_edge(pair, _pick(pool, rng), want, trail, recursive):
@@ -367,11 +370,7 @@ def _dive(pair, depth, limit, base, rng, trail, recursive):
         return found if found.total < base else None
     if depth > limit:
         return None
-    v = _pick(sorted(pair.broken), rng)
-    if pair.deg_z[v] < 2:
-        want, pool = Z, _movable(pair, v, W)
-    else:
-        want, pool = W, _movable(pair, v, Z)
+    want, pool = _repair_choice(pair, rng)
     for eid in pool:
         mark = len(trail)
         if fix_edge(pair, eid, want, trail, recursive):

@@ -329,125 +329,83 @@ def export_lp(model: IlpModel) -> str:
     return "\n".join(out) + "\n"
 
 
-_SECTION_KEYS = {
-    "minimize": "objective",
-    "maximize": "objective",
-    "subject": "constraints",
-    "st": "constraints",
-    "s.t.": "constraints",
-    "bounds": "bounds",
-    "binaries": "binaries",
-    "binary": "binaries",
-    "bin": "binaries",
-    "generals": "generals",
-    "general": "generals",
-    "gen": "generals",
-    "end": "end",
-}
-
-
-def _section_of(line: str) -> str | None:
-    stripped = line.strip().lower()
-    head = stripped.split()[0] if stripped.split() else ""
-    key = _SECTION_KEYS.get(stripped) or _SECTION_KEYS.get(head)
-    if key == "constraints" and not (
-        stripped in ("st", "s.t.") or stripped.startswith("subject")
-    ):
-        return None
-    return key
+_HEADERS = ("Minimize", "Subject To", "Bounds", "Binaries", "Generals")
 
 
 def parse_lp(text: str) -> IlpModel:
-    """Re-read LP text produced by export_lp into a structurally equal model."""
-    sections: dict[str, list[str]] = {
-        "objective": [],
-        "constraints": [],
-        "bounds": [],
-        "binaries": [],
-        "generals": [],
-    }
+    """Re-read LP text produced by export_lp into a structurally equal model.
+
+    Only the dialect export_lp writes is accepted: its exact section
+    headers, `name:` labels, terms `[+|-] [coefficient] var`, the
+    relations `<=`, `>=` and `=`, and `0` for an empty left-hand side.
+    """
+    sections: dict[str, list[str]] = {header: [] for header in _HEADERS}
     current = None
     for raw in text.splitlines():
-        if not raw.strip() or raw.strip().startswith("\\"):
-            continue
-        key = _section_of(raw)
-        if key == "end":
+        if raw == "End":
             break
-        if key is not None:
-            current = key
+        if raw in sections:
+            current = raw
             continue
         if current is None:
             raise ValueError(f"content before any section: {raw!r}")
         sections[current].append(raw)
+    for line in sections["Minimize"]:
+        if line.split() != ["obj:", "0"]:
+            raise ValueError(f"unsupported objective line: {line!r}")
 
     model = IlpModel()
     index: dict[str, int] = {}
-    for line in sections["binaries"]:
+    for line in sections["Binaries"]:
         for name in line.split():
             index[name] = model.add_binary(name)
-    general_names = []
-    for line in sections["generals"]:
-        for name in line.split():
-            general_names.append(name)
-            index[name] = model.add_int(name, 0, 0)
-    bounded = set()
-    for line in sections["bounds"]:
+    bounds = {}
+    for line in sections["Bounds"]:
         toks = line.split()
         if len(toks) != 5 or toks[1] != "<=" or toks[3] != "<=":
             raise ValueError(f"unsupported bounds line: {line!r}")
-        name = toks[2]
-        if name not in index:
-            raise ValueError(f"bounds for undeclared var {name!r}")
-        v = index[name]
-        model.lo[v] = int(toks[0])
-        model.hi[v] = int(toks[4])
-        bounded.add(name)
-    missing = [n for n in general_names if n not in bounded]
-    if missing:
-        raise ValueError(f"integer vars without bounds: {missing}")
+        bounds[toks[2]] = (int(toks[0]), int(toks[4]))
+    for line in sections["Generals"]:
+        for name in line.split():
+            if name not in bounds:
+                raise ValueError(f"integer var without bounds: {name!r}")
+            index[name] = model.add_int(name, *bounds.pop(name))
+    if bounds:
+        raise ValueError(f"bounds for vars not in Generals: {sorted(bounds)}")
 
     tokens: list[str] = []
-    for line in sections["constraints"]:
+    for line in sections["Subject To"]:
         tokens.extend(line.split())
     i = 0
     while i < len(tokens):
-        # constraint name terminated by ':'
-        tok = tokens[i]
-        if tok.endswith(":"):
-            name = tok[:-1]
-            i += 1
-        elif i + 1 < len(tokens) and tokens[i + 1] == ":":
-            name = tok
-            i += 2
-        else:
-            raise ValueError(f"expected constraint name, got {tok!r}")
+        name = tokens[i]
+        if not name.endswith(":"):
+            raise ValueError(f"expected constraint name, got {name!r}")
+        name = name[:-1]
+        i += 1
         terms = []
-        sign = 1
-        coef = None
-        sense = None
-        while i < len(tokens):
+        sign = coef = sense = None
+        while i < len(tokens) and sense is None:
             tok = tokens[i]
             i += 1
-            if tok in ("<=", ">=", "=", "==", "<", ">"):
-                sense = {"<": LE, ">": GE, "==": EQ}.get(tok, tok)
-                break
-            if tok == "+":
-                sign = 1
-            elif tok == "-":
-                sign = -1
-            elif tok.lstrip("-").isdigit():
-                value = int(tok)
-                if value < 0:
-                    sign, value = -sign, -value
-                coef = value if coef is None else coef * value
+            if tok in (LE, GE, EQ):
+                sense = tok
+            elif tok in ("+", "-") and sign is None and coef is None:
+                sign = 1 if tok == "+" else -1
+            elif tok.isdigit() and coef is None:
+                coef = int(tok)
+            elif tok in index and (sign is not None or not terms):
+                mag = 1 if coef is None else coef
+                terms.append(((sign or 1) * mag, index[tok]))
+                sign = coef = None
             else:
-                if tok not in index:
-                    raise ValueError(f"constraint uses undeclared var {tok!r}")
-                terms.append((sign * (1 if coef is None else coef), index[tok]))
-                sign, coef = 1, None
+                raise ValueError(
+                    f"constraint {name!r}: undeclared var or bad token {tok!r}"
+                )
         if sense is None:
             raise ValueError(f"constraint {name!r} has no relation")
-        if coef is not None and coef != 0:
+        # a lone 0 is the empty left-hand side
+        if sign is not None or (coef is not None and (coef or terms)):
             raise ValueError(f"dangling constant in constraint {name!r}")
         if i >= len(tokens):
             raise ValueError(f"constraint {name!r} has no right-hand side")

@@ -237,11 +237,6 @@ class TwoFactorPair:
         if self.side[edge_id] != side:
             self.move(edge_id)
 
-    def copy(self) -> "TwoFactorPair":
-        dup = TwoFactorPair(self.graph, self.side)
-        dup.fixed = list(self.fixed)
-        return dup
-
     def factor_multiset(self, side: int) -> tuple:
         pairs = [
             (e.tail, e.head)

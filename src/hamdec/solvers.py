@@ -38,6 +38,25 @@ from .multigraph import (
 )
 
 
+# Algorithm name -> (local search run between solver calls, directedness
+# that search needs); None means no search, or either directedness.
+ALGORITHMS = {
+    "dfj": (None, None),
+    "mtz": (None, None),
+    "dfj-ls": ("ls", True),
+    "dfj-vnd": ("vnd", False),
+    "dfj-vnd-fix": ("vnd-fix", False),
+}
+
+
+def check_directedness(algorithm: str, directed: bool) -> None:
+    """Raise ValueError if `algorithm` cannot run on such an instance."""
+    needs = ALGORITHMS[algorithm][1]
+    if needs is not None and needs != directed:
+        kind = "a directed" if needs else "an undirected"
+        raise ValueError(f"{algorithm} requires {kind} instance")
+
+
 class Verdict(enum.Enum):
     FEASIBLE = "feasible"
     INFEASIBLE = "infeasible"
@@ -195,14 +214,10 @@ def solve_dfj_heuristic(
     """
     if variant is None:
         variant = "ls" if g.directed else "vnd-fix"
-    if variant == "ls":
-        if not g.directed:
-            raise ValueError("variant 'ls' needs a directed instance")
-    elif variant in ("vnd", "vnd-fix"):
-        if g.directed:
-            raise ValueError(f"variant {variant!r} needs an undirected instance")
-    else:
+    algorithm = f"dfj-{variant}"
+    if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown variant {variant!r}")
+    check_directedness(algorithm, g.directed)
     rng = random.Random(params.seed)
     trace = TraceRecorder()
 
@@ -232,7 +247,7 @@ def solve_dfj_heuristic(
         return sum(len(s) - 1 for s in trace.sequences) - before
 
     return _cutting_loop(
-        g, x, y, budget_s, f"dfj-{variant}", heuristic=run_search, trace=trace
+        g, x, y, budget_s, algorithm, heuristic=run_search, trace=trace
     )
 
 

@@ -163,6 +163,14 @@ def test_solve_rejects_directionality_mismatch(tmp_path, ring6_file):
                "--out-csv", str(out)])
     assert rc == 1
     assert not out.exists()
+    x, y, _ = random_instance(8, 0, directed=True)
+    directed_file = tmp_path / "directed.json"
+    write_instance(directed_file, x, y)
+    for alg in ("dfj-vnd", "dfj-vnd-fix"):
+        rc = main(["solve", str(directed_file), "--algorithm", alg,
+                   "--out-csv", str(out)])
+        assert rc == 1
+        assert not out.exists()
 
 
 def test_solve_missing_file_is_io_error(tmp_path):
@@ -208,6 +216,37 @@ def test_solve_rejects_non_integer_n(tmp_path, ring6, capsys, value):
     rc = main(["solve", str(bad), "--algorithm", "dfj", "--out-csv", str(out)])
     assert rc == 1
     assert "'n'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("x", 5), ("y", 5), ("x", "123456"), ("y", None),
+    ("x", [1, 2, 3, 4, 5, None]), ("y", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+])
+def test_solve_rejects_cycle_that_is_not_a_vertex_list(
+    tmp_path, ring6, capsys, key, value
+):
+    # "x": 5 used to end in a TypeError traceback
+    x, y = ring6
+    doc = {"n": 6, "directed": False, "x": list(x.order), "y": list(y.order)}
+    doc[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "r.csv"
+    rc = main(["solve", str(bad), "--algorithm", "dfj", "--out-csv", str(out)])
+    assert rc == 1
+    assert f"hamdec: error: instance field {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc", [5, None, "text", [1, 2, 3]])
+def test_solve_rejects_instance_that_is_not_an_object(tmp_path, capsys, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "r.csv"
+    rc = main(["solve", str(bad), "--algorithm", "dfj", "--out-csv", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("hamdec: error:")
     assert not out.exists()
 
 
@@ -400,6 +439,60 @@ def test_experiment_malformed_config(tmp_path):
     missing_keys = write_config(tmp_path, [{"kind": "pyramidal"}])
     assert main(["experiment", str(missing_keys),
                  "--out-csv", str(out)]) == 1
+
+
+GOOD_SET = {"kind": "pyramidal", "n": 8, "count": 2, "directed": False,
+            "algorithms": ["dfj"], "per_set_time_limit_ms": 1000,
+            "seed": 0}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("directed", "false"), ("directed", 0), ("directed", None),
+    ("n", 8.0), ("n", 2.7), ("n", True), ("n", "8"),
+    ("count", 2.7), ("count", False), ("count", "2"),
+    ("seed", 1.5), ("seed", True), ("seed", None),
+    ("algorithms", "dfj"), ("algorithms", {"dfj": 1}),
+    ("algorithms", ["dfj", ["mtz"]]),
+    ("algorithms", ["dfj-ls"]),
+])
+def test_experiment_rejects_bad_config_field_before_any_task(
+    tmp_path, monkeypatch, capsys, key, value
+):
+    # the bad set comes second, so a late check would run the first one
+    ran = []
+    monkeypatch.setattr(
+        "hamdec.cli._run_task", lambda task, mode: ran.append(task)
+    )
+    cfg = write_config(tmp_path, [GOOD_SET, {**GOOD_SET, key: value}])
+    out = tmp_path / "grid.csv"
+    assert main(["experiment", str(cfg), "--out-csv", str(out)]) == 1
+    assert "hamdec: error: config set 1:" in capsys.readouterr().err
+    assert ran == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alg", ["dfj-vnd", "dfj-vnd-fix"])
+def test_experiment_rejects_undirected_search_on_directed_set(
+    tmp_path, monkeypatch, alg
+):
+    ran = []
+    monkeypatch.setattr(
+        "hamdec.cli._run_task", lambda task, mode: ran.append(task)
+    )
+    bad = {**GOOD_SET, "directed": True, "algorithms": ["dfj", alg]}
+    cfg = write_config(tmp_path, [GOOD_SET, bad])
+    out = tmp_path / "grid.csv"
+    assert main(["experiment", str(cfg), "--out-csv", str(out)]) == 1
+    assert ran == []
+
+
+def test_experiment_accepts_float_time_limit(tmp_path):
+    cfg = write_config(tmp_path, [
+        {**GOOD_SET, "per_set_time_limit_ms": 120000.5},
+    ])
+    out = tmp_path / "grid.csv"
+    assert main(["experiment", str(cfg), "--out-csv", str(out)]) == 0
+    assert len(read_rows(out)) == 2
 
 
 def test_experiment_witnesses_revalidate(tmp_path):

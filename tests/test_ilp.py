@@ -205,3 +205,42 @@ def test_parse_rejects_malformed_text():
             "Minimize\n obj: 0\nSubject To\nBinaries\n z_0\n"
             "Generals\n a_1\nEnd\n"
         )
+
+
+SMALL_LP = (
+    "Minimize\n obj: 0\nSubject To\n c: z_0 + z_1 <= 1\n"
+    "Binaries\n z_0 z_1\nEnd\n"
+)
+
+
+def test_small_lp_is_what_export_writes():
+    m = IlpModel()
+    m.add_le([(1, m.add_binary("z_0")), (1, m.add_binary("z_1"))], 1, "c")
+    assert export_lp(m) == SMALL_LP
+    assert model_signature(parse_lp(SMALL_LP)) == model_signature(m)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("Subject To", "st"),
+    ("Binaries", "bin"),
+    (" <= ", " < "),
+    (" <= ", " == "),
+    (" z_0 ", " 2 3 z_0 "),
+    (" z_1 ", " -2 z_1 "),
+    ("Subject To\n", "Subject To\n\\ a comment\n"),
+    ("Minimize\n", "\\ a comment\nMinimize\n"),
+    (" c: ", " c : "),
+    ("Minimize", "Maximize"),
+])
+def test_parse_rejects_constructs_export_never_writes(old, new):
+    assert old in SMALL_LP
+    with pytest.raises(ValueError):
+        parse_lp(SMALL_LP.replace(old, new, 1))
+
+
+@pytest.mark.parametrize("lhs", [
+    "z_0 + z_1 + 2", "z_0 + z_1 2", "z_0 + z_1 +", "z_0 z_1", "2", "- 0",
+])
+def test_parse_rejects_dangling_terms(lhs):
+    with pytest.raises(ValueError):
+        parse_lp(SMALL_LP.replace("z_0 + z_1", lhs))
