@@ -79,7 +79,7 @@ def read_instance(path):
         raise UsageError("instance field 'n' must be an integer")
     for key in ("x", "y"):
         if not isinstance(doc[key], list) or not all(map(_is_int, doc[key])):
-            raise UsageError(f"instance field {key!r} must be a list of vertices")
+            raise UsageError(f"instance field {key!r} must be a vertex list")
     x = HamCycle.from_order(doc["x"], directed)
     y = HamCycle.from_order(doc["y"], directed)
     if x.n != doc["n"] or y.n != doc["n"]:
