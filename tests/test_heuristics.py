@@ -184,6 +184,29 @@ def test_directed_successful_move_restores_validity():
     assert hit >= 10
 
 
+def test_every_successful_directed_chain_leaves_no_broken_vertex():
+    # the directed search gives each candidate a single attempt and no
+    # repair, which is sound only because a chain that does not conflict
+    # always ends in a valid pair
+    hit = 0
+    for inst_seed in range(8):
+        _, _, g = random_instance(11, inst_seed, directed=True)
+        for g, start in ((g, origin_pair(g)), directed_scrambled(inst_seed)):
+            pair = TwoFactorPair(g, list(start.side))
+            fix_parallel_copies(pair)
+            assert not pair.broken
+            trail = []
+            for eid in range(len(g.edges)):
+                if pair.fixed[eid] or pair.side[eid] != Z:
+                    continue
+                if fix_edge(pair, eid, W, trail):
+                    hit += 1
+                    assert not pair.broken
+                    assert recount_broken(pair) == set()
+                rollback(pair, trail, 0)
+    assert hit >= 100
+
+
 def test_cascade_touches_each_edge_at_most_once():
     for seed in range(10):
         for directed in (True, False):
