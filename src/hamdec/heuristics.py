@@ -3,10 +3,13 @@
 The objective is the total number of connected components over both
 factors; 2 means each factor is a single Hamiltonian cycle.  Moves
 flip edges between factors.  Chain fixing propagates a forced move
-through the degree contract: directed graphs via the sibling arcs at
-the endpoints, undirected graphs via vertices whose factor degree
-saturates.  All mutation goes through a trail so failed candidates
-roll back exactly.
+through the degree contract with one rule.  Every edge has a slot at
+each end: its tail's out-arcs and its head's in-arcs when directed,
+where a factor takes cap = 1 edge of each slot, and the incidence
+lists of both ends when undirected, with cap = 2.  Once a slot holds
+cap pinned edges of one factor, its unfixed edges are forced into the
+other; more than cap is a contradiction.  All mutation goes through a
+trail so failed candidates roll back exactly.
 
 One copy of every parallel edge pair is pinned in each factor up
 front: splitting them is necessary for Hamiltonicity, so the search
@@ -59,10 +62,6 @@ class TraceRecorder:
                 self.valid = False
 
 
-def record(pair: TwoFactorPair, trail: FixTrail, edge_id: int) -> None:
-    trail.append((edge_id, pair.side[edge_id], pair.fixed[edge_id]))
-
-
 def rollback(pair: TwoFactorPair, trail: FixTrail, mark: int) -> None:
     """Restore sides and fixed flags to the state at `mark`."""
     side, fixed, move = pair.side, pair.fixed, pair.move
@@ -99,24 +98,16 @@ def fix_edge(
 ) -> bool:
     """Move an edge to `side` and pin it; False reports a contradiction.
 
-    With `recursive` the move cascades through every edge the degree
-    contract then forces; without it only the one edge is touched.
+    With `recursive` the move cascades through every edge the slot rule
+    of the module docstring then forces; without it only the one edge
+    is touched.
     """
-    if not recursive:
-        if pair.fixed[edge_id]:
-            return pair.side[edge_id] == side
-        record(pair, trail, edge_id)
-        pair.set_side(edge_id, side)
-        pair.fixed[edge_id] = True
-        return True
-    if pair.graph.directed:
-        return _fix_chain_directed(pair, edge_id, side, trail)
-    return _fix_chain_undirected(pair, edge_id, side, trail)
-
-
-def _fix_chain_directed(pair, edge_id, side, trail) -> bool:
     g = pair.graph
-    out_arcs, in_arcs, tail, head = g.out_arcs, g.in_arcs, g.tail, g.head
+    if g.directed:
+        at_tail, at_head, cap = g.out_arcs, g.in_arcs, 1
+    else:
+        at_tail, at_head, cap = g.inc, g.inc, 2
+    tail, head = g.tail, g.head
     sides, fixed, move = pair.side, pair.fixed, pair.move
     stack = [(edge_id, side)]
     while stack:
@@ -130,45 +121,18 @@ def _fix_chain_directed(pair, edge_id, side, trail) -> bool:
         if prior != want:
             move(eid)
         fixed[eid] = True
+        if not recursive:
+            return True
         other = W if want == Z else Z
-        # the factor has out-degree 1 at the tail and in-degree 1 at the
-        # head, so the sibling arcs are forced to the other factor
-        for sib in out_arcs[tail[eid]]:
-            if sib != eid:
-                stack.append((sib, other))
-        for sib in in_arcs[head[eid]]:
-            if sib != eid:
-                stack.append((sib, other))
-    return True
-
-
-def _fix_chain_undirected(pair, edge_id, side, trail) -> bool:
-    g = pair.graph
-    inc, tail, head = g.inc, g.tail, g.head
-    sides, fixed, move = pair.side, pair.fixed, pair.move
-    stack = [(edge_id, side)]
-    while stack:
-        eid, want = stack.pop()
-        if fixed[eid]:
-            if sides[eid] != want:
-                return False
-            continue
-        prior = sides[eid]
-        trail.append((eid, prior, False))  # it was unfixed until now
-        if prior != want:
-            move(eid)
-        fixed[eid] = True
-        other = W if want == Z else Z
-        for v in (tail[eid], head[eid]):
-            around = inc[v]
+        for slot in (at_tail[tail[eid]], at_head[head[eid]]):
             pinned = 0
-            for oid in around:
+            for oid in slot:
                 if fixed[oid] and sides[oid] == want:
                     pinned += 1
-            if pinned > 2:
+            if pinned > cap:
                 return False
-            if pinned == 2:
-                for oid in around:
+            if pinned == cap:
+                for oid in slot:
                     if not fixed[oid]:
                         stack.append((oid, other))
     return True
@@ -224,6 +188,54 @@ def _expired(deadline):
     return deadline is not None and time.monotonic() > deadline
 
 
+def _open(pair, directed, trace, report) -> ComponentReport:
+    """Pin parallel copies, count the start state, open a trace run."""
+    if pair.graph.directed != directed:
+        raise ValueError(
+            "this search works on directed unions"
+            if directed
+            else "this neighbourhood works on undirected unions"
+        )
+    fix_parallel_copies(pair)
+    if report is None:
+        report = components(pair)
+    if trace:
+        trace.open_run(report.total)
+    return report
+
+
+def _sweep(pair, rng, base, attempt_limit, recursive, cut_sink, trace,
+           deadline):
+    """One move-then-repair pass over a fresh shuffle of the candidates.
+
+    Each candidate move is given `attempt_limit` randomized repair
+    replays from the post-move state.  Cascades that leave no broken
+    vertex are deterministic, so they get a single attempt.  The first
+    state with fewer than `base` cycles is accepted: its report goes to
+    `cut_sink` and `trace`, every non-parallel pin is released and the
+    report is returned.  None means no candidate improved in time.
+    """
+    trail: FixTrail = []
+    for eid in _unfixed_z_edges(pair, rng):
+        if _expired(deadline):
+            return None
+        if fix_edge(pair, eid, W, trail, recursive):
+            checkpoint = len(trail)
+            for _ in range(attempt_limit if pair.broken else 1):
+                if _repair_all(pair, rng, trail, recursive):
+                    found = components(pair)
+                    if found.total < base:
+                        if cut_sink:
+                            cut_sink(found)
+                        if trace:
+                            trace.accept(pair, found.total)
+                        unfix_non_parallel(pair)
+                        return found
+                rollback(pair, trail, checkpoint)
+        rollback(pair, trail, 0)
+    return None
+
+
 def local_search_directed(
     pair: TwoFactorPair,
     rng,
@@ -236,37 +248,14 @@ def local_search_directed(
 
     Every accepted state's subtours are reported to `cut_sink`; after
     an acceptance all non-parallel pins are released and the sweep
-    restarts over a fresh shuffle.  `report` may give the cycle count
-    of the starting state.
+    restarts over a fresh shuffle.  A chain that ends without a
+    contradiction leaves no broken vertex, so no repair is drawn.
+    `report` may give the cycle count of the starting state.
     """
-    if not pair.graph.directed:
-        raise ValueError("this search works on directed unions")
-    trail: FixTrail = []
-    fix_parallel_copies(pair)
-    best = (report if report is not None else components(pair)).total
-    if trace:
-        trace.open_run(best)
-    while best > 2:
-        improved = False
-        for eid in _unfixed_z_edges(pair, rng):
-            if _expired(deadline):
-                return pair
-            mark = len(trail)
-            if fix_edge(pair, eid, W, trail) and not pair.broken:
-                report = components(pair)
-                if report.total < best:
-                    best = report.total
-                    if cut_sink:
-                        cut_sink(report)
-                    if trace:
-                        trace.accept(pair, report.total)
-                    unfix_non_parallel(pair)
-                    trail.clear()
-                    improved = True
-                    break
-            rollback(pair, trail, mark)
-        if not improved:
-            break
+    best = _open(pair, True, trace, report)
+    while best is not None and best.total > 2:
+        best = _sweep(pair, rng, best.total, 1, True, cut_sink, trace,
+                      deadline)
     return pair
 
 
@@ -282,45 +271,15 @@ def ls_first_neighbourhood(
 ) -> ComponentReport:
     """One sweep of move-then-repair; returns at the first improvement.
 
-    Each candidate move is given `attempt_limit` randomized repair
-    replays from the post-move state.  Cascades that leave no broken
-    vertex are deterministic, so they get a single attempt.  `report`,
-    when given, is the cycle count of the starting state; the return
-    value is the one of the state the sweep leaves.
+    `report`, when given, is the cycle count of the starting state; the
+    return value is the one of the state the sweep leaves.
     """
-    if pair.graph.directed:
-        raise ValueError("this neighbourhood works on undirected unions")
-    trail: FixTrail = []
-    fix_parallel_copies(pair)
-    start_report = report if report is not None else components(pair)
-    base = start_report.total
-    if trace:
-        trace.open_run(base)
-    if base == 2:
-        return start_report
-    for eid in _unfixed_z_edges(pair, rng):
-        if _expired(deadline):
-            break
-        start = len(trail)
-        if not fix_edge(pair, eid, W, trail, recursive):
-            rollback(pair, trail, start)
-            continue
-        checkpoint = len(trail)
-        attempts = 1 if not pair.broken else params.attempt_limit
-        for _ in range(attempts):
-            if _repair_all(pair, rng, trail, recursive):
-                found = components(pair)
-                if found.total < base:
-                    if cut_sink:
-                        cut_sink(found)
-                    if trace:
-                        trace.accept(pair, found.total)
-                    unfix_non_parallel(pair)
-                    trail.clear()
-                    return found
-            rollback(pair, trail, checkpoint)
-        rollback(pair, trail, start)
-    return start_report
+    start = _open(pair, False, trace, report)
+    if start.total == 2:
+        return start
+    found = _sweep(pair, rng, start.total, params.attempt_limit, recursive,
+                   cut_sink, trace, deadline)
+    return found or start
 
 
 def ls_second_neighbourhood(
@@ -336,31 +295,23 @@ def ls_second_neighbourhood(
 
     `report` and the return value are as in `ls_first_neighbourhood`.
     """
-    if pair.graph.directed:
-        raise ValueError("this neighbourhood works on undirected unions")
+    start = _open(pair, False, trace, report)
+    if start.total == 2:
+        return start
     trail: FixTrail = []
-    fix_parallel_copies(pair)
-    start_report = report if report is not None else components(pair)
-    base = start_report.total
-    if trace:
-        trace.open_run(base)
-    if base == 2:
-        return start_report
     for eid in _unfixed_z_edges(pair, rng):
         if _expired(deadline):
             break
-        start = len(trail)
         found = fix_edge(pair, eid, W, trail, recursive) and _dive(
-            pair, 1, params.depth_limit, base, rng, trail, recursive
+            pair, 1, params.depth_limit, start.total, rng, trail, recursive
         )
         if found:
             if trace:
                 trace.accept(pair, found.total)
             unfix_non_parallel(pair)
-            trail.clear()
             return found
-        rollback(pair, trail, start)
-    return start_report
+        rollback(pair, trail, 0)
+    return start
 
 
 def _dive(pair, depth, limit, base, rng, trail, recursive):

@@ -233,10 +233,6 @@ class TwoFactorPair:
             else:
                 broken.add(v)
 
-    def set_side(self, edge_id: int, side: int) -> None:
-        if self.side[edge_id] != side:
-            self.move(edge_id)
-
     def factor_multiset(self, side: int) -> tuple:
         pairs = [
             (e.tail, e.head)

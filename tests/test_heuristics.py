@@ -10,7 +10,6 @@ from hamdec.heuristics import (
     local_search_directed,
     ls_first_neighbourhood,
     ls_second_neighbourhood,
-    record,
     rollback,
     unfix_non_parallel,
     vnd_undirected,
@@ -325,7 +324,7 @@ def test_parallel_pinning_requires_split_copies(ring6):
     g = build_union(x, y)
     pair = origin_pair(g)
     dup = next(e for e in g.edges if e.partner is not None)
-    pair.set_side(dup.id, pair.side[dup.partner])
+    pair.move(dup.id)  # both copies now in one factor
     with pytest.raises(ValueError):
         fix_parallel_copies(pair)
 
