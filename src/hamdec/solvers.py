@@ -115,12 +115,6 @@ class _CutPool:
         return fresh
 
 
-def _finish(result_args, started):
-    res = RunResult(**result_args)
-    res.elapsed = time.monotonic() - started
-    return res
-
-
 def _witness(pair, x, y):
     if not is_second_decomposition(pair, x, y):
         raise RuntimeError("witness is not a second decomposition")
@@ -144,20 +138,17 @@ def _cutting_loop(
     work = 0
 
     def done(verdict, witness=None):
-        return _finish(
-            dict(
-                verdict=verdict,
-                algorithm=algorithm,
-                witness=witness,
-                iterations=iterations,
-                cuts_added=len(pool.emitted),
-                elapsed=0.0,
-                work=work,
-                emitted_cuts=pool.emitted,
-                trace=trace,
-                model=model,
-            ),
-            started,
+        return RunResult(
+            verdict=verdict,
+            algorithm=algorithm,
+            witness=witness,
+            iterations=iterations,
+            cuts_added=len(pool.emitted),
+            elapsed=time.monotonic() - started,
+            work=work,
+            emitted_cuts=pool.emitted,
+            trace=trace,
+            model=model,
         )
 
     while True:
@@ -261,22 +252,21 @@ def solve_mtz(
     else:
         model, mapping = build_mtz_undirected(g)
     out = solve(model, budget_s)
-    args = dict(
-        verdict=Verdict.TIMED_OUT,
-        algorithm="mtz",
-        witness=None,
-        iterations=1,
-        cuts_added=0,
-        elapsed=0.0,
-        work=out.nodes,
-        model=model,
-    )
+    verdict, witness = Verdict.TIMED_OUT, None
     if out.status is Status.INFEASIBLE:
-        args["verdict"] = Verdict.INFEASIBLE
+        verdict = Verdict.INFEASIBLE
     elif out.status is Status.FEASIBLE:
         pair = decode(out.assignment, mapping, g)
         if components(pair).total != 2:
             raise RuntimeError("order model returned split factors")
-        args["verdict"] = Verdict.FEASIBLE
-        args["witness"] = _witness(pair, x, y)
-    return _finish(args, started)
+        verdict, witness = Verdict.FEASIBLE, _witness(pair, x, y)
+    return RunResult(
+        verdict=verdict,
+        algorithm="mtz",
+        witness=witness,
+        iterations=1,
+        cuts_added=0,
+        elapsed=time.monotonic() - started,
+        work=out.nodes,
+        model=model,
+    )
