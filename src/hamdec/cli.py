@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
 from pathlib import Path
@@ -62,6 +63,20 @@ def write_instance(path, x: HamCycle, y: HamCycle) -> None:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _time_limit_ms(value) -> float:
+    """A time limit in ms: a finite number > 0, not a bool or a string."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+        or value <= 0
+    ):
+        raise ValueError(
+            f"time limit must be a finite number of ms > 0, not {value!r}"
+        )
+    return float(value)
 
 
 def read_instance(path):
@@ -220,6 +235,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    budget_s = _time_limit_ms(args.time_limit_ms) / 1000.0
     path = Path(args.instance)
     x, y, g = read_instance(path)
     params = HeuristicParams(
@@ -227,7 +243,7 @@ def cmd_solve(args) -> int:
         depth_limit=args.depth_limit,
         seed=args.seed,
     )
-    res = _run_algorithm(args.algorithm, g, x, y, params, args.time_limit_ms / 1000.0)
+    res = _run_algorithm(args.algorithm, g, x, y, params, budget_s)
     instance_id = path.stem
     generator = _generator_for(path, args.generator)
     row = _result_row(
@@ -257,7 +273,7 @@ def _experiment_tasks(config):
             n, count, seed = block["n"], block["count"], block["seed"]
             directed = block["directed"]
             algorithms = block["algorithms"]
-            limit_ms = float(block["per_set_time_limit_ms"])
+            limit_ms = _time_limit_ms(block["per_set_time_limit_ms"])
             for key, value in (("n", n), ("count", count), ("seed", seed)):
                 if not _is_int(value):
                     raise ValueError(f"{key!r} must be an integer")

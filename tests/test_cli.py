@@ -205,6 +205,24 @@ def test_solve_rejects_non_boolean_directed(tmp_path, ring6, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["-5", "0", "nan", "inf", "-inf"])
+def test_solve_rejects_bad_time_limit(tmp_path, ring6_file, capsys, value):
+    # -5 used to write a timeout row, nan to run with no deadline
+    out = tmp_path / "r.csv"
+    rc = main(["solve", str(ring6_file), "--algorithm", "dfj",
+               f"--time-limit-ms={value}", "--out-csv", str(out)])
+    assert rc == 1
+    assert "hamdec: error: time limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_accepts_fractional_time_limit(tmp_path, ring6_file):
+    out = tmp_path / "r.csv"
+    assert main(["solve", str(ring6_file), "--algorithm", "dfj",
+                 "--time-limit-ms", "60000.5", "--out-csv", str(out)]) == 0
+    assert read_rows(out)[0]["verdict"] == "feasible"
+
+
 @pytest.mark.parametrize("value", ["6", 6.0, True, None])
 def test_solve_rejects_non_integer_n(tmp_path, ring6, capsys, value):
     x, y = ring6
@@ -454,6 +472,10 @@ GOOD_SET = {"kind": "pyramidal", "n": 8, "count": 2, "directed": False,
     ("algorithms", "dfj"), ("algorithms", {"dfj": 1}),
     ("algorithms", ["dfj", ["mtz"]]),
     ("algorithms", ["dfj-ls"]),
+    ("per_set_time_limit_ms", "1000"), ("per_set_time_limit_ms", True),
+    ("per_set_time_limit_ms", -5), ("per_set_time_limit_ms", 0),
+    ("per_set_time_limit_ms", None), ("per_set_time_limit_ms", float("nan")),
+    ("per_set_time_limit_ms", float("inf")),
 ])
 def test_experiment_rejects_bad_config_field_before_any_task(
     tmp_path, monkeypatch, capsys, key, value
