@@ -58,6 +58,13 @@ class IlpModel:
         return len(self.names) - 1
 
     def add_binary(self, name: str) -> int:
+        """Declare a 0/1 variable; every binary precedes every general.
+
+        export_lp writes all binaries before all generals, so only this
+        order reads back from parse_lp with the same variable indices.
+        """
+        if self.binary and not self.binary[-1]:
+            raise ValueError(f"binary {name} declared after a general integer")
         v = self.add_int(name, 0, 1)
         self.binary[v] = True
         return v

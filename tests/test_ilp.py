@@ -188,6 +188,18 @@ def test_round_trip_covers_awkward_pieces():
     assert model_signature(again) == model_signature(m)
 
 
+def test_binary_after_general_integer_is_rejected():
+    # export_lp writes the binaries first, so this model could not read
+    # back with its variable order
+    m = IlpModel()
+    m.add_binary("z_0")
+    m.add_int("u_1", 0, 3)
+    with pytest.raises(ValueError, match="after a general"):
+        m.add_binary("z_1")
+    assert m.names == ["z_0", "u_1"]
+    assert model_signature(parse_lp(export_lp(m))) == model_signature(m)
+
+
 def test_long_constraints_wrap_and_reparse():
     m = IlpModel()
     vs = [m.add_binary(f"z_{i}") for i in range(40)]
