@@ -66,13 +66,12 @@ def _is_int(value) -> bool:
 
 
 def _time_limit_ms(value) -> float:
-    """A time limit in ms: a finite number > 0, not a bool or a string."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not math.isfinite(value)
-        or value <= 0
-    ):
+    """A time limit in ms: a finite number > 0, not a bool or a string.
+
+    An integer too large for a float raises OverflowError.
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and 0 < value < math.inf):
         raise ValueError(
             f"time limit must be a finite number of ms > 0, not {value!r}"
         )
@@ -285,7 +284,7 @@ def _experiment_tasks(config):
                 if not isinstance(alg, str) or alg not in ALGORITHMS:
                     raise ValueError(f"unknown algorithm {alg!r}")
                 check_directedness(alg, directed)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise UsageError(f"config set {si}: {exc}")
         budget_s = limit_ms / 1000.0 / max(count, 1)
         for alg in algorithms:

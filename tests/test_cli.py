@@ -475,7 +475,7 @@ GOOD_SET = {"kind": "pyramidal", "n": 8, "count": 2, "directed": False,
     ("per_set_time_limit_ms", "1000"), ("per_set_time_limit_ms", True),
     ("per_set_time_limit_ms", -5), ("per_set_time_limit_ms", 0),
     ("per_set_time_limit_ms", None), ("per_set_time_limit_ms", float("nan")),
-    ("per_set_time_limit_ms", float("inf")),
+    ("per_set_time_limit_ms", float("inf")), ("per_set_time_limit_ms", 10**400),
 ])
 def test_experiment_rejects_bad_config_field_before_any_task(
     tmp_path, monkeypatch, capsys, key, value
