@@ -100,7 +100,7 @@ def fix_edge(
 
     With `recursive` the move cascades through every edge the slot rule
     of the module docstring then forces; without it only the one edge
-    is touched.
+    is touched and its slots go unchecked.
     """
     g = pair.graph
     if g.directed:

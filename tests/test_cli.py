@@ -216,13 +216,6 @@ def test_solve_rejects_bad_time_limit(tmp_path, ring6_file, capsys, value):
     assert not out.exists()
 
 
-def test_solve_accepts_fractional_time_limit(tmp_path, ring6_file):
-    out = tmp_path / "r.csv"
-    assert main(["solve", str(ring6_file), "--algorithm", "dfj",
-                 "--time-limit-ms", "60000.5", "--out-csv", str(out)]) == 0
-    assert read_rows(out)[0]["verdict"] == "feasible"
-
-
 @pytest.mark.parametrize("value", ["6", 6.0, True, None])
 def test_solve_rejects_non_integer_n(tmp_path, ring6, capsys, value):
     x, y = ring6
