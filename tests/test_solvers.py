@@ -333,3 +333,38 @@ def test_heuristic_runs_match_pinned_digest():
     # each search must have accepted moves, or the pin shows nothing
     assert min(accepted.values()) > 0, accepted
     assert digest.hexdigest() == PINNED_HEURISTIC_SHA256, accepted
+
+
+# Every run of the exact-engine pin below: the cutting loop on undirected
+# pyramidal unions, the order model's general-integer rows, and both
+# exact solvers on directed random-permutation unions.
+PINNED_EXACT_RUNS = (
+    [(solve_dfj, InstanceKind.PYRAMIDAL, 20, False, s) for s in range(100, 160)]
+    + [(solve_mtz, InstanceKind.PYRAMIDAL, 20, False, s) for s in range(100, 105)]
+    + [
+        (solver, InstanceKind.RANDOM_PERMUTATION, 64, True, s)
+        for s in range(7000, 7020)
+        for solver in (solve_dfj, solve_mtz)
+    ]
+)
+# SHA-256 of the repr of every run's (verdict, iterations, work,
+# cuts_added).  A change to the search order or to propagation strength
+# alters it; a pure speed-up of the exact engine must not.
+PINNED_EXACT_SHA256 = (
+    "1df54ca60a8756a9e42e1344c1892c94cb02bdc2c037e53c3c678df25a89d31a"
+)
+
+
+def test_exact_runs_match_pinned_digest():
+    digest = hashlib.sha256()
+    verdicts = set()
+    for solver, kind, n, directed, seed in PINNED_EXACT_RUNS:
+        x, y, g = generate_instance(InstanceSpec(kind, n, directed, seed))
+        res = solver(g, x, y, BUDGET)
+        verdicts.add(res.verdict)
+        digest.update(repr((
+            res.verdict.value, res.iterations, res.work, res.cuts_added,
+        )).encode())
+    # both settled verdicts must occur, or the pin covers only one path
+    assert verdicts == {Verdict.FEASIBLE, Verdict.INFEASIBLE}, verdicts
+    assert digest.hexdigest() == PINNED_EXACT_SHA256
