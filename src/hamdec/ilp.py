@@ -4,7 +4,11 @@ All variables carry finite integer domains.  There is no objective:
 the solver answers Feasible (with a verified assignment), Infeasible,
 or TimedOut.  The search is depth-first domain splitting with bounds
 propagation to a fixpoint at every node; binaries branch high value
-first, in declaration order.
+first, in declaration order.  Propagation skips a row's term scan when
+its slack is at least the largest coefficient-times-initial-width of its
+terms, since no bound could tighten then, and it checks the deadline
+every 1024 rows it takes off the queue, so a budget holds even when a
+single fixpoint is long.
 """
 
 from __future__ import annotations
@@ -105,6 +109,10 @@ class IlpModel:
         return True
 
 
+class _Deadline(Exception):
+    """Raised inside propagation once the deadline has passed."""
+
+
 def solve(model: IlpModel, budget_s: float) -> SolveOutcome:
     started = time.monotonic()
     deadline = started + budget_s
@@ -117,14 +125,18 @@ def solve(model: IlpModel, budget_s: float) -> SolveOutcome:
     cons = model.constraints
     ncons = len(cons)
 
-    # activity bookkeeping: minact/maxact of each constraint under bounds
+    # activity bookkeeping: minact/maxact of each constraint under bounds;
+    # reach is the largest |c|*(hi-lo) over a row's terms at the initial
+    # domains, so a slack (or surplus) at least that large tightens nothing
     minact = [0] * ncons
     maxact = [0] * ncons
+    reach = [0] * ncons
     vadj: list[list[tuple[int, int]]] = [[] for _ in range(nvars)]
     for ci, con in enumerate(cons):
-        lo_sum = hi_sum = 0
+        lo_sum = hi_sum = most = 0
         for c, v in zip(con.coefs, con.vars):
             vadj[v].append((ci, c))
+            most = max(most, abs(c) * (hi[v] - lo[v]))
             if c > 0:
                 lo_sum += c * lo[v]
                 hi_sum += c * hi[v]
@@ -133,6 +145,7 @@ def solve(model: IlpModel, budget_s: float) -> SolveOutcome:
                 hi_sum += c * lo[v]
         minact[ci] = lo_sum
         maxact[ci] = hi_sum
+        reach[ci] = most
 
     trail: list[tuple[int, int, int]] = []
     pending: deque[int] = deque()
@@ -196,43 +209,54 @@ def solve(model: IlpModel, budget_s: float) -> SolveOutcome:
         while pending:
             queued[pending.pop()] = False
 
+    pops = 0
+
     def propagate() -> bool:
-        """Fixpoint bounds propagation; True means conflict."""
+        """Fixpoint bounds propagation; True means conflict.
+
+        Raises _Deadline once the deadline has passed.
+        """
+        nonlocal pops
         while pending:
             ci = pending.popleft()
             queued[ci] = False
+            pops += 1
+            if not pops & 1023 and time.monotonic() > deadline:
+                raise _Deadline
             con = cons[ci]
             sense = con.sense
             if sense != GE:
                 slack = con.rhs - minact[ci]
                 if slack < 0:
                     return True
-                for c, v in zip(con.coefs, con.vars):
-                    if lo[v] == hi[v]:
-                        continue
-                    if c > 0:
-                        cap = lo[v] + slack // c
-                        if cap < hi[v] and set_hi(v, cap):
-                            return True
-                    else:
-                        floor_ = hi[v] - slack // (-c)
-                        if floor_ > lo[v] and set_lo(v, floor_):
-                            return True
+                if slack < reach[ci]:
+                    for c, v in zip(con.coefs, con.vars):
+                        if lo[v] == hi[v]:
+                            continue
+                        if c > 0:
+                            cap = lo[v] + slack // c
+                            if cap < hi[v] and set_hi(v, cap):
+                                return True
+                        else:
+                            floor_ = hi[v] - slack // (-c)
+                            if floor_ > lo[v] and set_lo(v, floor_):
+                                return True
             if sense != LE:
                 surplus = maxact[ci] - con.rhs
                 if surplus < 0:
                     return True
-                for c, v in zip(con.coefs, con.vars):
-                    if lo[v] == hi[v]:
-                        continue
-                    if c > 0:
-                        floor_ = hi[v] - surplus // c
-                        if floor_ > lo[v] and set_lo(v, floor_):
-                            return True
-                    else:
-                        cap = lo[v] + surplus // (-c)
-                        if cap < hi[v] and set_hi(v, cap):
-                            return True
+                if surplus < reach[ci]:
+                    for c, v in zip(con.coefs, con.vars):
+                        if lo[v] == hi[v]:
+                            continue
+                        if c > 0:
+                            floor_ = hi[v] - surplus // c
+                            if floor_ > lo[v] and set_lo(v, floor_):
+                                return True
+                        else:
+                            cap = lo[v] + surplus // (-c)
+                            if cap < hi[v] and set_hi(v, cap):
+                                return True
         return False
 
     def first_open(start):
@@ -244,47 +268,44 @@ def solve(model: IlpModel, budget_s: float) -> SolveOutcome:
     for ci in range(ncons):
         queued[ci] = True
         pending.append(ci)
-    if propagate():
+    def outcome(status, assignment=None):
         return SolveOutcome(
-            Status.INFEASIBLE, None, 1, time.monotonic() - started
+            status, assignment, nodes, time.monotonic() - started
         )
 
     nodes = 1
-    start = 0
-    # frames: (var, alt_hi, trail mark before this decision, parent start)
-    frames: list[tuple[int, int, int, int]] = []
-    while True:
-        v = first_open(start)
-        if v is None:
-            assignment = lo[:]
-            if not model.check(assignment):
-                raise AssertionError("propagation accepted a bad leaf")
-            return SolveOutcome(
-                Status.FEASIBLE, assignment, nodes, time.monotonic() - started
-            )
-        mid = (lo[v] + hi[v]) // 2
-        frames.append((v, mid, len(trail), start))
-        conflict = set_lo(v, mid + 1) or propagate()
-        start = v
-        nodes += 1
-        if nodes % 256 == 0 and time.monotonic() > deadline:
-            return SolveOutcome(
-                Status.TIMED_OUT, None, nodes, time.monotonic() - started
-            )
-        while conflict:
-            if not frames:
-                return SolveOutcome(
-                    Status.INFEASIBLE, None, nodes, time.monotonic() - started
-                )
-            v, alt_hi, mark, pstart = frames.pop()
-            undo_to(mark)
-            conflict = set_hi(v, alt_hi) or propagate()
-            start = pstart
+    try:
+        if propagate():
+            return outcome(Status.INFEASIBLE)
+        start = 0
+        # frames: (var, alt_hi, trail mark before this decision, parent start)
+        frames: list[tuple[int, int, int, int]] = []
+        while True:
+            v = first_open(start)
+            if v is None:
+                assignment = lo[:]
+                if not model.check(assignment):
+                    raise AssertionError("propagation accepted a bad leaf")
+                return outcome(Status.FEASIBLE, assignment)
+            mid = (lo[v] + hi[v]) // 2
+            frames.append((v, mid, len(trail), start))
+            conflict = set_lo(v, mid + 1) or propagate()
+            start = v
             nodes += 1
             if nodes % 256 == 0 and time.monotonic() > deadline:
-                return SolveOutcome(
-                    Status.TIMED_OUT, None, nodes, time.monotonic() - started
-                )
+                raise _Deadline
+            while conflict:
+                if not frames:
+                    return outcome(Status.INFEASIBLE)
+                v, alt_hi, mark, pstart = frames.pop()
+                undo_to(mark)
+                conflict = set_hi(v, alt_hi) or propagate()
+                start = pstart
+                nodes += 1
+                if nodes % 256 == 0 and time.monotonic() > deadline:
+                    raise _Deadline
+    except _Deadline:
+        return outcome(Status.TIMED_OUT)
 
 
 # ------------------------------------------------------------- LP text

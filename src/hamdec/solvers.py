@@ -251,7 +251,7 @@ def solve_mtz(
         model, mapping = build_mtz_directed(g)
     else:
         model, mapping = build_mtz_undirected(g)
-    out = solve(model, budget_s)
+    out = solve(model, budget_s - (time.monotonic() - started))
     verdict, witness = Verdict.TIMED_OUT, None
     if out.status is Status.INFEASIBLE:
         verdict = Verdict.INFEASIBLE

@@ -106,6 +106,24 @@ def test_equalities_propagate_to_fixpoint():
     assert out.nodes == 1  # no branching needed
 
 
+@pytest.mark.parametrize("sense", [LE, GE])
+def test_root_propagation_tightens_wide_general_integer(sense):
+    # y's width times its coefficient (10) exceeds the row's slack (5),
+    # so root propagation must cut y to 0..5; a skip that compares the
+    # slack with |c| alone leaves 0..10 and needs twice as many nodes
+    m = IlpModel()
+    x = m.add_binary("x")
+    y = m.add_int("y", 0, 10)
+    if sense == LE:
+        m.add_le([(1, y), (1, x)], 5, "cap")
+    else:
+        m.add_ge([(-1, y), (-1, x)], -5, "cap")
+    out = solve(m, 10)
+    assert out.status is Status.FEASIBLE
+    assert out.assignment == [1, 4]
+    assert out.nodes == 4
+
+
 def test_infeasible_by_conflicting_equalities():
     m = IlpModel()
     x = m.add_binary("x_0")
@@ -144,6 +162,19 @@ def test_tight_budget_times_out_not_infeasible():
     out = solve(pigeonhole(10), 0.02)
     assert out.status is Status.TIMED_OUT
     assert out.nodes > 0
+
+
+def test_deadline_is_checked_inside_root_propagation():
+    # 2000 rows start queued, so the root fixpoint alone passes the
+    # 1024-pop clock check; the whole search would take two nodes
+    m = IlpModel()
+    xs = [m.add_binary(f"x_{i}") for i in range(2001)]
+    for i in range(2000):
+        m.add_le([(1, xs[i]), (-1, xs[i + 1])], 0, f"chain_{i}")
+    assert solve(m, 10).status is Status.FEASIBLE
+    out = solve(m, 1e-9)
+    assert out.status is Status.TIMED_OUT
+    assert out.nodes == 1
 
 
 # ---------------------------------------------------------------- LP text

@@ -1,8 +1,10 @@
 import hashlib
+import time
 
 import numpy as np
 import pytest
 
+from hamdec import ilp, solvers
 from hamdec.heuristics import HeuristicParams
 from hamdec.instances import InstanceKind, InstanceSpec, generate_instance
 from hamdec.multigraph import (
@@ -175,6 +177,37 @@ def test_zero_budget_times_out():
         assert res.verdict is Verdict.TIMED_OUT
         assert res.witness is None
         assert res.iterations == 1
+
+
+def test_mtz_budget_holds_inside_propagation():
+    # each search node of this order model runs thousands of row pops,
+    # so a clock checked only between nodes overshoots by seconds
+    spec = InstanceSpec(InstanceKind.PYRAMIDAL, 192, False, 100)
+    x, y, g = generate_instance(spec)
+    started = time.monotonic()
+    res = solve_mtz(g, x, y, 0.05)
+    assert time.monotonic() - started < 0.5
+    assert res.verdict is Verdict.TIMED_OUT
+
+
+def test_mtz_counts_model_build_against_budget(monkeypatch):
+    build = solvers.build_mtz_undirected
+    budgets = []
+
+    def slow_build(g):
+        time.sleep(0.2)
+        return build(g)
+
+    def spy(model, budget_s):
+        budgets.append(budget_s)
+        return ilp.solve(model, budget_s)
+
+    monkeypatch.setattr(solvers, "build_mtz_undirected", slow_build)
+    monkeypatch.setattr(solvers, "solve", spy)
+    x, y, g = random_instance(10, 2, directed=False)
+    solve_mtz(g, x, y, BUDGET)
+    assert len(budgets) == 1
+    assert budgets[0] <= BUDGET - 0.2
 
 
 def test_emitted_cuts_come_in_deduplicated_pairs(double_squares):
