@@ -276,8 +276,12 @@ def _experiment_tasks(config):
             for key, value in (("n", n), ("count", count), ("seed", seed)):
                 if not _is_int(value):
                     raise ValueError(f"{key!r} must be an integer")
+            if count < 0:
+                raise ValueError("'count' must be at least 0")
             if not isinstance(directed, bool):
                 raise ValueError("'directed' must be true or false")
+            # rejects an n below the kind's minimum
+            InstanceSpec(kind, n, directed, seed)
             if not isinstance(algorithms, list):
                 raise ValueError("'algorithms' must be a list")
             for alg in algorithms:

@@ -473,12 +473,30 @@ GOOD_SET = {"kind": "pyramidal", "n": 8, "count": 2, "directed": False,
 def test_experiment_rejects_bad_config_field_before_any_task(
     tmp_path, monkeypatch, capsys, key, value
 ):
+    assert_second_set_rejected(
+        tmp_path, monkeypatch, capsys, {**GOOD_SET, key: value}
+    )
+
+
+@pytest.mark.parametrize("changes", [
+    {"kind": "four-peak", "n": 6},
+    {"count": -3},
+])
+def test_experiment_rejects_out_of_range_set_before_any_task(
+    tmp_path, monkeypatch, capsys, changes
+):
+    assert_second_set_rejected(
+        tmp_path, monkeypatch, capsys, {**GOOD_SET, **changes}
+    )
+
+
+def assert_second_set_rejected(tmp_path, monkeypatch, capsys, bad):
     # the bad set comes second, so a late check would run the first one
     ran = []
     monkeypatch.setattr(
         "hamdec.cli._run_task", lambda task, mode: ran.append(task)
     )
-    cfg = write_config(tmp_path, [GOOD_SET, {**GOOD_SET, key: value}])
+    cfg = write_config(tmp_path, [GOOD_SET, bad])
     out = tmp_path / "grid.csv"
     assert main(["experiment", str(cfg), "--out-csv", str(out)]) == 1
     assert "hamdec: error: config set 1:" in capsys.readouterr().err
