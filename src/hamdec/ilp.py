@@ -265,14 +265,14 @@ def solve(model: IlpModel, budget_s: float) -> SolveOutcome:
                 return v
         return None
 
-    for ci in range(ncons):
-        queued[ci] = True
-        pending.append(ci)
     def outcome(status, assignment=None):
         return SolveOutcome(
             status, assignment, nodes, time.monotonic() - started
         )
 
+    for ci in range(ncons):
+        queued[ci] = True
+        pending.append(ci)
     nodes = 1
     try:
         if propagate():

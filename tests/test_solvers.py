@@ -372,8 +372,14 @@ def test_heuristic_runs_match_pinned_digest():
 # pyramidal unions, the order model's general-integer rows, and both
 # exact solvers on directed random-permutation unions.
 PINNED_EXACT_RUNS = (
-    [(solve_dfj, InstanceKind.PYRAMIDAL, 20, False, s) for s in range(100, 160)]
-    + [(solve_mtz, InstanceKind.PYRAMIDAL, 20, False, s) for s in range(100, 105)]
+    [
+        (solve_dfj, InstanceKind.PYRAMIDAL, 20, False, s)
+        for s in range(100, 160)
+    ]
+    + [
+        (solve_mtz, InstanceKind.PYRAMIDAL, 20, False, s)
+        for s in range(100, 105)
+    ]
     + [
         (solver, InstanceKind.RANDOM_PERMUTATION, 64, True, s)
         for s in range(7000, 7020)
