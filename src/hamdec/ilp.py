@@ -4,16 +4,27 @@ All variables carry finite integer domains.  There is no objective:
 the solver answers Feasible (with a verified assignment), Infeasible,
 or TimedOut.  The search is depth-first domain splitting with bounds
 propagation to a fixpoint at every node; binaries branch high value
-first, in declaration order.  Propagation skips a row's term scan when
-its slack is at least the largest coefficient-times-initial-width of its
-terms, since no bound could tighten then, and it checks the deadline
-every 1024 rows it takes off the queue, so a budget holds even when a
-single fixpoint is long.
+first, in declaration order.
+
+Each row has a reach: the largest coefficient-times-initial-width of its
+terms.  A row whose slack (and, for >= and = rows, surplus) is at least
+its reach can neither conflict nor tighten a bound, so a bound change
+queues a row only when the activity it moves takes the slack or surplus
+below the reach; the root queues every row.  Propagation checks the
+deadline every 1024 rows it takes off the queue, so a budget holds even
+when a single fixpoint is long.
+
+The model keeps its row index as rows arrive: each variable's
+(row, coefficient) terms, each row's activity bounds at the declared
+domains and its two queueing thresholds.  A solve copies the activity
+lists instead of rescanning every term, so the cutting loop's repeated
+solves of a growing model pay O(rows) each for set-up.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -42,15 +53,30 @@ class SolveOutcome:
     assignment: list[int] | None
     nodes: int
     elapsed: float
+    pops: int  # rows taken off the propagation queue
 
 
 class IlpModel:
+    """Variables with finite integer domains, and linear rows over them.
+
+    A variable's `lo`/`hi` are fixed once it is declared: the row index
+    below holds activities at the declared domains.
+    """
+
     def __init__(self):
         self.names: list[str] = []
         self.lo: list[int] = []
         self.hi: list[int] = []
         self.binary: list[bool] = []
         self.constraints: list[LinearConstraint] = []
+        # row index: per variable its (row, coefficient) terms; per row
+        # its min/max activity at the declared domains, and the activity
+        # past which it is queued (le_at for minact, ge_at for maxact)
+        self._vadj: list[list[tuple[int, int]]] = []
+        self._minact: list[int] = []
+        self._maxact: list[int] = []
+        self._le_at: list[float] = []
+        self._ge_at: list[float] = []
 
     def add_int(self, name: str, lo: int, hi: int) -> int:
         if lo > hi:
@@ -59,6 +85,7 @@ class IlpModel:
         self.lo.append(int(lo))
         self.hi.append(int(hi))
         self.binary.append(False)
+        self._vadj.append([])
         return len(self.names) - 1
 
     def add_binary(self, name: str) -> int:
@@ -81,9 +108,26 @@ class IlpModel:
         for v in vars_:
             if not 0 <= v < len(self.names):
                 raise ValueError(f"constraint {name} uses unknown var {v}")
-        self.constraints.append(
-            LinearConstraint(coefs, vars_, sense, int(rhs), name)
-        )
+        rhs = int(rhs)
+        ci = len(self.constraints)
+        self.constraints.append(LinearConstraint(coefs, vars_, sense, rhs, name))
+        lo, hi, vadj = self.lo, self.hi, self._vadj
+        lo_sum = hi_sum = reach = 0
+        for c, v in zip(coefs, vars_):
+            vadj[v].append((ci, c))
+            width = abs(c) * (hi[v] - lo[v])
+            if width > reach:
+                reach = width
+            if c > 0:
+                lo_sum += c * lo[v]
+                hi_sum += c * hi[v]
+            else:
+                lo_sum += c * hi[v]
+                hi_sum += c * lo[v]
+        self._minact.append(lo_sum)
+        self._maxact.append(hi_sum)
+        self._le_at.append(math.inf if sense == GE else rhs - reach)
+        self._ge_at.append(-math.inf if sense == LE else rhs + reach)
 
     def add_le(self, terms, rhs, name):
         self.add_constraint(terms, LE, rhs, name)
@@ -117,46 +161,26 @@ def solve(model: IlpModel, budget_s: float) -> SolveOutcome:
     started = time.monotonic()
     deadline = started + budget_s
     if budget_s <= 0:
-        return SolveOutcome(Status.TIMED_OUT, None, 0, 0.0)
+        return SolveOutcome(Status.TIMED_OUT, None, 0, 0.0, 0)
 
     nvars = len(model.names)
     lo = list(model.lo)
     hi = list(model.hi)
     cons = model.constraints
     ncons = len(cons)
-
-    # activity bookkeeping: minact/maxact of each constraint under bounds;
-    # reach is the largest |c|*(hi-lo) over a row's terms at the initial
-    # domains, so a slack (or surplus) at least that large tightens nothing
-    minact = [0] * ncons
-    maxact = [0] * ncons
-    reach = [0] * ncons
-    vadj: list[list[tuple[int, int]]] = [[] for _ in range(nvars)]
-    for ci, con in enumerate(cons):
-        lo_sum = hi_sum = most = 0
-        for c, v in zip(con.coefs, con.vars):
-            vadj[v].append((ci, c))
-            most = max(most, abs(c) * (hi[v] - lo[v]))
-            if c > 0:
-                lo_sum += c * lo[v]
-                hi_sum += c * hi[v]
-            else:
-                lo_sum += c * hi[v]
-                hi_sum += c * lo[v]
-        minact[ci] = lo_sum
-        maxact[ci] = hi_sum
-        reach[ci] = most
+    vadj = model._vadj
+    minact = list(model._minact)
+    maxact = list(model._maxact)
+    le_at = model._le_at
+    ge_at = model._ge_at
 
     trail: list[tuple[int, int, int]] = []
     pending: deque[int] = deque()
+    push = pending.append
     queued = [False] * ncons
 
-    def wake(v):
-        for ci, _ in vadj[v]:
-            if not queued[ci]:
-                queued[ci] = True
-                pending.append(ci)
-
+    # a bound change queues a row once the activity it moves passes the
+    # row's threshold, i.e. once its slack or surplus falls below reach
     def set_lo(v, val) -> bool:
         """Raise the lower bound; True means wipeout."""
         old = lo[v]
@@ -167,13 +191,18 @@ def solve(model: IlpModel, budget_s: float) -> SolveOutcome:
         d = val - old
         for ci, c in vadj[v]:
             if c > 0:
-                minact[ci] += c * d
+                act = minact[ci] + c * d
+                minact[ci] = act
+                if act > le_at[ci] and not queued[ci]:
+                    queued[ci] = True
+                    push(ci)
             else:
-                maxact[ci] += c * d
-        if val > hi[v]:
-            return True
-        wake(v)
-        return False
+                act = maxact[ci] + c * d
+                maxact[ci] = act
+                if act < ge_at[ci] and not queued[ci]:
+                    queued[ci] = True
+                    push(ci)
+        return val > hi[v]
 
     def set_hi(v, val) -> bool:
         old = hi[v]
@@ -184,13 +213,18 @@ def solve(model: IlpModel, budget_s: float) -> SolveOutcome:
         d = val - old
         for ci, c in vadj[v]:
             if c > 0:
-                maxact[ci] += c * d
+                act = maxact[ci] + c * d
+                maxact[ci] = act
+                if act < ge_at[ci] and not queued[ci]:
+                    queued[ci] = True
+                    push(ci)
             else:
-                minact[ci] += c * d
-        if val < lo[v]:
-            return True
-        wake(v)
-        return False
+                act = minact[ci] + c * d
+                minact[ci] = act
+                if act > le_at[ci] and not queued[ci]:
+                    queued[ci] = True
+                    push(ci)
+        return val < lo[v]
 
     def undo_to(mark):
         while len(trail) > mark:
@@ -224,39 +258,37 @@ def solve(model: IlpModel, budget_s: float) -> SolveOutcome:
             if not pops & 1023 and time.monotonic() > deadline:
                 raise _Deadline
             con = cons[ci]
-            sense = con.sense
-            if sense != GE:
+            # the thresholds are infinite on the side a row's sense lacks
+            if minact[ci] > le_at[ci]:
                 slack = con.rhs - minact[ci]
                 if slack < 0:
                     return True
-                if slack < reach[ci]:
-                    for c, v in zip(con.coefs, con.vars):
-                        if lo[v] == hi[v]:
-                            continue
-                        if c > 0:
-                            cap = lo[v] + slack // c
-                            if cap < hi[v] and set_hi(v, cap):
-                                return True
-                        else:
-                            floor_ = hi[v] - slack // (-c)
-                            if floor_ > lo[v] and set_lo(v, floor_):
-                                return True
-            if sense != LE:
+                for c, v in zip(con.coefs, con.vars):
+                    if lo[v] == hi[v]:
+                        continue
+                    if c > 0:
+                        cap = lo[v] + slack // c
+                        if cap < hi[v] and set_hi(v, cap):
+                            return True
+                    else:
+                        floor_ = hi[v] - slack // (-c)
+                        if floor_ > lo[v] and set_lo(v, floor_):
+                            return True
+            if maxact[ci] < ge_at[ci]:
                 surplus = maxact[ci] - con.rhs
                 if surplus < 0:
                     return True
-                if surplus < reach[ci]:
-                    for c, v in zip(con.coefs, con.vars):
-                        if lo[v] == hi[v]:
-                            continue
-                        if c > 0:
-                            floor_ = hi[v] - surplus // c
-                            if floor_ > lo[v] and set_lo(v, floor_):
-                                return True
-                        else:
-                            cap = lo[v] + surplus // (-c)
-                            if cap < hi[v] and set_hi(v, cap):
-                                return True
+                for c, v in zip(con.coefs, con.vars):
+                    if lo[v] == hi[v]:
+                        continue
+                    if c > 0:
+                        floor_ = hi[v] - surplus // c
+                        if floor_ > lo[v] and set_lo(v, floor_):
+                            return True
+                    else:
+                        cap = lo[v] + surplus // (-c)
+                        if cap < hi[v] and set_hi(v, cap):
+                            return True
         return False
 
     def first_open(start):
@@ -267,12 +299,12 @@ def solve(model: IlpModel, budget_s: float) -> SolveOutcome:
 
     def outcome(status, assignment=None):
         return SolveOutcome(
-            status, assignment, nodes, time.monotonic() - started
+            status, assignment, nodes, time.monotonic() - started, pops
         )
 
     for ci in range(ncons):
         queued[ci] = True
-        pending.append(ci)
+        push(ci)
     nodes = 1
     try:
         if propagate():

@@ -3,6 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+from hamdec.formulations import (
+    build_dfj_base,
+    build_mtz_directed,
+    build_mtz_undirected,
+)
 from hamdec.ilp import (
     EQ,
     GE,
@@ -13,6 +18,8 @@ from hamdec.ilp import (
     parse_lp,
     solve,
 )
+
+from conftest import random_instance
 
 
 # ---------------------------------------------------------------- oracle
@@ -46,6 +53,106 @@ def random_model(seed):
         sense = (LE, GE, EQ)[int(rng.integers(0, 3))]
         m.add_constraint(terms, sense, int(rng.integers(-6, 11)), f"c_{k}")
     return m
+
+
+def random_search_model(seed):
+    """Random models whose rows pass near one random point.
+
+    Mostly <= and >= rows, loose or tight by a little, so searches
+    branch and backtrack more often than on random_model.
+    """
+    rng = np.random.default_rng(seed)
+    m = IlpModel()
+    for i in range(int(rng.integers(6, 15))):
+        m.add_binary(f"x_{i}")
+    for i in range(int(rng.integers(0, 4))):
+        lo = int(rng.integers(-4, 4))
+        m.add_int(f"y_{i}", lo, lo + int(rng.integers(0, 9)))
+    nvars = len(m.names)
+    point = [int(rng.integers(lo, hi + 1)) for lo, hi in zip(m.lo, m.hi)]
+    for k in range(int(rng.integers(3, 12))):
+        arity = int(rng.integers(2, min(8, nvars + 1)))
+        vs = rng.choice(nvars, size=arity, replace=False)
+        coefs = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4], size=arity)
+        terms = [(int(c), int(v)) for c, v in zip(coefs, vs)]
+        sense = (LE, GE, LE, GE, EQ)[int(rng.integers(0, 5))]
+        rhs = sum(c * point[v] for c, v in terms)
+        slack = int(rng.integers(-1, 3))
+        rhs += {LE: slack, GE: -slack, EQ: 0}[sense]
+        m.add_constraint(terms, sense, rhs, f"c_{k}")
+    return m
+
+
+def _least(c, v, lo, hi):
+    return c * (lo[v] if c > 0 else hi[v])
+
+
+def _narrow(terms, rhs, lo, hi):
+    """Apply sum(c*x) <= rhs to the bounds once, from scratch.
+
+    Returns None on a conflict, else whether any bound moved.
+    """
+    if sum(_least(c, v, lo, hi) for c, v in terms) > rhs:
+        return None
+    moved = False
+    for c, v in terms:
+        # c*x <= room, where room leaves the other terms at their least
+        room = rhs - sum(_least(d, u, lo, hi) for d, u in terms)
+        room += _least(c, v, lo, hi)
+        if c > 0 and room // c < hi[v]:
+            hi[v] = room // c
+            moved = True
+        elif c < 0 and -(-room // c) > lo[v]:
+            lo[v] = -(-room // c)
+            moved = True
+        if lo[v] > hi[v]:
+            return None
+    return moved
+
+
+def reference_solve(model):
+    """solve's search, propagating by sweeping every row until no change.
+
+    Branches on the first open variable, upper half first, and counts
+    every propagated domain as a node, as solve does.  Returns
+    (status, assignment, nodes).
+    """
+    sides = []
+    for con in model.constraints:
+        terms = list(zip(con.coefs, con.vars))
+        if con.sense != GE:
+            sides.append((terms, con.rhs))
+        if con.sense != LE:
+            sides.append(([(-c, v) for c, v in terms], -con.rhs))
+    nodes = 0
+
+    def search(lo, hi):
+        nonlocal nodes
+        nodes += 1
+        moved = True
+        while moved:
+            moved = False
+            for terms, rhs in sides:
+                step = _narrow(terms, rhs, lo, hi)
+                if step is None:
+                    return None
+                moved = moved or step
+        open_ = [v for v in range(len(lo)) if lo[v] < hi[v]]
+        if not open_:
+            return lo
+        v = open_[0]
+        mid = (lo[v] + hi[v]) // 2
+        for half in ((mid + 1, hi[v]), (lo[v], mid)):
+            child_lo, child_hi = lo[:], hi[:]
+            child_lo[v], child_hi[v] = half
+            found = search(child_lo, child_hi)
+            if found is not None:
+                return found
+        return None
+
+    found = search(list(model.lo), list(model.hi))
+    status = Status.INFEASIBLE if found is None else Status.FEASIBLE
+    return status, found, nodes
 
 
 def pigeonhole(m):
@@ -175,6 +282,92 @@ def test_deadline_is_checked_inside_root_propagation():
     out = solve(m, 1e-9)
     assert out.status is Status.TIMED_OUT
     assert out.nodes == 1
+
+
+def test_search_pops_no_row_whose_slack_stays_at_reach():
+    # every wide row keeps slack (or surplus) >= 1 = its reach under any
+    # assignment, so only the root pops it; the tight row is popped once
+    # more, when x_0 = 1 leaves it no slack and it caps x_1 at 0
+    m = IlpModel()
+    xs = [m.add_binary(f"x_{i}") for i in range(10)]
+    mixed = [(1, v) for v in xs[:5]] + [(-1, v) for v in xs[5:]]
+    m.add_le(mixed, 6, "wide_mixed_le")
+    m.add_le([(1, v) for v in xs], 11, "wide_le")
+    m.add_ge([(-c, v) for c, v in mixed], -6, "wide_mixed_ge")
+    m.add_ge([(-1, v) for v in xs], -11, "wide_ge")
+    m.add_le([(1, xs[0]), (1, xs[1])], 1, "tight")
+    out = solve(m, 10)
+    assert out.status is Status.FEASIBLE
+    assert out.assignment == [1, 0] + [1] * 8
+    assert out.nodes == 10
+    assert out.pops == len(m.constraints) + 1
+
+
+@pytest.mark.parametrize("make, seeds", [
+    (random_model, range(300)),
+    (random_search_model, range(300)),
+])
+def test_solve_matches_sweeping_reference_on_random_models(make, seeds):
+    statuses = set()
+    most_nodes = 0
+    for seed in seeds:
+        m = make(seed)
+        out = solve(m, 30)
+        status, assignment, nodes = reference_solve(m)
+        assert (out.status, out.assignment, out.nodes) == (
+            status, assignment, nodes
+        ), f"seed {seed}"
+        statuses.add(status)
+        most_nodes = max(most_nodes, nodes)
+    assert statuses == {Status.FEASIBLE, Status.INFEASIBLE}
+    assert most_nodes > 10
+
+
+def structured_models():
+    yield "pigeonhole 3", pigeonhole(3)
+    yield "pigeonhole 5", pigeonhole(5)
+    for seed in range(3):
+        _, _, g = random_instance(10, seed)
+        yield f"dfj und {seed}", build_dfj_base(g)[0]
+        _, _, g = random_instance(10, seed, directed=True)
+        yield f"dfj dir {seed}", build_dfj_base(g)[0]
+        _, _, g = random_instance(7, seed, directed=True)
+        yield f"mtz dir {seed}", build_mtz_directed(g)[0]
+        _, _, g = random_instance(6, seed)
+        yield f"mtz und {seed}", build_mtz_undirected(g)[0]
+
+
+def test_solve_matches_sweeping_reference_on_structured_models():
+    for label, m in structured_models():
+        out = solve(m, 30)
+        assert (out.status, out.assignment, out.nodes) == reference_solve(m), (
+            label
+        )
+
+
+def test_row_index_follows_rows_and_variables_added_between_solves():
+    # rows, a binary and a general integer arrive after a first solve,
+    # the general after rows as the order models declare theirs; each
+    # solve must match the same model read back from LP text in one go
+    m = IlpModel()
+    xs = [m.add_binary(f"x_{i}") for i in range(6)]
+    m.add_eq([(1, v) for v in xs], 3, "three")
+    m.add_le([(1, xs[0]), (1, xs[1])], 1, "pair")
+    snapshots = [(export_lp(m), solve(m, 10))]
+    m.add_ge([(1, xs[5]), (-1, xs[0])], 0, "order")
+    xs.append(m.add_binary("x_6"))
+    m.add_le([(1, xs[6]), (1, xs[2])], 1, "late")
+    u = m.add_int("u", -2, 5)
+    m.add_le([(2, u), (3, xs[2]), (-1, xs[3])], 4, "ranked")
+    m.add_ge([(1, u), (1, xs[4]), (-2, xs[6])], 3, "floor")
+    snapshots.append((export_lp(m), solve(m, 10)))
+    snapshots.append((export_lp(m), solve(m, 10)))
+    for text, out in snapshots:
+        fresh = solve(parse_lp(text), 10)
+        assert (out.status, out.nodes, out.assignment) == (
+            fresh.status, fresh.nodes, fresh.assignment
+        )
+    assert [out.nodes for _, out in snapshots] == [4, 2, 2]
 
 
 # ---------------------------------------------------------------- LP text
