@@ -109,14 +109,17 @@ def _generator_for(path: Path, override: str | None) -> str:
     if override:
         return override
     manifest = path.parent / "manifest.json"
+    doc = None
     if manifest.exists():
         try:
             doc = json.loads(manifest.read_text())
-            for entry in doc.get("files", []):
-                if entry.get("file") == path.name:
-                    return doc.get("kind", "unknown")
         except (OSError, json.JSONDecodeError):
             pass
+    # a manifest of any other shape is ignored, like an unreadable one
+    if isinstance(doc, dict) and isinstance(doc.get("files"), list):
+        for entry in doc["files"]:
+            if isinstance(entry, dict) and entry.get("file") == path.name:
+                return doc.get("kind", "unknown")
     stem_kind = path.stem.split("_")[0]
     if stem_kind in {k.value for k in InstanceKind}:
         return stem_kind
@@ -203,6 +206,8 @@ def _result_row(instance_id, generator, g, algorithm, seed, res, time_mode):
 # ------------------------------------------------------------ commands
 
 def cmd_generate(args) -> int:
+    if args.count < 0:
+        raise UsageError("--count must be at least 0")
     try:
         kind = InstanceKind(args.kind)
         spec0 = InstanceSpec(kind, args.n, args.directed, args.seed)

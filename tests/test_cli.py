@@ -102,6 +102,17 @@ def test_generate_rejects_small_four_peak(tmp_path):
     assert rc == 1
 
 
+def test_generate_rejects_negative_count(tmp_path, capsys):
+    out = tmp_path / "x"
+    rc = main([
+        "generate", "--kind", "pyramidal", "--n", "8", "--count", "-3",
+        "--seed", "0", "--out-dir", str(out),
+    ])
+    assert rc == 1
+    assert "--count must be at least 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_kind_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["generate", "--kind", "spiral", "--n", "8",
@@ -288,6 +299,25 @@ def test_generator_column_comes_from_manifest(tmp_path):
     main(["solve", str(renamed), "--algorithm", "dfj",
           "--generator", "four-peak", "--out-csv", str(csv_path)])
     assert read_rows(csv_path)[1]["generator"] == "four-peak"
+
+
+@pytest.mark.parametrize("doc", [
+    [{"file": "pyramidal_n8_und_0000.json"}],
+    {"kind": "four-peak", "files": ["pyramidal_n8_und_0000.json", 3]},
+    {"kind": "four-peak", "files": {"file": "pyramidal_n8_und_0000.json"}},
+])
+def test_generator_column_ignores_malformed_manifest(tmp_path, doc):
+    # a manifest of the wrong shape counts as no manifest: the file
+    # stem names the generator
+    out = tmp_path / "batch"
+    main(["generate", "--kind", "pyramidal", "--n", "8", "--count", "1",
+          "--out-dir", str(out)])
+    (out / "manifest.json").write_text(json.dumps(doc))
+    csv_path = tmp_path / "r.csv"
+    rc = main(["solve", str(out / "pyramidal_n8_und_0000.json"),
+               "--algorithm", "dfj", "--out-csv", str(csv_path)])
+    assert rc == 0
+    assert read_rows(csv_path)[0]["generator"] == "pyramidal"
 
 
 # --------------------------------------------------------------- oracle
