@@ -11,6 +11,11 @@ cap pinned edges of one factor, its unfixed edges are forced into the
 other; more than cap is a contradiction.  All mutation goes through a
 trail so failed candidates roll back exactly.
 
+On a valid directed pair a chain flips the whole alternating cycle of
+its first edge (see `multigraph`), so every candidate of one cycle
+reaches the same state; a sweep tries each cycle once.  The shuffle of
+the candidates is drawn as before, so the accepted moves are the same.
+
 One copy of every parallel edge pair is pinned in each factor up
 front: splitting them is necessary for Hamiltonicity, so the search
 never needs to consider moving them.
@@ -214,9 +219,18 @@ def _sweep(pair, rng, base, attempt_limit, recursive, cut_sink, trace,
     state with fewer than `base` cycles is accepted: its report goes to
     `cut_sink` and `trace`, every non-parallel pin is released and the
     report is returned.  None means no candidate improved in time.
+
+    On a directed union a candidate whose alternating cycle this sweep
+    already tried is skipped: it would rebuild a rejected state.
     """
     trail: FixTrail = []
+    cycle_of = pair.graph.cycle_of  # empty for undirected unions
+    tried = set()
     for eid in _unfixed_z_edges(pair, rng):
+        if cycle_of:
+            if cycle_of[eid] in tried:
+                continue
+            tried.add(cycle_of[eid])
         if _expired(deadline):
             return None
         if fix_edge(pair, eid, W, trail, recursive):

@@ -6,6 +6,13 @@ or TimedOut.  The search is depth-first domain splitting with bounds
 propagation to a fixpoint at every node; binaries branch high value
 first, in declaration order.
 
+Bound changes are trailed once per variable per segment: the changes
+made since the last decision or backtrack.  A per-variable stamp
+records the segment of the variable's last trail entry, so an order
+row raising a general integer one unit at a time still leaves one
+entry, holding the bounds from before the segment, which is what a
+backtrack restores (time stamps after Aggoun & Beldiceanu, 1990).
+
 Each row has a reach: the largest coefficient-times-initial-width of its
 terms.  A row whose slack (and, for >= and = rows, surplus) is at least
 its reach can neither conflict nor tighten a bound, so a bound change
@@ -108,6 +115,8 @@ class IlpModel:
         for v in vars_:
             if not 0 <= v < len(self.names):
                 raise ValueError(f"constraint {name} uses unknown var {v}")
+        if 0 in coefs:
+            raise ValueError(f"constraint {name} has a zero coefficient")
         rhs = int(rhs)
         ci = len(self.constraints)
         self.constraints.append(LinearConstraint(coefs, vars_, sense, rhs, name))
@@ -175,6 +184,8 @@ def solve(model: IlpModel, budget_s: float) -> SolveOutcome:
     ge_at = model._ge_at
 
     trail: list[tuple[int, int, int]] = []
+    stamp = [-1] * nvars  # segment of each variable's last trail entry
+    segment = 0
     pending: deque[int] = deque()
     push = pending.append
     queued = [False] * ncons
@@ -186,7 +197,9 @@ def solve(model: IlpModel, budget_s: float) -> SolveOutcome:
         old = lo[v]
         if val <= old:
             return False
-        trail.append((v, old, hi[v]))
+        if stamp[v] != segment:
+            stamp[v] = segment
+            trail.append((v, old, hi[v]))
         lo[v] = val
         d = val - old
         for ci, c in vadj[v]:
@@ -208,7 +221,9 @@ def solve(model: IlpModel, budget_s: float) -> SolveOutcome:
         old = hi[v]
         if val >= old:
             return False
-        trail.append((v, lo[v], old))
+        if stamp[v] != segment:
+            stamp[v] = segment
+            trail.append((v, lo[v], old))
         hi[v] = val
         d = val - old
         for ci, c in vadj[v]:
@@ -321,6 +336,7 @@ def solve(model: IlpModel, budget_s: float) -> SolveOutcome:
                 return outcome(Status.FEASIBLE, assignment)
             mid = (lo[v] + hi[v]) // 2
             frames.append((v, mid, len(trail), start))
+            segment += 1
             conflict = set_lo(v, mid + 1) or propagate()
             start = v
             nodes += 1
@@ -331,6 +347,7 @@ def solve(model: IlpModel, budget_s: float) -> SolveOutcome:
                     return outcome(Status.INFEASIBLE)
                 v, alt_hi, mark, pstart = frames.pop()
                 undo_to(mark)
+                segment += 1
                 conflict = set_hi(v, alt_hi) or propagate()
                 start = pstart
                 nodes += 1
@@ -396,8 +413,9 @@ def parse_lp(text: str) -> IlpModel:
     """Re-read LP text produced by export_lp into a structurally equal model.
 
     Only the dialect export_lp writes is accepted: its exact section
-    headers, `name:` labels, terms `[+|-] [coefficient] var`, the
-    relations `<=`, `>=` and `=`, and `0` for an empty left-hand side.
+    headers, `name:` labels, terms `[+|-] [coefficient] var` with a
+    nonzero coefficient, the relations `<=`, `>=` and `=`, and `0` for an
+    empty left-hand side.
     """
     sections: dict[str, list[str]] = {header: [] for header in _HEADERS}
     current = None

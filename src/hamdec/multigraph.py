@@ -4,6 +4,12 @@ Vertices are labelled 1..n.  The union of two Hamiltonian cycles on the
 same vertex set is a 4-regular multigraph (2-in/2-out when directed).
 Parallel copies of an edge stay distinct objects linked through their
 ``partner`` field, so a factor can hold one copy and not the other.
+
+A directed union splits into alternating cycles: link the two arcs of
+every out-port and of every in-port.  A 2-factor pair takes, in each
+cycle, either all its x-arcs or all its y-arcs into Z, so flipping a
+whole cycle maps one valid pair to another.  Parallel pairs are cycles
+of two arcs.
 """
 
 from __future__ import annotations
@@ -96,6 +102,7 @@ class UnionMultigraph:
     in_arcs: list[list[int]]      # directed only: in-arc ids per vertex
     tail: list[int]               # tail[e.id] == e.tail, for hot loops
     head: list[int]               # head[e.id] == e.head
+    cycle_of: list[int]           # directed only: alternating cycle per arc
 
     def multi_edge_count(self) -> int:
         """Number of edges that have a parallel copy (both copies count)."""
@@ -155,7 +162,31 @@ def build_union(x: HamCycle, y: HamCycle) -> UnionMultigraph:
         in_arcs,
         [e.tail for e in edges],
         [e.head for e in edges],
+        _alternating_cycles(edges, out_arcs, in_arcs) if directed else [],
     )
+
+
+def _alternating_cycles(edges, out_arcs, in_arcs) -> list[int]:
+    """Alternating cycle id of every arc, numbered by their first arc.
+
+    Every arc has one sibling in its tail's out-port and one in its
+    head's in-port; the walk alternates between the two links.
+    """
+    cycle_of = [-1] * len(edges)
+    label = 0
+    for start in range(len(edges)):
+        if cycle_of[start] >= 0:
+            continue
+        a = start
+        while cycle_of[a] < 0:
+            cycle_of[a] = label
+            port = out_arcs[edges[a].tail]
+            a = port[1] if port[0] == a else port[0]
+            cycle_of[a] = label
+            port = in_arcs[edges[a].head]
+            a = port[1] if port[0] == a else port[0]
+        label += 1
+    return cycle_of
 
 
 class TwoFactorPair:

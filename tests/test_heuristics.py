@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -420,6 +422,71 @@ def test_directed_search_is_seed_deterministic():
             (tuple(pair.side), [sorted(map(tuple, r.subtours(g.n))) for r in reports])
         )
     assert outs[0] == outs[1]
+
+
+def alternating_labels(g):
+    """Alternating cycle of every arc: union-find over the ports."""
+    parent = list(range(len(g.edges)))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for ports in (g.out_arcs, g.in_arcs):
+        for a, b in ports[1:]:
+            parent[find(a)] = find(b)
+    return [find(e) for e in range(len(g.edges))]
+
+
+def random_cycle_choice(g, seed):
+    """A valid pair taking, per alternating cycle, x or y at random."""
+    labels = alternating_labels(g)
+    rng = np.random.default_rng(seed)
+    to_z = {label: int(rng.integers(2)) for label in sorted(set(labels))}
+    sides = [Z if e.origin == to_z[labels[e.id]] else W for e in g.edges]
+    return TwoFactorPair(g, sides)
+
+
+@pytest.mark.parametrize(
+    "kind", [InstanceKind.RANDOM_PERMUTATION, InstanceKind.FOUR_PEAK]
+)
+def test_directed_sweep_tries_each_alternating_cycle_once(kind, monkeypatch):
+    sweeps = []
+    real_sweep, real_fix = heur._sweep, heur.fix_edge
+
+    def sweep(*args, **kwargs):
+        sweeps.append([])
+        return real_sweep(*args, **kwargs)
+
+    def fix(pair, eid, *args, **kwargs):
+        # a directed chain never leaves a broken vertex, so every call
+        # from a sweep is one of its candidates
+        sweeps[-1].append(labels[eid])
+        return real_fix(pair, eid, *args, **kwargs)
+
+    monkeypatch.setattr(heur, "_sweep", sweep)
+    monkeypatch.setattr(heur, "fix_edge", fix)
+    tried = stuck = 0
+    for n, seed in ((48, 0), (48, 1), (56, 2), (64, 3), (64, 4)):
+        _, _, g = generate_instance(InstanceSpec(kind, n, True, seed))
+        labels = alternating_labels(g)
+        free = {labels[e.id] for e in g.edges if e.partner is None}
+        for start_seed in range(3):
+            pair = random_cycle_choice(g, start_seed)
+            if components(pair).total == 2:
+                continue
+            sweeps.clear()
+            local_search_directed(pair, random.Random(start_seed))
+            for candidates in sweeps:
+                assert len(candidates) == len(set(candidates))
+                tried += len(candidates)
+            if components(pair).total > 2:
+                # the last sweep found no improvement: it tried every cycle
+                assert set(sweeps[-1]) == free
+                stuck += 1
+    assert tried >= 30
+    assert stuck >= 1
 
 
 # ---------------------------------------------------- first neighbourhood

@@ -335,6 +335,12 @@ def structured_models():
         yield f"mtz dir {seed}", build_mtz_directed(g)[0]
         _, _, g = random_instance(6, seed)
         yield f"mtz und {seed}", build_mtz_undirected(g)[0]
+    # order chains: MTZ's general integers tighten several times within
+    # one search node, and a backtrack must restore their bounds from
+    # before that node, not from before its last tightening
+    for n, seed in ((9, 1), (9, 3), (10, 0), (10, 3)):
+        _, _, g = random_instance(n, seed, directed=True)
+        yield f"mtz dir n={n} {seed}", build_mtz_directed(g)[0]
 
 
 def test_solve_matches_sweeping_reference_on_structured_models():
@@ -368,6 +374,14 @@ def test_row_index_follows_rows_and_variables_added_between_solves():
             fresh.status, fresh.nodes, fresh.assignment
         )
     assert [out.nodes for _, out in snapshots] == [4, 2, 2]
+
+
+def test_zero_coefficient_is_rejected_with_the_row_name():
+    m = IlpModel()
+    x, y = m.add_binary("x"), m.add_binary("y")
+    with pytest.raises(ValueError, match="r_zero"):
+        m.add_le([(0, x), (1, y)], 0, "r_zero")
+    assert m.constraints == []
 
 
 # ---------------------------------------------------------------- LP text
@@ -476,6 +490,7 @@ def test_parse_rejects_constructs_export_never_writes(old, new):
 
 @pytest.mark.parametrize("lhs", [
     "z_0 + z_1 + 2", "z_0 + z_1 2", "z_0 + z_1 +", "z_0 z_1", "2", "- 0",
+    "- 0 z_0 + z_1", "0 z_0 + z_1", "z_0 + 0 z_1",
 ])
 def test_parse_rejects_dangling_terms(lhs):
     with pytest.raises(ValueError):

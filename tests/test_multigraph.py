@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hamdec.instances import InstanceKind, InstanceSpec, generate_instance
 from hamdec.multigraph import (
+    ORIGIN_X,
     W,
     Z,
     HamCycle,
@@ -174,6 +175,47 @@ def test_union_degree_invariants_hold_for_random_cycles(n, directed, seed):
                 assert (mate.tail, mate.head) == (e.tail, e.head)
             else:
                 assert {mate.tail, mate.head} == {e.tail, e.head}
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 12), seed=st.integers(0, 2**32 - 1))
+def test_alternating_cycle_labels_split_the_ports(n, seed):
+    rng = np.random.default_rng(seed)
+    x = random_cycle(n, rng, True)
+    y = random_cycle(n, rng, True)
+    g = build_union(x, y)
+    undirected = build_union(
+        HamCycle.from_order(x.order, False), HamCycle.from_order(y.order, False)
+    )
+    assert undirected.cycle_of == []
+    labels = g.cycle_of
+    assert len(labels) == len(g.edges)
+    for v in range(1, n + 1):
+        for a, b in (g.out_arcs[v], g.in_arcs[v]):
+            assert labels[a] == labels[b]
+    members = {}
+    for e in g.edges:
+        members.setdefault(labels[e.id], []).append(e.id)
+    for e in g.edges:
+        if e.partner is not None:
+            assert sorted(members[labels[e.id]]) == sorted((e.id, e.partner))
+    origin = [Z if e.origin == ORIGIN_X else W for e in g.edges]
+    for arcs in members.values():
+        pair = TwoFactorPair(g, origin)
+        for a in arcs:
+            pair.move(a)
+        assert not pair.broken
+
+
+def test_alternating_cycle_counts_of_random_permutation_n64():
+    counts = []
+    for seed in range(100, 110):
+        spec = InstanceSpec(InstanceKind.RANDOM_PERMUTATION, 64, True, seed)
+        _, _, g = generate_instance(spec)
+        counts.append(
+            len({g.cycle_of[e.id] for e in g.edges if e.partner is None})
+        )
+    assert counts == [4, 4, 4, 4, 1, 3, 4, 3, 2, 4]
 
 
 @pytest.mark.parametrize("kind", list(InstanceKind))
