@@ -3,13 +3,15 @@
 The objective is the total number of connected components over both
 factors; 2 means each factor is a single Hamiltonian cycle.  Moves
 flip edges between factors.  Chain fixing propagates a forced move
-through the degree contract with one rule.  Every edge has a slot at
-each end: its tail's out-arcs and its head's in-arcs when directed,
-where a factor takes cap = 1 edge of each slot, and the incidence
-lists of both ends when undirected, with cap = 2.  Once a slot holds
-cap pinned edges of one factor, its unfixed edges are forced into the
-other; more than cap is a contradiction.  All mutation goes through a
-trail so failed candidates roll back exactly.
+through the degree contract with one rule over the union's slot table
+(see `multigraph`): once a slot holds cap pinned edges of one factor,
+its unfixed edges are forced into the other; more than cap is a
+contradiction.  The pair keeps its pinned count per factor and slot, so
+the rule reads one count per slot end.  One chain loop, over slots and
+so the same for both directednesses, serves a fix, its cascade and the
+randomized repair: when the forced edges run out and a vertex is still
+broken, the repair step draws the next edge to move.  All mutation goes
+through a trail so failed candidates roll back exactly.
 
 On a valid directed pair a chain flips the whole alternating cycle of
 its first edge (see `multigraph`), so every candidate of one cycle
@@ -68,12 +70,34 @@ class TraceRecorder:
 
 
 def rollback(pair: TwoFactorPair, trail: FixTrail, mark: int) -> None:
-    """Restore sides and fixed flags to the state at `mark`."""
-    side, fixed, move = pair.side, pair.fixed, pair.move
-    for edge_id, prior_side, prior_fixed in reversed(trail[mark:]):
-        if side[edge_id] != prior_side:
-            move(edge_id)
-        fixed[edge_id] = prior_fixed
+    """Restore sides, fixed flags and counts to the state at `mark`."""
+    g = pair.graph
+    slot_a, slot_b, cap = g.slot_a, g.slot_b, g.cap
+    mate, owner = g.slot_mate, g.slot_vertex
+    sides, fixed, deg, pinned = pair.side, pair.fixed, pair.deg_z, pair.pinned
+    add, discard = pair.broken.add, pair.broken.discard
+    for eid, prior_side, prior_fixed in reversed(trail[mark:]):
+        a, b = slot_a[eid], slot_b[eid]
+        if fixed[eid]:
+            fixed[eid] = False
+            pins = pinned[sides[eid]]
+            pins[a] -= 1
+            pins[b] -= 1
+        if sides[eid] != prior_side:
+            sides[eid] = prior_side
+            d = 1 if prior_side == Z else -1
+            deg[a] += d
+            if deg[a] == cap == deg[mate[a]]:
+                discard(owner[a])
+            else:
+                add(owner[a])
+            deg[b] += d
+            if deg[b] == cap == deg[mate[b]]:
+                discard(owner[b])
+            else:
+                add(owner[b])
+        if prior_fixed:
+            pair.pin(eid, True)
     del trail[mark:]
 
 
@@ -84,14 +108,14 @@ def fix_parallel_copies(pair: TwoFactorPair) -> None:
             continue
         if pair.side[e.id] == pair.side[e.partner]:
             raise ValueError("parallel copies must start in different factors")
-        pair.fixed[e.id] = True
-        pair.fixed[e.partner] = True
+        pair.pin(e.id, True)
+        pair.pin(e.partner, True)
 
 
 def unfix_non_parallel(pair: TwoFactorPair) -> None:
     for e in pair.graph.edges:
         if e.partner is None:
-            pair.fixed[e.id] = False
+            pair.pin(e.id, False)
 
 
 def fix_edge(
@@ -107,44 +131,87 @@ def fix_edge(
     of the module docstring then forces; without it only the one edge
     is touched and its slots go unchecked.
     """
+    return _chain(pair, [(edge_id, side)], trail, recursive, None)
+
+
+def _repair_all(pair, rng, trail, recursive) -> bool:
+    """Move edges at random broken vertices until none remain."""
+    return _chain(pair, [], trail, recursive, rng)
+
+
+def _chain(pair, stack, trail, recursive, rng) -> bool:
+    """The chain loop behind `fix_edge` and `_repair_all`.
+
+    Each step moves an edge to a factor and pins it.  The edge comes off
+    the stack; with `recursive`, a slot that now holds `cap` pins of the
+    factor stacks its unfixed edges for the other.  When the stack is
+    empty, a vertex is broken and `rng` is given, the outer step draws a
+    broken vertex, then an unfixed edge that mends its first broken slot.
+    At most 4|E| such draws are made.
+    """
     g = pair.graph
-    if g.directed:
-        at_tail, at_head, cap = g.out_arcs, g.in_arcs, 1
-    else:
-        at_tail, at_head, cap = g.inc, g.inc, 2
-    tail, head = g.tail, g.head
-    sides, fixed, move = pair.side, pair.fixed, pair.move
-    stack = [(edge_id, side)]
-    while stack:
-        eid, want = stack.pop()
-        if fixed[eid]:
-            if sides[eid] != want:
+    slots, slot_a, slot_b, cap = g.slots, g.slot_a, g.slot_b, g.cap
+    mate, owner = g.slot_mate, g.slot_vertex
+    sides, fixed, deg = pair.side, pair.fixed, pair.deg_z
+    pinned, broken = pair.pinned, pair.broken
+    add, discard = broken.add, broken.discard
+    push, pop, log = stack.append, stack.pop, trail.append
+    guard = 4 * len(sides)
+    while True:
+        if stack:
+            eid, want = pop()
+            if fixed[eid]:
+                if sides[eid] != want:
+                    return False
+                continue
+        else:
+            if rng is None or not broken:
+                return True
+            guard -= 1
+            if guard < 0:
                 return False
-            continue
+            v = sorted(broken)[int(rng.random() * len(broken))]
+            s = v if deg[v] != cap else mate[v]
+            want = Z if deg[s] < cap else W
+            pool = [e for e in slots[s] if not fixed[e] and sides[e] != want]
+            if not pool:
+                return False
+            eid = pool[int(rng.random() * len(pool))]
+        a, b = slot_a[eid], slot_b[eid]
         prior = sides[eid]
-        trail.append((eid, prior, False))  # it was unfixed until now
+        log((eid, prior, False))  # it was unfixed until now
         if prior != want:
-            move(eid)
+            sides[eid] = want
+            d = 1 if want == Z else -1
+            deg[a] += d
+            if deg[a] == cap == deg[mate[a]]:
+                discard(owner[a])
+            else:
+                add(owner[a])
+            deg[b] += d
+            if deg[b] == cap == deg[mate[b]]:
+                discard(owner[b])
+            else:
+                add(owner[b])
         fixed[eid] = True
+        pins = pinned[want]
+        pins[a] += 1
+        pins[b] += 1
         if not recursive:
-            return True
+            continue
+        if pins[a] > cap or pins[b] > cap:
+            return False
+        # of a slot's 2 * cap edges some are unfixed iff others[s] < cap
         other = W if want == Z else Z
-        for slot in (at_tail[tail[eid]], at_head[head[eid]]):
-            pinned = 0
-            for oid in slot:
-                if fixed[oid] and sides[oid] == want:
-                    pinned += 1
-            if pinned > cap:
-                return False
-            if pinned == cap:
-                for oid in slot:
-                    if not fixed[oid]:
-                        stack.append((oid, other))
-    return True
-
-
-def _pick(seq, rng):
-    return seq[int(rng.random() * len(seq))]
+        others = pinned[other]
+        if pins[a] == cap and others[a] < cap:
+            for oid in slots[a]:
+                if not fixed[oid]:
+                    push((oid, other))
+        if pins[b] == cap and others[b] < cap:
+            for oid in slots[b]:
+                if not fixed[oid]:
+                    push((oid, other))
 
 
 def _movable(pair, v, from_side):
@@ -158,24 +225,9 @@ def _movable(pair, v, from_side):
 
 def _repair_choice(pair, rng):
     """A random broken vertex's missing factor and the edges to move in."""
-    v = _pick(sorted(pair.broken), rng)
+    v = sorted(pair.broken)[int(rng.random() * len(pair.broken))]
     want = Z if pair.deg_z[v] < 2 else W
     return want, _movable(pair, v, W if want == Z else Z)
-
-
-def _repair_all(pair, rng, trail, recursive) -> bool:
-    """Move edges at random broken vertices until none remain."""
-    guard = 4 * len(pair.graph.edges)
-    while pair.broken:
-        guard -= 1
-        if guard < 0:
-            return False
-        want, pool = _repair_choice(pair, rng)
-        if not pool:
-            return False
-        if not fix_edge(pair, _pick(pool, rng), want, trail, recursive):
-            return False
-    return True
 
 
 def _unfixed_z_edges(pair, rng):

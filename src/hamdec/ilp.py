@@ -72,6 +72,7 @@ class IlpModel:
 
     def __init__(self):
         self.names: list[str] = []
+        self.var_of: dict[str, int] = {}  # name -> variable id
         self.lo: list[int] = []
         self.hi: list[int] = []
         self.binary: list[bool] = []
@@ -86,8 +87,15 @@ class IlpModel:
         self._ge_at: list[float] = []
 
     def add_int(self, name: str, lo: int, hi: int) -> int:
+        # the name must read back from export_lp text as one new token
+        bad = name.split() != [name] or ":" in name or name.isdigit()
+        if bad or name in (LE, GE, EQ, "+", "-"):
+            raise ValueError(f"variable name {name!r} is not one LP token")
+        if name in self.var_of:
+            raise ValueError(f"duplicate variable name {name!r}")
         if lo > hi:
             raise ValueError(f"empty domain for {name}")
+        self.var_of[name] = len(self.names)
         self.names.append(name)
         self.lo.append(int(lo))
         self.hi.append(int(hi))
@@ -433,21 +441,22 @@ def parse_lp(text: str) -> IlpModel:
             raise ValueError(f"unsupported objective line: {line!r}")
 
     model = IlpModel()
-    index: dict[str, int] = {}
     for line in sections["Binaries"]:
         for name in line.split():
-            index[name] = model.add_binary(name)
+            model.add_binary(name)
     bounds = {}
     for line in sections["Bounds"]:
         toks = line.split()
         if len(toks) != 5 or toks[1] != "<=" or toks[3] != "<=":
             raise ValueError(f"unsupported bounds line: {line!r}")
+        if toks[2] in bounds:
+            raise ValueError(f"second bounds line for {toks[2]!r}")
         bounds[toks[2]] = (int(toks[0]), int(toks[4]))
     for line in sections["Generals"]:
         for name in line.split():
             if name not in bounds:
                 raise ValueError(f"integer var without bounds: {name!r}")
-            index[name] = model.add_int(name, *bounds.pop(name))
+            model.add_int(name, *bounds.pop(name))
     if bounds:
         raise ValueError(f"bounds for vars not in Generals: {sorted(bounds)}")
 
@@ -472,9 +481,9 @@ def parse_lp(text: str) -> IlpModel:
                 sign = 1 if tok == "+" else -1
             elif tok.isdigit() and coef is None:
                 coef = int(tok)
-            elif tok in index and (sign is not None or not terms):
+            elif tok in model.var_of and (sign is not None or not terms):
                 mag = 1 if coef is None else coef
-                terms.append(((sign or 1) * mag, index[tok]))
+                terms.append(((sign or 1) * mag, model.var_of[tok]))
                 sign = coef = None
             else:
                 raise ValueError(

@@ -10,11 +10,19 @@ every out-port and of every in-port.  A 2-factor pair takes, in each
 cycle, either all its x-arcs or all its y-arcs into Z, so flipping a
 whole cycle maps one valid pair to another.  Parallel pairs are cycles
 of two arcs.
+
+The union carries a slot table, so the local search runs one code path
+for both directednesses.  A slot is a group of edges of which each factor
+takes exactly `cap`: the incidence list `inc[v]` with cap 2 when
+undirected, and the out-port `out_arcs[v]` (slot v) or in-port
+`in_arcs[v]` (slot n+1+v) with cap 1 when directed.  Every edge has two
+slot ends, and every vertex one or two slots.  `TwoFactorPair` keeps per
+slot its Z-edge count and, per factor, the count of its pinned edges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 Z = 0
 W = 1
@@ -103,6 +111,25 @@ class UnionMultigraph:
     tail: list[int]               # tail[e.id] == e.tail, for hot loops
     head: list[int]               # head[e.id] == e.head
     cycle_of: list[int]           # directed only: alternating cycle per arc
+    # slot table (module docstring), derived from the lists above
+    slots: list[list[int]] = field(init=False)   # edge ids per slot
+    slot_a: list[int] = field(init=False)        # slot at each edge's tail
+    slot_b: list[int] = field(init=False)        # slot at each edge's head
+    slot_vertex: list[int] = field(init=False)   # the vertex of each slot
+    slot_mate: list[int] = field(init=False)     # its vertex's other slot
+    cap: int = field(init=False)                 # a factor's edges per slot
+
+    def __post_init__(self):
+        n, ids = self.n, list(range(self.n + 1))
+        self.slot_a, self.cap = self.tail, 1 if self.directed else 2
+        if self.directed:
+            self.slots = self.out_arcs + self.in_arcs
+            self.slot_b = [n + 1 + v for v in self.head]
+            self.slot_vertex = ids + ids
+            self.slot_mate = [n + 1 + v for v in ids] + ids
+        else:  # one slot per vertex, which is its own mate
+            self.slots, self.slot_b = self.inc, self.head
+            self.slot_vertex = self.slot_mate = ids
 
     def multi_edge_count(self) -> int:
         """Number of edges that have a parallel copy (both copies count)."""
@@ -192,10 +219,12 @@ def _alternating_cycles(edges, out_arcs, in_arcs) -> list[int]:
 class TwoFactorPair:
     """Mutable assignment of every union edge to factor Z or factor W.
 
-    Tracks per-vertex factor degrees and the set of broken vertices:
-    those whose Z-degree breaks the 2-factor contract (2 undirected,
-    1-in/1-out directed).  W degrees are complements, so a vertex is
-    broken in Z exactly when it is broken in W.
+    Per slot of the union's slot table it counts the Z-edges (`deg_z`)
+    and, per factor, the pinned edges (`pinned[Z]`, `pinned[W]`: those
+    whose `fixed` flag is set).  A vertex is broken when one of its
+    slots holds other than `cap` Z-edges: the 2-factor contract is 2
+    undirected, 1-in/1-out directed.  W counts are complements, so a
+    vertex is broken in Z exactly when it is broken in W.
     """
 
     def __init__(self, graph: UnionMultigraph, sides):
@@ -204,65 +233,44 @@ class TwoFactorPair:
         self.graph = graph
         self.side = [int(s) for s in sides]
         self.fixed = [False] * len(self.side)
-        n = graph.n
-        if graph.directed:
-            self.out_z = [0] * (n + 1)
-            self.in_z = [0] * (n + 1)
-            for e in graph.edges:
-                if self.side[e.id] == Z:
-                    self.out_z[e.tail] += 1
-                    self.in_z[e.head] += 1
-        else:
-            self.deg_z = [0] * (n + 1)
-            for e in graph.edges:
-                if self.side[e.id] == Z:
-                    self.deg_z[e.tail] += 1
-                    self.deg_z[e.head] += 1
-        self.broken = {v for v in range(1, n + 1) if not self.vertex_ok(v)}
+        deg = self.deg_z = [0] * len(graph.slots)
+        for a, b, s in zip(graph.slot_a, graph.slot_b, self.side):
+            if s == Z:
+                deg[a] += 1
+                deg[b] += 1
+        self.pinned = ([0] * len(deg), [0] * len(deg))
+        cap, mate, n = graph.cap, graph.slot_mate, graph.n
+        self.broken = {
+            v for v in range(1, n + 1) if not deg[v] == cap == deg[mate[v]]
+        }
 
-    def vertex_ok(self, v: int) -> bool:
-        if self.graph.directed:
-            return self.out_z[v] == 1 and self.in_z[v] == 1
-        return self.deg_z[v] == 2
+    # directed views of deg_z: Z out- and in-degree per vertex
+    out_z = property(lambda self: self.deg_z[: self.graph.n + 1])
+    in_z = property(lambda self: self.deg_z[self.graph.n + 1 :])
 
     def move(self, edge_id: int) -> None:
-        """Flip one edge to the other factor, updating degrees and broken."""
-        g = self.graph
-        u = g.tail[edge_id]
-        v = g.head[edge_id]
-        side = self.side
-        broken = self.broken
-        if side[edge_id] == Z:
-            side[edge_id] = W
-            delta = -1
-        else:
-            side[edge_id] = Z
-            delta = 1
-        if g.directed:
-            out_z = self.out_z
-            in_z = self.in_z
-            out_z[u] += delta
-            in_z[v] += delta
-            if out_z[u] == 1 and in_z[u] == 1:
-                broken.discard(u)
+        """Flip one edge to the other factor; a pinned edge stays pinned."""
+        g, pinned = self.graph, self.fixed[edge_id]
+        self.pin(edge_id, False)
+        self.side[edge_id] = now = W if self.side[edge_id] == Z else Z
+        d = 1 if now == Z else -1
+        deg, cap, mate, owner = self.deg_z, g.cap, g.slot_mate, g.slot_vertex
+        for s in (g.slot_a[edge_id], g.slot_b[edge_id]):
+            deg[s] += d
+            if deg[s] == cap == deg[mate[s]]:
+                self.broken.discard(owner[s])
             else:
-                broken.add(u)
-            if out_z[v] == 1 and in_z[v] == 1:
-                broken.discard(v)
-            else:
-                broken.add(v)
-        else:
-            deg_z = self.deg_z
-            deg_z[u] += delta
-            deg_z[v] += delta
-            if deg_z[u] == 2:
-                broken.discard(u)
-            else:
-                broken.add(u)
-            if deg_z[v] == 2:
-                broken.discard(v)
-            else:
-                broken.add(v)
+                self.broken.add(owner[s])
+        self.pin(edge_id, pinned)
+
+    def pin(self, edge_id: int, on: bool) -> None:
+        """Set one edge's fixed flag, keeping the pinned counts in step."""
+        if self.fixed[edge_id] != on:
+            self.fixed[edge_id] = on
+            g, d = self.graph, 1 if on else -1
+            pins = self.pinned[self.side[edge_id]]
+            pins[g.slot_a[edge_id]] += d
+            pins[g.slot_b[edge_id]] += d
 
     def factor_multiset(self, side: int) -> tuple:
         pairs = [
@@ -300,7 +308,7 @@ def components(pair: TwoFactorPair) -> ComponentReport:
 
 
 def _factor_cycles(pair: TwoFactorPair, side: int) -> list[list[int]]:
-    """Cycles of one factor, walked through the incidence lists.
+    """Cycles of one factor, walked through slot v (`inc[v]` or out-port).
 
     The walk takes at each vertex the first factor edge it did not come
     in by, so it needs the degree contract to hold everywhere.
@@ -310,44 +318,24 @@ def _factor_cycles(pair: TwoFactorPair, side: int) -> list[list[int]]:
             f"degree contract violated at vertices {sorted(pair.broken)}"
         )
     g = pair.graph
-    n = g.n
-    sides, tail, head = pair.side, g.tail, g.head
-    seen = [False] * (n + 1)
+    slots, sides, tail, head = g.slots, pair.side, g.tail, g.head
+    seen = [False] * (g.n + 1)
     cycles = []
-    if g.directed:
-        out_arcs = g.out_arcs
-        for s in range(1, n + 1):
-            if seen[s]:
-                continue
-            comp = []
-            v = s
-            while not seen[v]:
-                seen[v] = True
-                comp.append(v)
-                for e in out_arcs[v]:
-                    if sides[e] == side:
-                        break
-                v = head[e]
-            cycles.append(comp)
-    else:
-        inc = g.inc
-        for s in range(1, n + 1):
-            if seen[s]:
-                continue
-            comp = []
-            v, entered = s, -1
-            while True:
-                seen[v] = True
-                comp.append(v)
-                for e in inc[v]:
-                    if e != entered and sides[e] == side:
-                        break
-                # the far end of e, without an Edge lookup
-                v = tail[e] + head[e] - v
-                entered = e
-                if v == s:
+    for s in range(1, g.n + 1):
+        if seen[s]:
+            continue
+        comp = []
+        v, entered = s, -1
+        while not seen[v]:
+            seen[v] = True
+            comp.append(v)
+            for e in slots[v]:
+                if e != entered and sides[e] == side:
                     break
-            cycles.append(comp)
+            # the far end of e, without an Edge lookup
+            v = tail[e] + head[e] - v
+            entered = e
+        cycles.append(comp)
     return cycles
 
 

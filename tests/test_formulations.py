@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -246,3 +247,20 @@ def test_decode_rejects_degree_violations(ring6):
     _, mapping = build_dfj_base(g)
     with pytest.raises(AssertionError):
         decode([0] * 12, mapping, g)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_subtour_cut_rows_hold_the_inside_edges_in_id_order(directed):
+    rng = random.Random(4)
+    for seed in range(12):
+        _, _, g = random_instance(rng.choice((7, 10, 13)), seed, directed)
+        model, mapping = build_dfj_base(g)
+        for k in range(6):
+            s = set(rng.sample(range(1, g.n + 1), rng.randrange(1, g.n)))
+            inside = [e.id for e in g.edges if e.tail in s and e.head in s]
+            for side in (Z, W):
+                sec_for_subtour(model, mapping, g, list(s), side, f"c_{k}")
+                row = model.constraints[-1]
+                assert row.vars == tuple(mapping.z_var[e] for e in inside)
+                assert row.coefs == (1,) * len(inside)
+

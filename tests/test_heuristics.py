@@ -767,3 +767,149 @@ def test_params_validate_limits():
         HeuristicParams(attempt_limit=0)
     with pytest.raises(ValueError):
         HeuristicParams(depth_limit=-1)
+
+
+# ------------------------------------------- chain loop against a reference
+
+def reference_fix_edge(pair, edge_id, side, trail, recursive=True):
+    """Chain fixing that rescans each slot, one `fix_edge` call at a time."""
+    g = pair.graph
+    if g.directed:
+        at_tail, at_head, cap = g.out_arcs, g.in_arcs, 1
+    else:
+        at_tail, at_head, cap = g.inc, g.inc, 2
+    sides, fixed = pair.side, pair.fixed
+    stack = [(edge_id, side)]
+    while stack:
+        eid, want = stack.pop()
+        if fixed[eid]:
+            if sides[eid] != want:
+                return False
+            continue
+        trail.append((eid, sides[eid], False))
+        if sides[eid] != want:
+            pair.move(eid)
+        fixed[eid] = True
+        if not recursive:
+            return True
+        other = W if want == Z else Z
+        for slot in (at_tail[g.tail[eid]], at_head[g.head[eid]]):
+            pinned = sum(1 for o in slot if fixed[o] and sides[o] == want)
+            if pinned > cap:
+                return False
+            if pinned == cap:
+                stack.extend((o, other) for o in slot if not fixed[o])
+    return True
+
+
+def reference_repair_all(pair, rng, trail, recursive):
+    """Random repair picks, each handed to `reference_fix_edge`.
+
+    A pick mends the drawn vertex's incidence list, or when directed its
+    out-port, or its in-port if the out-port is whole.
+    """
+    g = pair.graph
+    guard = 4 * len(g.edges)
+    while pair.broken:
+        guard -= 1
+        if guard < 0:
+            return False
+        broken = sorted(pair.broken)
+        v = broken[int(rng.random() * len(broken))]
+        port, cap = (g.out_arcs[v], 1) if g.directed else (g.inc[v], 2)
+        if g.directed and sum(pair.side[o] == Z for o in port) == 1:
+            port = g.in_arcs[v]
+        want = Z if sum(pair.side[o] == Z for o in port) < cap else W
+        pool = [o for o in port if not pair.fixed[o] and pair.side[o] != want]
+        if not pool:
+            return False
+        eid = pool[int(rng.random() * len(pool))]
+        if not reference_fix_edge(pair, eid, want, trail, recursive):
+            return False
+    return True
+
+
+def pinned_copy(pair):
+    """A second pair with the same sides and pins."""
+    twin = TwoFactorPair(pair.graph, list(pair.side))
+    for eid, on in enumerate(pair.fixed):
+        twin.pin(eid, on)
+    return twin
+
+
+def recount_pins(pair):
+    return tuple(
+        [
+            sum(1 for o in slot if pair.fixed[o] and pair.side[o] == f)
+            for slot in pair.graph.slots
+        ]
+        for f in (Z, W)
+    )
+
+
+def random_start(g, rng):
+    """A pair a few unchained pins away from a random valid split."""
+    pair = random_cycle_choice(g, rng.randrange(99)) if g.directed else (
+        scrambled_state(g, rng.randrange(99), flips=1)
+    )
+    pair = pinned_copy(pair)
+    fix_parallel_copies(pair)
+    trail = []
+    for _ in range(rng.randrange(4)):
+        eid = rng.randrange(len(g.edges))
+        fix_edge(pair, eid, rng.choice((Z, W)), trail, recursive=False)
+    return pair
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("recursive", [True, False])
+def test_chain_loop_matches_per_pick_reference(directed, recursive):
+    rng = random.Random(11)
+    repaired = 0
+    for seed in range(60):
+        _, _, g = random_instance(rng.choice((9, 12, 16)), seed, directed)
+        mine = random_start(g, rng)
+        ref = pinned_copy(mine)
+        eid, side = rng.randrange(len(g.edges)), rng.choice((Z, W))
+        got, want = [], []
+        rng_mine, rng_ref = random.Random(seed), random.Random(seed)
+        ok_mine = fix_edge(mine, eid, side, got, recursive)
+        ok_ref = reference_fix_edge(ref, eid, side, want, recursive)
+        if ok_ref:
+            repaired += bool(ref.broken)
+            ok_mine = heur._repair_all(mine, rng_mine, got, recursive)
+            ok_ref = reference_repair_all(ref, rng_ref, want, recursive)
+        assert ok_mine == ok_ref and got == want
+        assert snapshot(mine) == snapshot(ref)
+        assert rng_mine.random() == rng_ref.random()
+        assert mine.pinned == recount_pins(mine)
+    assert repaired >= 3
+
+
+def test_pinned_counts_follow_every_change_of_fixed():
+    rng = random.Random(5)
+    for seed in range(30):
+        directed = seed % 2 == 1
+        _, _, g = random_instance(rng.choice((8, 11, 14)), seed, directed)
+        pair = origin_pair(g)
+        trail = []
+        for _ in range(25):
+            step = rng.randrange(5)
+            if step == 0 and trail:
+                rollback(pair, trail, rng.randrange(len(trail) + 1))
+            elif step == 1:
+                unfix_non_parallel(pair)
+                trail.clear()
+            elif step == 2:
+                try:
+                    fix_parallel_copies(pair)
+                except ValueError:  # a chain put both copies in one factor
+                    pass
+            elif step == 3:
+                pair.move(rng.randrange(len(g.edges)))
+                trail.clear()  # the trail no longer describes the pair
+            else:
+                eid, side = rng.randrange(len(g.edges)), rng.choice((Z, W))
+                fix_edge(pair, eid, side, trail, rng.random() < 0.7)
+            assert pair.pinned == recount_pins(pair)
+            assert pair.broken == recount_broken(pair)

@@ -495,3 +495,45 @@ def test_parse_rejects_constructs_export_never_writes(old, new):
 def test_parse_rejects_dangling_terms(lhs):
     with pytest.raises(ValueError):
         parse_lp(SMALL_LP.replace("z_0 + z_1", lhs))
+
+
+def test_duplicate_variable_name_is_rejected():
+    # before the check, both binaries were named x and the row on the
+    # first one read back on the second
+    m = IlpModel()
+    x = m.add_binary("x")
+    with pytest.raises(ValueError, match="duplicate"):
+        m.add_binary("x")
+    with pytest.raises(ValueError, match="duplicate"):
+        m.add_int("x", 0, 3)
+    m.add_le([(1, x)], 0, "c")
+    assert m.names == ["x"] and m.var_of == {"x": 0}
+    assert model_signature(parse_lp(export_lp(m))) == model_signature(m)
+
+
+@pytest.mark.parametrize(
+    "name", ["", " ", "a b", "a\tb", "x:", ":", "<=", ">=", "=", "+", "-", "7"]
+)
+def test_name_that_is_not_one_lp_token_is_rejected(name):
+    m = IlpModel()
+    with pytest.raises(ValueError, match="one LP token"):
+        m.add_int(name, 0, 1)
+    assert m.names == [] and m.var_of == {}
+
+
+def test_index_maps_every_name_to_its_variable():
+    m = random_model(3)
+    assert m.var_of == {name: v for v, name in enumerate(m.names)}
+    assert parse_lp(export_lp(m)).var_of == m.var_of
+
+
+@pytest.mark.parametrize("text", [
+    "Binaries\n z_0 z_0\n",
+    "Binaries\n z_0\n z_0\n",
+    "Bounds\n 0 <= z_0 <= 3\nBinaries\n z_0\nGenerals\n z_0\n",
+    "Bounds\n 0 <= a_1 <= 3\n 0 <= a_1 <= 3\nGenerals\n a_1 a_1\n",
+    "Bounds\n 0 <= a_1 <= 3\n 0 <= a_1 <= 4\nGenerals\n a_1\n",
+])
+def test_parse_rejects_a_variable_declared_twice(text):
+    with pytest.raises(ValueError):
+        parse_lp("Minimize\n obj: 0\nSubject To\n" + text + "End\n")
