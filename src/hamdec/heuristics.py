@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from .multigraph import W, Z, ComponentReport, TwoFactorPair, components
 
-FixTrail = list  # entries: (edge id, prior side, prior fixed flag)
+FixTrail = list  # entries: (edge id, prior side); the edge was unfixed
 
 
 @dataclass
@@ -76,7 +76,7 @@ def rollback(pair: TwoFactorPair, trail: FixTrail, mark: int) -> None:
     mate, owner = g.slot_mate, g.slot_vertex
     sides, fixed, deg, pinned = pair.side, pair.fixed, pair.deg_z, pair.pinned
     add, discard = pair.broken.add, pair.broken.discard
-    for eid, prior_side, prior_fixed in reversed(trail[mark:]):
+    for eid, prior_side in reversed(trail[mark:]):
         a, b = slot_a[eid], slot_b[eid]
         if fixed[eid]:
             fixed[eid] = False
@@ -96,8 +96,6 @@ def rollback(pair: TwoFactorPair, trail: FixTrail, mark: int) -> None:
                 discard(owner[b])
             else:
                 add(owner[b])
-        if prior_fixed:
-            pair.pin(eid, True)
     del trail[mark:]
 
 
@@ -146,7 +144,7 @@ def _chain(pair, stack, trail, recursive, rng) -> bool:
     the stack; with `recursive`, a slot that now holds `cap` pins of the
     factor stacks its unfixed edges for the other.  When the stack is
     empty, a vertex is broken and `rng` is given, the outer step draws a
-    broken vertex, then an unfixed edge that mends its first broken slot.
+    broken vertex, then one of the edges `_repair_pool` gives for it.
     At most 4|E| such draws are made.
     """
     g = pair.graph
@@ -171,15 +169,13 @@ def _chain(pair, stack, trail, recursive, rng) -> bool:
             if guard < 0:
                 return False
             v = sorted(broken)[int(rng.random() * len(broken))]
-            s = v if deg[v] != cap else mate[v]
-            want = Z if deg[s] < cap else W
-            pool = [e for e in slots[s] if not fixed[e] and sides[e] != want]
+            want, pool = _repair_pool(pair, v)
             if not pool:
                 return False
             eid = pool[int(rng.random() * len(pool))]
         a, b = slot_a[eid], slot_b[eid]
         prior = sides[eid]
-        log((eid, prior, False))  # it was unfixed until now
+        log((eid, prior))
         if prior != want:
             sides[eid] = want
             d = 1 if want == Z else -1
@@ -214,20 +210,13 @@ def _chain(pair, stack, trail, recursive, rng) -> bool:
                     push((oid, other))
 
 
-def _movable(pair, v, from_side):
-    side, fixed = pair.side, pair.fixed
-    return [
-        oid
-        for oid in pair.graph.inc[v]
-        if not fixed[oid] and side[oid] == from_side
-    ]
-
-
-def _repair_choice(pair, rng):
-    """A random broken vertex's missing factor and the edges to move in."""
-    v = sorted(pair.broken)[int(rng.random() * len(pair.broken))]
-    want = Z if pair.deg_z[v] < 2 else W
-    return want, _movable(pair, v, W if want == Z else Z)
+def _repair_pool(pair, v):
+    """The factor broken vertex `v` misses at its first broken slot, and
+    that slot's unfixed edges of the other factor, which may move in."""
+    g, deg, sides, fixed = pair.graph, pair.deg_z, pair.side, pair.fixed
+    s = v if deg[v] != g.cap else g.slot_mate[v]
+    want = Z if deg[s] < g.cap else W
+    return want, [e for e in g.slots[s] if not fixed[e] and sides[e] != want]
 
 
 def _unfixed_z_edges(pair, rng):
@@ -387,7 +376,8 @@ def _dive(pair, depth, limit, base, rng, trail, recursive):
         return found if found.total < base else None
     if depth > limit:
         return None
-    want, pool = _repair_choice(pair, rng)
+    v = sorted(pair.broken)[int(rng.random() * len(pair.broken))]
+    want, pool = _repair_pool(pair, v)
     for eid in pool:
         mark = len(trail)
         if fix_edge(pair, eid, want, trail, recursive):

@@ -13,28 +13,31 @@ row raising a general integer one unit at a time still leaves one
 entry, holding the bounds from before the segment, which is what a
 backtrack restores (time stamps after Aggoun & Beldiceanu, 1990).
 
-Each row has a reach: the largest coefficient-times-initial-width of its
-terms.  A row whose slack (and, for >= and = rows, surplus) is at least
-its reach can neither conflict nor tighten a bound, so a bound change
-queues a row only when the activity it moves takes the slack or surplus
-below the reach; the root queues every row.  Propagation checks the
-deadline every 1024 rows it takes off the queue, so a budget holds even
-when a single fixpoint is long.
+Every row is kept as one or two `<=` halves, sum(c*x) <= rhs: the row
+itself unless it is >=, and its negation unless it is <=, so an = row
+is two (the normal form of MIP presolve, Achterberg et al., 2020).
+Each half has a reach: the largest coefficient-times-initial-width of
+its terms.  A half whose slack is at least its reach can neither
+conflict nor tighten a bound, so a bound change queues a half only when
+it takes the half's least activity past rhs - reach; the root queues
+every half.  Propagation checks the deadline every 1024 halves it takes
+off the queue, so a budget holds even when a single fixpoint is long.
 
-The model keeps its row index as rows arrive: each variable's
-(row, coefficient) terms, each row's activity bounds at the declared
-domains and its two queueing thresholds.  A solve copies the activity
-lists instead of rescanning every term, so the cutting loop's repeated
-solves of a growing model pay O(rows) each for set-up.
+The model keeps its half index as rows arrive: each half's terms, rhs,
+least activity at the declared domains and threshold, and per variable
+the half terms that its lo rising (c > 0) or its hi falling (c < 0)
+moves.  A solve copies the activity list instead of rescanning every
+term, so the cutting loop's repeated solves of a growing model pay
+O(halves) each for set-up.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 import time
 from collections import deque
 from dataclasses import dataclass
+from operator import neg
 
 LE, GE, EQ = "<=", ">=", "="
 
@@ -60,7 +63,7 @@ class SolveOutcome:
     assignment: list[int] | None
     nodes: int
     elapsed: float
-    pops: int  # rows taken off the propagation queue
+    pops: int  # halves taken off the propagation queue; = rows have two
 
 
 class IlpModel:
@@ -77,14 +80,14 @@ class IlpModel:
         self.hi: list[int] = []
         self.binary: list[bool] = []
         self.constraints: list[LinearConstraint] = []
-        # row index: per variable its (row, coefficient) terms; per row
-        # its min/max activity at the declared domains, and the activity
-        # past which it is queued (le_at for minact, ge_at for maxact)
-        self._vadj: list[list[tuple[int, int]]] = []
+        # half index (see the module docstring): per half its
+        # (coefs, vars, rhs), least activity and queueing threshold; per
+        # variable its (half, c) terms with c > 0 and with c < 0
+        self._halves: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
         self._minact: list[int] = []
-        self._maxact: list[int] = []
-        self._le_at: list[float] = []
-        self._ge_at: list[float] = []
+        self._le_at: list[int] = []
+        self._lo_terms: list[list[tuple[int, int]]] = []
+        self._hi_terms: list[list[tuple[int, int]]] = []
 
     def add_int(self, name: str, lo: int, hi: int) -> int:
         # the name must read back from export_lp text as one new token
@@ -100,7 +103,8 @@ class IlpModel:
         self.lo.append(int(lo))
         self.hi.append(int(hi))
         self.binary.append(False)
-        self._vadj.append([])
+        self._lo_terms.append([])
+        self._hi_terms.append([])
         return len(self.names) - 1
 
     def add_binary(self, name: str) -> int:
@@ -118,33 +122,45 @@ class IlpModel:
     def add_constraint(self, terms, sense: str, rhs: int, name: str) -> None:
         if sense not in (LE, GE, EQ):
             raise ValueError(f"unknown sense {sense!r}")
-        coefs = tuple(int(c) for c, _ in terms)
-        vars_ = tuple(int(v) for _, v in terms)
+        coefs = tuple([int(c) for c, _ in terms])
+        vars_ = tuple([int(v) for _, v in terms])
         for v in vars_:
             if not 0 <= v < len(self.names):
                 raise ValueError(f"constraint {name} uses unknown var {v}")
         if 0 in coefs:
             raise ValueError(f"constraint {name} has a zero coefficient")
         rhs = int(rhs)
-        ci = len(self.constraints)
         self.constraints.append(LinearConstraint(coefs, vars_, sense, rhs, name))
-        lo, hi, vadj = self.lo, self.hi, self._vadj
-        lo_sum = hi_sum = reach = 0
+        own, negated = sense != GE, sense != LE  # which halves the row has
+        h = len(self._halves)  # the own half; the negated one is h + own
+        lo, hi = self.lo, self.hi
+        lo_terms, hi_terms = self._lo_terms, self._hi_terms
+        least = most = reach = 0
         for c, v in zip(coefs, vars_):
-            vadj[v].append((ci, c))
             width = abs(c) * (hi[v] - lo[v])
             if width > reach:
                 reach = width
             if c > 0:
-                lo_sum += c * lo[v]
-                hi_sum += c * hi[v]
+                least += c * lo[v]
+                most += c * hi[v]
+                own_terms, neg_terms = lo_terms[v], hi_terms[v]
             else:
-                lo_sum += c * hi[v]
-                hi_sum += c * lo[v]
-        self._minact.append(lo_sum)
-        self._maxact.append(hi_sum)
-        self._le_at.append(math.inf if sense == GE else rhs - reach)
-        self._ge_at.append(-math.inf if sense == LE else rhs + reach)
+                least += c * hi[v]
+                most += c * lo[v]
+                own_terms, neg_terms = hi_terms[v], lo_terms[v]
+            if own:
+                own_terms.append((h, c))
+            if negated:
+                neg_terms.append((h + own, -c))
+        if own:
+            self._add_half(coefs, vars_, rhs, least, reach)
+        if negated:
+            self._add_half(tuple(map(neg, coefs)), vars_, -rhs, -most, reach)
+
+    def _add_half(self, coefs, vars_, rhs, least, reach):
+        self._halves.append((coefs, vars_, rhs))
+        self._minact.append(least)
+        self._le_at.append(rhs - reach)
 
     def add_le(self, terms, rhs, name):
         self.add_constraint(terms, LE, rhs, name)
@@ -183,23 +199,22 @@ def solve(model: IlpModel, budget_s: float) -> SolveOutcome:
     nvars = len(model.names)
     lo = list(model.lo)
     hi = list(model.hi)
-    cons = model.constraints
-    ncons = len(cons)
-    vadj = model._vadj
+    halves = model._halves
+    nhalves = len(halves)
+    lo_terms = model._lo_terms
+    hi_terms = model._hi_terms
     minact = list(model._minact)
-    maxact = list(model._maxact)
     le_at = model._le_at
-    ge_at = model._ge_at
 
     trail: list[tuple[int, int, int]] = []
     stamp = [-1] * nvars  # segment of each variable's last trail entry
     segment = 0
-    pending: deque[int] = deque()
+    pending = deque(range(nhalves))  # the root queues every half
     push = pending.append
-    queued = [False] * ncons
+    queued = [True] * nhalves
 
-    # a bound change queues a row once the activity it moves passes the
-    # row's threshold, i.e. once its slack or surplus falls below reach
+    # a bound change queues a half once the least activity it raises
+    # passes the half's threshold, i.e. once its slack falls below reach
     def set_lo(v, val) -> bool:
         """Raise the lower bound; True means wipeout."""
         old = lo[v]
@@ -210,19 +225,12 @@ def solve(model: IlpModel, budget_s: float) -> SolveOutcome:
             trail.append((v, old, hi[v]))
         lo[v] = val
         d = val - old
-        for ci, c in vadj[v]:
-            if c > 0:
-                act = minact[ci] + c * d
-                minact[ci] = act
-                if act > le_at[ci] and not queued[ci]:
-                    queued[ci] = True
-                    push(ci)
-            else:
-                act = maxact[ci] + c * d
-                maxact[ci] = act
-                if act < ge_at[ci] and not queued[ci]:
-                    queued[ci] = True
-                    push(ci)
+        for h, c in lo_terms[v]:
+            act = minact[h] + c * d
+            minact[h] = act
+            if act > le_at[h] and not queued[h]:
+                queued[h] = True
+                push(h)
         return val > hi[v]
 
     def set_hi(v, val) -> bool:
@@ -234,19 +242,12 @@ def solve(model: IlpModel, budget_s: float) -> SolveOutcome:
             trail.append((v, lo[v], old))
         hi[v] = val
         d = val - old
-        for ci, c in vadj[v]:
-            if c > 0:
-                act = maxact[ci] + c * d
-                maxact[ci] = act
-                if act < ge_at[ci] and not queued[ci]:
-                    queued[ci] = True
-                    push(ci)
-            else:
-                act = minact[ci] + c * d
-                minact[ci] = act
-                if act > le_at[ci] and not queued[ci]:
-                    queued[ci] = True
-                    push(ci)
+        for h, c in hi_terms[v]:
+            act = minact[h] + c * d
+            minact[h] = act
+            if act > le_at[h] and not queued[h]:
+                queued[h] = True
+                push(h)
         return val < lo[v]
 
     def undo_to(mark):
@@ -256,13 +257,12 @@ def solve(model: IlpModel, budget_s: float) -> SolveOutcome:
             dhi = ohi - hi[v]
             lo[v] = olo
             hi[v] = ohi
-            for ci, c in vadj[v]:
-                if c > 0:
-                    minact[ci] += c * dlo
-                    maxact[ci] += c * dhi
-                else:
-                    minact[ci] += c * dhi
-                    maxact[ci] += c * dlo
+            if dlo:
+                for h, c in lo_terms[v]:
+                    minact[h] += c * dlo
+            if dhi:
+                for h, c in hi_terms[v]:
+                    minact[h] += c * dhi
         while pending:
             queued[pending.pop()] = False
 
@@ -275,43 +275,29 @@ def solve(model: IlpModel, budget_s: float) -> SolveOutcome:
         """
         nonlocal pops
         while pending:
-            ci = pending.popleft()
-            queued[ci] = False
+            h = pending.popleft()
+            queued[h] = False
             pops += 1
             if not pops & 1023 and time.monotonic() > deadline:
                 raise _Deadline
-            con = cons[ci]
-            # the thresholds are infinite on the side a row's sense lacks
-            if minact[ci] > le_at[ci]:
-                slack = con.rhs - minact[ci]
-                if slack < 0:
-                    return True
-                for c, v in zip(con.coefs, con.vars):
-                    if lo[v] == hi[v]:
-                        continue
-                    if c > 0:
-                        cap = lo[v] + slack // c
-                        if cap < hi[v] and set_hi(v, cap):
-                            return True
-                    else:
-                        floor_ = hi[v] - slack // (-c)
-                        if floor_ > lo[v] and set_lo(v, floor_):
-                            return True
-            if maxact[ci] < ge_at[ci]:
-                surplus = maxact[ci] - con.rhs
-                if surplus < 0:
-                    return True
-                for c, v in zip(con.coefs, con.vars):
-                    if lo[v] == hi[v]:
-                        continue
-                    if c > 0:
-                        floor_ = hi[v] - surplus // c
-                        if floor_ > lo[v] and set_lo(v, floor_):
-                            return True
-                    else:
-                        cap = lo[v] + surplus // (-c)
-                        if cap < hi[v] and set_hi(v, cap):
-                            return True
+            act = minact[h]
+            if act <= le_at[h]:  # only the root queues a half this loose
+                continue
+            coefs, vars_, rhs = halves[h]
+            slack = rhs - act
+            if slack < 0:
+                return True
+            for c, v in zip(coefs, vars_):
+                if lo[v] == hi[v]:
+                    continue
+                if c > 0:
+                    cap = lo[v] + slack // c
+                    if cap < hi[v] and set_hi(v, cap):
+                        return True
+                else:
+                    floor_ = hi[v] - slack // (-c)
+                    if floor_ > lo[v] and set_lo(v, floor_):
+                        return True
         return False
 
     def first_open(start):
@@ -325,9 +311,6 @@ def solve(model: IlpModel, budget_s: float) -> SolveOutcome:
             status, assignment, nodes, time.monotonic() - started, pops
         )
 
-    for ci in range(ncons):
-        queued[ci] = True
-        push(ci)
     nodes = 1
     try:
         if propagate():

@@ -238,7 +238,8 @@ def test_broken_vertex_has_exactly_two_repair_edges(dsq_state):
     trail = []
     fix_edge(pair, find_edge(g, 5, 8), W, trail)
     assert pair.deg_z[5] == 1
-    pool = heur._movable(pair, 5, W)
+    want, pool = heur._repair_pool(pair, 5)
+    assert want == Z
     ends = {frozenset((g.edges[i].tail, g.edges[i].head)) for i in pool}
     assert ends == {frozenset((5, 4)), frozenset((5, 6))}
     # either choice restores vertex 5 and shifts the damage elsewhere
@@ -598,19 +599,19 @@ def test_bounded_backtracking_respects_depth_and_branch_budget(
     depths = []
     pools = []
     orig_dive = heur._dive
-    orig_movable = heur._movable
+    orig_pool = heur._repair_pool
 
     def watched_dive(pair, depth, lim, base, rng, trail, recursive):
         depths.append(depth)
         return orig_dive(pair, depth, lim, base, rng, trail, recursive)
 
-    def watched_movable(pair, v, from_side):
-        out = orig_movable(pair, v, from_side)
-        pools.append(len(out))
-        return out
+    def watched_pool(pair, v):
+        want, pool = orig_pool(pair, v)
+        pools.append(len(pool))
+        return want, pool
 
     monkeypatch.setattr(heur, "_dive", watched_dive)
-    monkeypatch.setattr(heur, "_movable", watched_movable)
+    monkeypatch.setattr(heur, "_repair_pool", watched_pool)
     for seed in range(4):
         depths.clear()
         pools.clear()
@@ -786,7 +787,7 @@ def reference_fix_edge(pair, edge_id, side, trail, recursive=True):
             if sides[eid] != want:
                 return False
             continue
-        trail.append((eid, sides[eid], False))
+        trail.append((eid, sides[eid]))
         if sides[eid] != want:
             pair.move(eid)
         fixed[eid] = True
