@@ -9,11 +9,15 @@ Shared structure: one binary per union edge (or per oriented edge
 copy), degree equalities per vertex, a "not the original pair" cut per
 generating cycle over its unshared edges, and an exactly-one split of
 every parallel edge pair.
+
+Every builder returns `(model, z_terms)`.  `z_terms[e]` is the tuple of
+binaries whose sum is 1 exactly when union edge `e` is in Z, and 0 when
+it is in W: `(z_e,)` in the cut-based and directed order models,
+`(z_fwd, z_rev)`, one per traversal direction, in the undirected order
+model.  Cuts and decoding read Z membership through it alone.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .ilp import IlpModel
 from .multigraph import (
@@ -26,46 +30,16 @@ from .multigraph import (
 )
 
 
-@dataclass
-class DfjMapping:
-    """Edge id -> binary var id (Z membership)."""
-
-    z_var: list[int]
-
-
-@dataclass
-class MtzDirectedMapping:
-    z_var: list[int]
-    alpha: dict[int, int]
-    beta: dict[int, int]
-
-
-@dataclass
-class MtzUndirectedMapping:
-    """Per edge: four binaries, one per factor and traversal direction."""
-
-    z_fwd: list[int]
-    z_rev: list[int]
-    w_fwd: list[int]
-    w_rev: list[int]
-    alpha: dict[int, int]
-    beta: dict[int, int]
-
-
-def _forbid_terms(var_of, edge_ids):
-    return [(1, var_of[e]) for e in edge_ids]
-
-
-def _add_parallel_split(model, g, z_total_terms, name_of):
+def _add_parallel_split(model, g, z_terms):
     """Exactly one copy of each parallel pair belongs to Z."""
     for e in g.edges:
         if e.partner is None or e.partner < e.id:
             continue
-        terms = z_total_terms(e.id) + z_total_terms(e.partner)
-        model.add_eq(terms, 1, name_of(e.id, e.partner))
+        terms = [(1, v) for v in z_terms[e.id] + z_terms[e.partner]]
+        model.add_eq(terms, 1, f"par_{e.id}_{e.partner}")
 
 
-def build_dfj_base(g: UnionMultigraph) -> tuple[IlpModel, DfjMapping]:
+def build_dfj_base(g: UnionMultigraph) -> tuple[IlpModel, list]:
     """Degree + forbidden-pair + parallel-split core; no subtour cuts yet."""
     model = IlpModel()
     z_var = [model.add_binary(f"z_{e.id}") for e in g.edges]
@@ -87,21 +61,17 @@ def build_dfj_base(g: UnionMultigraph) -> tuple[IlpModel, DfjMapping]:
     for origin, tag in ((ORIGIN_X, "x"), (ORIGIN_Y, "y")):
         unique = g.unique_edge_ids(origin)
         model.add_le(
-            _forbid_terms(z_var, unique), len(unique) - 1, f"forbid_{tag}"
+            [(1, z_var[e]) for e in unique], len(unique) - 1, f"forbid_{tag}"
         )
 
-    _add_parallel_split(
-        model,
-        g,
-        lambda e: [(1, z_var[e])],
-        lambda a, b: f"par_{a}_{b}",
-    )
-    return model, DfjMapping(z_var)
+    z_terms = [(z,) for z in z_var]
+    _add_parallel_split(model, g, z_terms)
+    return model, z_terms
 
 
 def sec_for_subtour(
     model: IlpModel,
-    mapping: DfjMapping,
+    z_terms: list,
     g: UnionMultigraph,
     subtour,
     side: int,
@@ -119,7 +89,7 @@ def sec_for_subtour(
     if not s <= set(range(1, g.n + 1)):
         raise ValueError("subtour contains unknown vertices")
     inside = [e.id for e in g.edges if e.tail in s and e.head in s]
-    terms = [(1, mapping.z_var[e]) for e in inside]
+    terms = [(1, v) for e in inside for v in z_terms[e]]
     if side == Z:
         model.add_le(terms, len(s) - 1, name)
     elif side == W:
@@ -128,13 +98,11 @@ def sec_for_subtour(
         raise ValueError(f"unknown side {side!r}")
 
 
-def build_mtz_directed(
-    g: UnionMultigraph,
-) -> tuple[IlpModel, MtzDirectedMapping]:
+def build_mtz_directed(g: UnionMultigraph) -> tuple[IlpModel, list]:
     """Directed model made complete by two families of order variables."""
     if not g.directed:
         raise ValueError("directed formulation needs a directed union")
-    model, base = build_dfj_base(g)
+    model, z_terms = build_dfj_base(g)
     n = g.n
     alpha = {i: model.add_int(f"a_{i}", 2, n) for i in range(2, n + 1)}
     beta = {i: model.add_int(f"b_{i}", 2, n) for i in range(2, n + 1)}
@@ -142,7 +110,7 @@ def build_mtz_directed(
         i, j = e.tail, e.head
         if i == 1 or j == 1:
             continue
-        z = base.z_var[e.id]
+        (z,) = z_terms[e.id]
         model.add_le(
             [(1, alpha[i]), (-1, alpha[j]), (n, z)], n - 1, f"ord_z_{e.id}"
         )
@@ -150,12 +118,10 @@ def build_mtz_directed(
         model.add_le(
             [(1, beta[i]), (-1, beta[j]), (-n, z)], -1, f"ord_w_{e.id}"
         )
-    return model, MtzDirectedMapping(base.z_var, alpha, beta)
+    return model, z_terms
 
 
-def build_mtz_undirected(
-    g: UnionMultigraph,
-) -> tuple[IlpModel, MtzUndirectedMapping]:
+def build_mtz_undirected(g: UnionMultigraph) -> tuple[IlpModel, list]:
     """Undirected model: each edge picks a factor and a direction."""
     if g.directed:
         raise ValueError("undirected formulation needs an undirected union")
@@ -223,28 +189,19 @@ def build_mtz_undirected(
             ]
             model.add_le(terms, len(unique) - 1, f"forbid_{tag}_{factor}")
 
-    _add_parallel_split(
-        model,
-        g,
-        lambda e: [(1, z_fwd[e]), (1, z_rev[e])],
-        lambda a, b: f"par_{a}_{b}",
-    )
-    return model, MtzUndirectedMapping(z_fwd, z_rev, w_fwd, w_rev, alpha, beta)
+    z_terms = list(zip(z_fwd, z_rev))
+    _add_parallel_split(model, g, z_terms)
+    return model, z_terms
 
 
-def decode(assignment, mapping, g: UnionMultigraph) -> TwoFactorPair:
+def decode(assignment, z_terms, g: UnionMultigraph) -> TwoFactorPair:
     """Translate a feasible assignment into a factor pair."""
-    if isinstance(mapping, MtzUndirectedMapping):
-        sides = []
-        for e in g.edges:
-            hits = assignment[mapping.z_fwd[e.id]] + assignment[
-                mapping.z_rev[e.id]
-            ]
-            sides.append(Z if hits == 1 else W)
-    else:
-        sides = [
-            Z if assignment[mapping.z_var[e.id]] == 1 else W for e in g.edges
-        ]
+    sides = []
+    for terms in z_terms:
+        hits = 0
+        for v in terms:
+            hits += assignment[v]
+        sides.append(Z if hits == 1 else W)
     pair = TwoFactorPair(g, sides)
     if pair.broken:
         raise AssertionError("model admitted a degree-violating assignment")

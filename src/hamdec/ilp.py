@@ -18,10 +18,13 @@ itself unless it is >=, and its negation unless it is <=, so an = row
 is two (the normal form of MIP presolve, Achterberg et al., 2020).
 Each half has a reach: the largest coefficient-times-initial-width of
 its terms.  A half whose slack is at least its reach can neither
-conflict nor tighten a bound, so a bound change queues a half only when
-it takes the half's least activity past rhs - reach; the root queues
-every half.  Propagation checks the deadline every 1024 halves it takes
-off the queue, so a budget holds even when a single fixpoint is long.
+conflict nor tighten a bound, so the root queues only the halves whose
+least activity is past rhs - reach, and a bound change queues a half
+only when it takes the half's least activity past that threshold.  A
+queued half stays past it: activities only rise until a backtrack
+empties the queue.  Propagation checks the deadline every 1024 halves
+it takes off the queue, so a budget holds even when a single fixpoint
+is long.
 
 The model keeps its half index as rows arrive: each half's terms, rhs,
 least activity at the declared domains and threshold, and per variable
@@ -209,9 +212,10 @@ def solve(model: IlpModel, budget_s: float) -> SolveOutcome:
     trail: list[tuple[int, int, int]] = []
     stamp = [-1] * nvars  # segment of each variable's last trail entry
     segment = 0
-    pending = deque(range(nhalves))  # the root queues every half
+    # the root queues only the halves already past their threshold
+    queued = [minact[h] > le_at[h] for h in range(nhalves)]
+    pending = deque([h for h in range(nhalves) if queued[h]])
     push = pending.append
-    queued = [True] * nhalves
 
     # a bound change queues a half once the least activity it raises
     # passes the half's threshold, i.e. once its slack falls below reach
@@ -280,11 +284,8 @@ def solve(model: IlpModel, budget_s: float) -> SolveOutcome:
             pops += 1
             if not pops & 1023 and time.monotonic() > deadline:
                 raise _Deadline
-            act = minact[h]
-            if act <= le_at[h]:  # only the root queues a half this loose
-                continue
             coefs, vars_, rhs = halves[h]
-            slack = rhs - act
+            slack = rhs - minact[h]
             if slack < 0:
                 return True
             for c, v in zip(coefs, vars_):

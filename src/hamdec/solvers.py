@@ -1,9 +1,12 @@
 """Top-level solve strategies producing verdicts with witnesses.
 
-Three entry points share the RunResult contract: a cutting-loop solver
-over the compact degree model, a single-shot solve of the order-variable
-models, and the cutting loop interleaved with local search.  Iteration
-counts are exact solver-call counts; heuristic sweeps are free.
+Every algorithm runs through one loop: build the model, solve, decode
+Z through the model's per-edge terms, and count the factors' cycles.
+The compact degree model (`dfj`) cuts every subtour it finds and solves
+again, with a local search pass after each solve in its `dfj-*`
+variants.  The order-variable model (`mtz`) is complete as built, so it
+settles on its first solve.  Iteration counts are exact solver-call
+counts; heuristic sweeps are free.
 """
 
 from __future__ import annotations
@@ -69,12 +72,15 @@ class RunResult:
     algorithm: str
     witness: tuple[HamCycle, HamCycle] | None
     iterations: int
-    cuts_added: int
     elapsed: float
     work: int
     emitted_cuts: list = field(default_factory=list)
     trace: TraceRecorder | None = None
     model: object = None  # final model state, for LP export
+
+    @property
+    def cuts_added(self) -> int:
+        return len(self.emitted_cuts)
 
 
 class _CutPool:
@@ -86,9 +92,9 @@ class _CutPool:
     while true decompositions satisfy both.
     """
 
-    def __init__(self, model, mapping, g):
+    def __init__(self, model, z_terms, g):
         self.model = model
-        self.mapping = mapping
+        self.z_terms = z_terms
         self.g = g
         self.seen = set()
         self.emitted = []
@@ -102,14 +108,8 @@ class _CutPool:
             self.seen.add(key)
             tag = len(self.emitted) // 2
             for side in (Z, W):
-                sec_for_subtour(
-                    self.model,
-                    self.mapping,
-                    self.g,
-                    key,
-                    side,
-                    name=f"sec_{tag}_{'zw'[side]}",
-                )
+                sec_for_subtour(self.model, self.z_terms, self.g, key, side,
+                                f"sec_{tag}_{'zw'[side]}")
                 self.emitted.append((key, side))
                 fresh += 1
         return fresh
@@ -127,25 +127,34 @@ def _cutting_loop(
     y: HamCycle,
     budget_s: float,
     algorithm: str,
-    heuristic=None,
-    trace: TraceRecorder | None = None,
+    params: HeuristicParams | None = None,
 ) -> RunResult:
+    """Build the model for `algorithm`; solve, decode and cut until settled."""
     started = time.monotonic()
     deadline = started + budget_s
-    model, mapping = build_dfj_base(g)
-    pool = _CutPool(model, mapping, g)
+    if algorithm != "mtz":
+        model, z_terms = build_dfj_base(g)
+    elif g.directed:
+        model, z_terms = build_mtz_directed(g)
+    else:
+        model, z_terms = build_mtz_undirected(g)
+    pool = _CutPool(model, z_terms, g)
+    variant = ALGORITHMS[algorithm][0]
+    trace = TraceRecorder() if variant is not None else None
+    rng = random.Random(params.seed) if variant is not None else None
     iterations = 0
-    work = 0
+    nodes = 0
 
     def done(verdict, witness=None):
+        # work: solver nodes plus the moves the local search accepted
+        moves = sum(len(s) - 1 for s in trace.sequences) if trace else 0
         return RunResult(
             verdict=verdict,
             algorithm=algorithm,
             witness=witness,
             iterations=iterations,
-            cuts_added=len(pool.emitted),
             elapsed=time.monotonic() - started,
-            work=work,
+            work=nodes + moves,
             emitted_cuts=pool.emitted,
             trace=trace,
             model=model,
@@ -154,23 +163,29 @@ def _cutting_loop(
     while True:
         out = solve(model, deadline - time.monotonic())
         iterations += 1
-        work += out.nodes
+        nodes += out.nodes
         if out.status is Status.INFEASIBLE:
             return done(Verdict.INFEASIBLE)
         if out.status is Status.TIMED_OUT:
             return done(Verdict.TIMED_OUT)
-        pair = decode(out.assignment, mapping, g)
+        pair = decode(out.assignment, z_terms, g)
         report = components(pair)
         if report.total == 2:
             return done(Verdict.FEASIBLE, _witness(pair, x, y))
-        added = pool.add_report(report)
+        if algorithm == "mtz":
+            raise RuntimeError("order model returned split factors")
         # both cut halves are in the model for every known set, so any
         # integer point that came back must expose a new subtour
-        if added <= 0:
+        if pool.add_report(report) <= 0:
             raise RuntimeError("integer point repeats a cut subtour set")
-        if heuristic is not None:
-            moves = heuristic(pair, report, pool, deadline)
-            work += moves
+        if variant is not None:
+            search = dict(cut_sink=pool.add_report, trace=trace,
+                          deadline=deadline, report=report)
+            if variant == "ls":
+                local_search_directed(pair, rng, **search)
+            else:
+                vnd_undirected(pair, params, rng,
+                               recursive=variant == "vnd-fix", **search)
             # the search may slide back into {x, y}; only a genuinely
             # different decomposition settles the question
             if is_second_decomposition(pair, x, y):
@@ -209,64 +224,11 @@ def solve_dfj_heuristic(
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown variant {variant!r}")
     check_directedness(algorithm, g.directed)
-    rng = random.Random(params.seed)
-    trace = TraceRecorder()
-
-    def run_search(pair, report, pool, deadline):
-        before = sum(len(s) - 1 for s in trace.sequences)
-        sink = pool.add_report
-        if variant == "ls":
-            local_search_directed(
-                pair,
-                rng,
-                cut_sink=sink,
-                trace=trace,
-                deadline=deadline,
-                report=report,
-            )
-        else:
-            vnd_undirected(
-                pair,
-                params,
-                rng,
-                cut_sink=sink,
-                trace=trace,
-                recursive=variant == "vnd-fix",
-                deadline=deadline,
-                report=report,
-            )
-        return sum(len(s) - 1 for s in trace.sequences) - before
-
-    return _cutting_loop(
-        g, x, y, budget_s, algorithm, heuristic=run_search, trace=trace
-    )
+    return _cutting_loop(g, x, y, budget_s, algorithm, params)
 
 
 def solve_mtz(
     g: UnionMultigraph, x: HamCycle, y: HamCycle, budget_s: float
 ) -> RunResult:
-    """Single solve of the order-variable model, no cutting loop."""
-    started = time.monotonic()
-    if g.directed:
-        model, mapping = build_mtz_directed(g)
-    else:
-        model, mapping = build_mtz_undirected(g)
-    out = solve(model, budget_s - (time.monotonic() - started))
-    verdict, witness = Verdict.TIMED_OUT, None
-    if out.status is Status.INFEASIBLE:
-        verdict = Verdict.INFEASIBLE
-    elif out.status is Status.FEASIBLE:
-        pair = decode(out.assignment, mapping, g)
-        if components(pair).total != 2:
-            raise RuntimeError("order model returned split factors")
-        verdict, witness = Verdict.FEASIBLE, _witness(pair, x, y)
-    return RunResult(
-        verdict=verdict,
-        algorithm="mtz",
-        witness=witness,
-        iterations=1,
-        cuts_added=0,
-        elapsed=time.monotonic() - started,
-        work=out.nodes,
-        model=model,
-    )
+    """Order-variable model: one solve settles, no cuts are added."""
+    return _cutting_loop(g, x, y, budget_s, "mtz")

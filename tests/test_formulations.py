@@ -188,13 +188,13 @@ def test_mtz_directed_feasible_run_orders_alpha_along_z():
                 continue
             if pair.side[e.id] == Z:
                 assert (
-                    out.assignment[mapping.alpha[e.tail]]
-                    < out.assignment[mapping.alpha[e.head]]
+                    out.assignment[model.var_of[f"a_{e.tail}"]]
+                    < out.assignment[model.var_of[f"a_{e.head}"]]
                 )
             else:
                 assert (
-                    out.assignment[mapping.beta[e.tail]]
-                    < out.assignment[mapping.beta[e.head]]
+                    out.assignment[model.var_of[f"b_{e.tail}"]]
+                    < out.assignment[model.var_of[f"b_{e.head}"]]
                 )
     assert hit
 
@@ -261,6 +261,6 @@ def test_subtour_cut_rows_hold_the_inside_edges_in_id_order(directed):
             for side in (Z, W):
                 sec_for_subtour(model, mapping, g, list(s), side, f"c_{k}")
                 row = model.constraints[-1]
-                assert row.vars == tuple(mapping.z_var[e] for e in inside)
+                assert row.vars == tuple(mapping[e][0] for e in inside)
                 assert row.coefs == (1,) * len(inside)
 

@@ -272,22 +272,36 @@ def test_tight_budget_times_out_not_infeasible():
 
 
 def test_deadline_is_checked_inside_root_propagation():
-    # 2000 rows start queued, so the root fixpoint alone passes the
-    # 1024-pop clock check; the whole search would take two nodes
+    # the first row forces x_0 = 1, which runs the 2000-row chain at the
+    # root, so the root fixpoint alone passes the 1024-pop clock check
     m = IlpModel()
     xs = [m.add_binary(f"x_{i}") for i in range(2001)]
+    m.add_ge([(1, xs[0])], 1, "force")
     for i in range(2000):
         m.add_le([(1, xs[i]), (-1, xs[i + 1])], 0, f"chain_{i}")
-    assert solve(m, 10).status is Status.FEASIBLE
+    full = solve(m, 10)
+    assert (full.status, full.nodes, full.pops) == (Status.FEASIBLE, 1, 2001)
     out = solve(m, 1e-9)
     assert out.status is Status.TIMED_OUT
     assert out.nodes == 1
 
 
+def test_leaf_that_fails_the_exact_check_raises(monkeypatch):
+    # a leaf is re-checked against every row; a propagation fault that
+    # lets a bad leaf through must fail loudly, also under python -O
+    m = IlpModel()
+    xs = [m.add_binary(f"x_{i}") for i in range(3)]
+    m.add_le([(1, v) for v in xs], 2, "two")
+    assert solve(m, 10).status is Status.FEASIBLE
+    monkeypatch.setattr(IlpModel, "check", lambda self, assignment: False)
+    with pytest.raises(AssertionError, match="bad leaf"):
+        solve(m, 10)
+
+
 def test_search_pops_no_row_whose_slack_stays_at_reach():
     # every wide row keeps slack (or surplus) >= 1 = its reach under any
-    # assignment, so only the root pops it; the tight row is popped once
-    # more, when x_0 = 1 leaves it no slack and it caps x_1 at 0
+    # assignment, so no row is popped at the root; the tight row is
+    # popped once, when x_0 = 1 leaves it no slack and it caps x_1 at 0
     m = IlpModel()
     xs = [m.add_binary(f"x_{i}") for i in range(10)]
     mixed = [(1, v) for v in xs[:5]] + [(-1, v) for v in xs[5:]]
@@ -300,7 +314,7 @@ def test_search_pops_no_row_whose_slack_stays_at_reach():
     assert out.status is Status.FEASIBLE
     assert out.assignment == [1, 0] + [1] * 8
     assert out.nodes == 10
-    assert out.pops == len(m.constraints) + 1
+    assert out.pops == 1
 
 
 @pytest.mark.parametrize("make, seeds", [

@@ -10,6 +10,7 @@ from hamdec.instances import InstanceKind, InstanceSpec, generate_instance
 from hamdec.multigraph import (
     W,
     Z,
+    ComponentReport,
     TwoFactorPair,
     build_union,
     components,
@@ -322,6 +323,19 @@ def test_cut_round_that_adds_no_cut_raises(monkeypatch):
     x, y, g = random_instance(10, 0)
     with pytest.raises(RuntimeError, match="subtour"):
         solve_dfj(g, x, y, BUDGET)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_order_model_with_split_factors_raises(monkeypatch, directed):
+    # the order model is complete as built, so a point whose factors
+    # split into three cycles is a model fault; it must fail loudly,
+    # also under python -O
+    x, y, g = random_instance(8, 2, directed)
+    assert solve_mtz(g, x, y, BUDGET).verdict is Verdict.FEASIBLE
+    three = ComponentReport([[1, 2, 3], [4, 5, 6, 7, 8]], [list(range(1, 9))])
+    monkeypatch.setattr(solvers, "components", lambda pair: three)
+    with pytest.raises(RuntimeError, match="split factors"):
+        solve_mtz(g, x, y, BUDGET)
 
 
 def test_work_counts_solver_nodes():
