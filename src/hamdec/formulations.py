@@ -39,6 +39,12 @@ def _add_parallel_split(model, g, z_terms):
         model.add_eq(terms, 1, f"par_{e.id}_{e.partner}")
 
 
+def higher_copy_terms(g: UnionMultigraph, z_terms) -> list:
+    """Z terms of the higher-id copy of every parallel pair (see solvers)."""
+    return [v for e in g.edges if e.partner is not None and e.partner < e.id
+            for v in z_terms[e.id]]
+
+
 def build_dfj_base(g: UnionMultigraph) -> tuple[IlpModel, list]:
     """Degree + forbidden-pair + parallel-split core; no subtour cuts yet."""
     model = IlpModel()

@@ -4,7 +4,9 @@ All variables carry finite integer domains.  There is no objective:
 the solver answers Feasible (with a verified assignment), Infeasible,
 or TimedOut.  The search is depth-first domain splitting with bounds
 propagation to a fixpoint at every node; binaries branch high value
-first, in declaration order.
+first, in declaration order, so a search returns the lexicographically
+greatest feasible point.  A caller may fix binaries to 0 at the root of
+one search without adding rows to the model.
 
 Bound changes are trailed once per variable per segment: the changes
 made since the last decision or backtrack.  A per-variable stamp
@@ -193,7 +195,9 @@ class _Deadline(Exception):
     """Raised inside propagation once the deadline has passed."""
 
 
-def solve(model: IlpModel, budget_s: float) -> SolveOutcome:
+def solve(model: IlpModel, budget_s: float, zeros=()) -> SolveOutcome:
+    """Search for a feasible point; `zeros` are binaries fixed to 0
+    before the root propagation, bounds of this search and not rows."""
     started = time.monotonic()
     deadline = started + budget_s
     if budget_s <= 0:
@@ -314,7 +318,7 @@ def solve(model: IlpModel, budget_s: float) -> SolveOutcome:
 
     nodes = 1
     try:
-        if propagate():
+        if any(set_hi(v, 0) for v in zeros) or propagate():
             return outcome(Status.INFEASIBLE)
         start = 0
         # frames: (var, alt_hi, trail mark before this decision, parent start)

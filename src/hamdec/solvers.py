@@ -7,6 +7,12 @@ again, with a local search pass after each solve in its `dfj-*`
 variants.  The order-variable model (`mtz`) is complete as built, so it
 settles on its first solve.  Iteration counts are exact solver-call
 counts; heuristic sweeps are free.
+
+The two copies of a parallel edge pair have identical columns, and
+their `par` row puts one of them in Z, so each solve fixes the higher
+copy's Z terms to 0 at its root.  The search returns the greatest
+feasible point in declaration order, which already has the lower copy
+in Z: only `work` changes, not the verdicts, cuts, traces or witnesses.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from .formulations import (
     build_mtz_directed,
     build_mtz_undirected,
     decode,
+    higher_copy_terms,
     sec_for_subtour,
 )
 from .heuristics import (
@@ -138,6 +145,7 @@ def _cutting_loop(
         model, z_terms = build_mtz_directed(g)
     else:
         model, z_terms = build_mtz_undirected(g)
+    zeros = higher_copy_terms(g, z_terms)
     pool = _CutPool(model, z_terms, g)
     variant = ALGORITHMS[algorithm][0]
     trace = TraceRecorder() if variant is not None else None
@@ -161,7 +169,7 @@ def _cutting_loop(
         )
 
     while True:
-        out = solve(model, deadline - time.monotonic())
+        out = solve(model, deadline - time.monotonic(), zeros)
         iterations += 1
         nodes += out.nodes
         if out.status is Status.INFEASIBLE:

@@ -439,7 +439,7 @@ PINNED_GRID = [
      "per_set_time_limit_ms": 600000, "seed": 5},
 ]
 PINNED_GRID_CSV_SHA256 = (
-    "3fd0e5a62547df544308cc1ca4d97492a9bf8956dc6fb940453a4469dd564b30"
+    "3b1a48ebc7ae639c73497f5e2531889832cd3571ba0618c5ff932962b157200f"
 )
 PINNED_GRID_WITNESS_SHA256 = (
     "93684f81b3b96ee09cbe7563d72c2ef6ac6522fa699f0f0c359d7e8065e98501"

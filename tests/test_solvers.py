@@ -5,6 +5,13 @@ import numpy as np
 import pytest
 
 from hamdec import ilp, solvers
+from hamdec.formulations import (
+    build_dfj_base,
+    build_mtz_directed,
+    build_mtz_undirected,
+    higher_copy_terms,
+    sec_for_subtour,
+)
 from hamdec.heuristics import HeuristicParams
 from hamdec.instances import InstanceKind, InstanceSpec, generate_instance
 from hamdec.multigraph import (
@@ -199,9 +206,9 @@ def test_mtz_counts_model_build_against_budget(monkeypatch):
         time.sleep(0.2)
         return build(g)
 
-    def spy(model, budget_s):
+    def spy(model, budget_s, zeros=()):
         budgets.append(budget_s)
-        return ilp.solve(model, budget_s)
+        return ilp.solve(model, budget_s, zeros)
 
     monkeypatch.setattr(solvers, "build_mtz_undirected", slow_build)
     monkeypatch.setattr(solvers, "solve", spy)
@@ -345,6 +352,80 @@ def test_work_counts_solver_nodes():
     assert res.verdict in (Verdict.FEASIBLE, Verdict.INFEASIBLE)
 
 
+# ------------------------------------------------- parallel-copy fixes
+
+# Pyramidal unions with parallel pairs, both verdicts, both directednesses.
+COPY_FIX_CASES = [
+    (20, False, 102), (12, False, 106), (12, False, 114),
+    (16, True, 103), (16, True, 104),
+]
+
+
+def copy_fix_models(n, directed, seed):
+    """(model, fixes) pairs: the cut model after each emitted cut pair,
+    and the order model, with the higher copies' Z terms to fix."""
+    spec = InstanceSpec(InstanceKind.PYRAMIDAL, n, directed, seed)
+    x, y, g = generate_instance(spec)
+    res = solve_dfj(g, x, y, BUDGET)
+    model, z_terms = build_dfj_base(g)
+    fixes = higher_copy_terms(g, z_terms)
+    assert fixes, spec
+    yield model, fixes
+    for k, (s, side) in enumerate(res.emitted_cuts):
+        sec_for_subtour(model, z_terms, g, s, side, f"c_{k}")
+        if side == W:
+            yield model, fixes
+    build = build_mtz_directed if directed else build_mtz_undirected
+    model, z_terms = build(g)
+    yield model, higher_copy_terms(g, z_terms)
+
+
+@pytest.mark.parametrize("n, directed, seed", COPY_FIX_CASES)
+def test_copy_fixes_keep_the_solution_and_never_add_nodes(n, directed, seed):
+    statuses = set()
+    for model, fixes in copy_fix_models(n, directed, seed):
+        free = ilp.solve(model, BUDGET)
+        fixed = ilp.solve(model, BUDGET, fixes)
+        assert fixed.status is free.status
+        assert fixed.assignment == free.assignment
+        assert fixed.nodes <= free.nodes
+        statuses.add(free.status)
+    assert ilp.Status.TIMED_OUT not in statuses
+
+
+@pytest.mark.parametrize("solver", [solve_dfj, solve_mtz])
+@pytest.mark.parametrize("directed", [False, True])
+def test_copy_fixes_leave_no_row_in_the_model(solver, directed):
+    spec = InstanceSpec(InstanceKind.PYRAMIDAL, 16, directed, 103)
+    x, y, g = generate_instance(spec)
+    res = solver(g, x, y, BUDGET)
+    if solver is solve_mtz:
+        build = build_mtz_directed if directed else build_mtz_undirected
+    else:
+        build = build_dfj_base
+    model, z_terms = build(g)
+    assert higher_copy_terms(g, z_terms)
+    assert res.cuts_added or solver is solve_mtz
+    base_rows = len(model.constraints)
+    assert len(res.model.constraints) == base_rows + res.cuts_added
+    for k, (s, side) in enumerate(res.emitted_cuts):
+        sec_for_subtour(model, z_terms, g, s, side,
+                        f"sec_{k // 2}_{'zw'[side]}")
+    assert ilp.export_lp(res.model) == ilp.export_lp(model)
+
+
+@pytest.mark.parametrize("n", [64, 96, 128])
+def test_dfj_settles_large_undirected_pyramidal_unions(n):
+    # without the copy fixes the search proves an infeasible subtree once
+    # per choice of copies, up to 2^pairs times, and most of these time out
+    for seed in range(100, 104):
+        spec = InstanceSpec(InstanceKind.PYRAMIDAL, n, False, seed)
+        x, y, g = generate_instance(spec)
+        res = solve_dfj(g, x, y, 10.0)
+        assert res.verdict is not Verdict.TIMED_OUT, spec
+        assert res.work <= 2000, (spec, res.work)
+
+
 # Every (kind, directedness, variant) run of the heuristic pin below.
 PINNED_HEURISTIC_RUNS = [
     (kind, directed, variant, seed)
@@ -357,7 +438,7 @@ PINNED_HEURISTIC_RUNS = [
 # work, emitted cuts, trace sequences, witness orders).  A change that
 # alters a heuristic random stream on purpose updates it.
 PINNED_HEURISTIC_SHA256 = (
-    "ec3226096cbcd005fea00840f00753621666cb906045f63c52bd3b08e6c05e9d"
+    "75f7864011f58254b9009251476b091c35233768bc51f7d80c5273a2622b8ddb"
 )
 
 
@@ -404,7 +485,7 @@ PINNED_EXACT_RUNS = (
 # cuts_added).  A change to the search order or to propagation strength
 # alters it; a pure speed-up of the exact engine must not.
 PINNED_EXACT_SHA256 = (
-    "1df54ca60a8756a9e42e1344c1892c94cb02bdc2c037e53c3c678df25a89d31a"
+    "ec79c44af9afd1f75c14a7e725d9f3b688fca7dbaf829d0b1c69017e30ba27be"
 )
 
 
@@ -421,3 +502,35 @@ def test_exact_runs_match_pinned_digest():
     # both settled verdicts must occur, or the pin covers only one path
     assert verdicts == {Verdict.FEASIBLE, Verdict.INFEASIBLE}, verdicts
     assert digest.hexdigest() == PINNED_EXACT_SHA256
+
+
+# SHA-256 of the repr of every exact and heuristic pinned run's
+# (verdict, iterations, emitted cuts, trace sequences, witness orders):
+# the iterates alone, without `work`.  A change that only prunes the
+# search, such as fixing symmetric copies at the root, must keep it.
+PINNED_ITERATES_SHA256 = (
+    "cbfd0e1f8e8f8500f49c919ed185544e97a27836ab6b2dddc885e5b4e5536097"
+)
+
+
+def test_pinned_runs_keep_their_iterates():
+    runs = [
+        (kind, n, directed, seed, lambda g, x, y, f=solver: f(g, x, y, BUDGET))
+        for solver, kind, n, directed, seed in PINNED_EXACT_RUNS
+    ] + [
+        (kind, 48, directed, seed, lambda g, x, y, v=variant, s=seed:
+            solve_dfj_heuristic(g, x, y, HeuristicParams(seed=s), BUDGET,
+                                variant=v))
+        for kind, directed, variant, seed in PINNED_HEURISTIC_RUNS
+    ]
+    digest = hashlib.sha256()
+    for kind, n, directed, seed, run in runs:
+        x, y, g = generate_instance(InstanceSpec(kind, n, directed, seed))
+        res = run(g, x, y)
+        witness = res.witness and [c.order for c in res.witness]
+        cuts = [(sorted(key), side) for key, side in res.emitted_cuts]
+        sequences = res.trace and res.trace.sequences
+        digest.update(repr((
+            res.verdict.value, res.iterations, cuts, sequences, witness,
+        )).encode())
+    assert digest.hexdigest() == PINNED_ITERATES_SHA256
