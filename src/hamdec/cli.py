@@ -1,8 +1,10 @@
 """Command-line surface: generate, solve, experiment, oracle.
 
 Instances travel as small JSON files, results as CSV rows, witnesses as
-JSON sidecars next to the CSV.  Exit codes: 0 the command ran (whatever
-the verdict), 1 usage or bad input data, 2 file-system trouble.
+JSON sidecars next to the CSV; `solve` and `experiment` make them in
+one way (`run_instance`).  `experiment` checks its whole config before
+the first run.  Exit codes: 0 the command ran (whatever the verdict),
+1 usage or bad input data, 2 file-system trouble.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import json
 import math
 import statistics
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .heuristics import HeuristicParams
@@ -37,7 +40,7 @@ CSV_COLUMNS = [
 ]
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -101,8 +104,9 @@ def read_instance(path):
     return x, y, build_union(x, y)
 
 
-def instance_basename(kind: str, n: int, directed: bool, index: int) -> str:
-    return f"{kind}_n{n}_{'dir' if directed else 'und'}_{index:04d}"
+def instance_basename(spec: InstanceSpec, index: int) -> str:
+    direction = "dir" if spec.directed else "und"
+    return f"{spec.kind.value}_n{spec.n}_{direction}_{index:04d}"
 
 
 def _generator_for(path: Path, override: str | None) -> str:
@@ -170,37 +174,28 @@ def load_witness(path, x: HamCycle, y: HamCycle):
 
 # ------------------------------------------------------------- solving
 
-def _run_algorithm(algorithm, g, x, y, params, budget_s):
+def run_instance(algorithm, x, y, g, instance_id, generator, params,
+                 budget_s, time_mode):
+    """Run one algorithm on one instance: its RunResult and its CSV row."""
     variant = ALGORITHMS[algorithm][0]
     if variant is not None:
         # raises ValueError when the instance has the wrong directedness
-        return solve_dfj_heuristic(g, x, y, params, budget_s, variant=variant)
-    if algorithm == "mtz":
-        return solve_mtz(g, x, y, budget_s)
-    return solve_dfj(g, x, y, budget_s)
-
-
-def _time_field(res, time_mode) -> int:
+        res = solve_dfj_heuristic(g, x, y, params, budget_s, variant=variant)
+    elif algorithm == "mtz":
+        res = solve_mtz(g, x, y, budget_s)
+    else:
+        res = solve_dfj(g, x, y, budget_s)
     if time_mode == "deterministic":
         # work units are reproducible only for runs that finished
-        return res.work if res.verdict is not Verdict.TIMED_OUT else -1
-    return int(round(res.elapsed * 1000))
-
-
-def _result_row(instance_id, generator, g, algorithm, seed, res, time_mode):
-    return {
-        "instance_id": instance_id,
-        "generator": generator,
-        "n": g.n,
-        "directed": "true" if g.directed else "false",
-        "algorithm": algorithm,
-        "seed": seed,
-        "verdict": res.verdict.value,
-        "iterations": res.iterations,
-        "cuts_added": res.cuts_added,
-        "time_ms": _time_field(res, time_mode),
-        "multi_edges": g.multi_edge_count(),
-    }
+        time_ms = res.work if res.verdict is not Verdict.TIMED_OUT else -1
+    else:
+        time_ms = int(round(res.elapsed * 1000))
+    values = (
+        instance_id, generator, g.n, "true" if g.directed else "false",
+        algorithm, params.seed, res.verdict.value, res.iterations,
+        res.cuts_added, time_ms, g.multi_edge_count(),
+    )
+    return res, dict(zip(CSV_COLUMNS, values))
 
 
 # ------------------------------------------------------------ commands
@@ -208,21 +203,18 @@ def _result_row(instance_id, generator, g, algorithm, seed, res, time_mode):
 def cmd_generate(args) -> int:
     if args.count < 0:
         raise UsageError("--count must be at least 0")
-    try:
-        kind = InstanceKind(args.kind)
-        spec0 = InstanceSpec(kind, args.n, args.directed, args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    kind = InstanceKind(args.kind)
+    # rejects an n below the kind's minimum, before any file is written
+    first = InstanceSpec(kind, args.n, args.directed, args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     for i in range(args.count):
-        seed = args.seed + i
-        spec = InstanceSpec(kind, args.n, args.directed, seed)
+        spec = replace(first, seed=args.seed + i)
         x, y, _ = generate_instance(spec)
-        name = instance_basename(kind.value, args.n, args.directed, i)
+        name = instance_basename(spec, i)
         write_instance(out_dir / f"{name}.json", x, y)
-        entries.append({"file": f"{name}.json", "seed": seed})
+        entries.append({"file": f"{name}.json", "seed": spec.seed})
     manifest = {
         "kind": kind.value,
         "n": args.n,
@@ -247,11 +239,11 @@ def cmd_solve(args) -> int:
         depth_limit=args.depth_limit,
         seed=args.seed,
     )
-    res = _run_algorithm(args.algorithm, g, x, y, params, budget_s)
     instance_id = path.stem
-    generator = _generator_for(path, args.generator)
-    row = _result_row(
-        instance_id, generator, g, args.algorithm, args.seed, res, args.time_mode
+    res, row = run_instance(
+        args.algorithm, x, y, g, instance_id,
+        _generator_for(path, args.generator), params, budget_s,
+        args.time_mode,
     )
     append_csv_rows(args.out_csv, [row])
     if res.witness is not None:
@@ -267,10 +259,15 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _experiment_tasks(config):
+def _experiment_sets(config):
+    """Validate every set of a config before any of them runs.
+
+    Returns one (spec, algorithms, count, budget_s) tuple per set: the
+    spec of its first instance, and its time limit split over its count.
+    """
     if not isinstance(config, list):
         raise UsageError("config must be a JSON list of set objects")
-    tasks = []
+    sets = []
     for si, block in enumerate(config):
         try:
             kind = InstanceKind(block["kind"])
@@ -286,7 +283,7 @@ def _experiment_tasks(config):
             if not isinstance(directed, bool):
                 raise ValueError("'directed' must be true or false")
             # rejects an n below the kind's minimum
-            InstanceSpec(kind, n, directed, seed)
+            spec = InstanceSpec(kind, n, directed, seed)
             if not isinstance(algorithms, list):
                 raise ValueError("'algorithms' must be a list")
             for alg in algorithms:
@@ -296,69 +293,29 @@ def _experiment_tasks(config):
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise UsageError(f"config set {si}: {exc}")
         budget_s = limit_ms / 1000.0 / max(count, 1)
-        for alg in algorithms:
-            for i in range(count):
-                tasks.append(
-                    dict(
-                        set_index=si,
-                        kind=kind,
-                        n=n,
-                        directed=directed,
-                        algorithm=alg,
-                        index=i,
-                        seed=seed + i,
-                        budget_s=budget_s,
-                    )
-                )
-    return tasks
+        sets.append((spec, algorithms, count, budget_s))
+    return sets
 
 
-def _run_task(task, time_mode):
-    spec = InstanceSpec(
-        task["kind"], task["n"], task["directed"], task["seed"]
+def _summary_line(rows):
+    """One summary line over the rows of one (set, algorithm) cell."""
+    first = rows[0]
+    solved = [r for r in rows if r["verdict"] != Verdict.TIMED_OUT.value]
+
+    def ms(column, digits):
+        vals = [r[column] for r in solved]
+        if not vals:
+            return "n/a"
+        m = statistics.fmean(vals)
+        s = statistics.stdev(vals) if len(vals) > 1 else 0.0
+        return f"{m:.{digits}f}±{s:.{digits}f}"
+
+    directed = "directed" if first["directed"] == "true" else "undirected"
+    return (
+        f"{first['generator']} n={first['n']} {directed} {first['algorithm']}:"
+        f" solved {len(solved)}/{len(rows)},"
+        f" time {ms('time_ms', 1)} ms, iterations {ms('iterations', 2)}"
     )
-    x, y, g = generate_instance(spec)
-    params = HeuristicParams(seed=task["seed"])
-    res = _run_algorithm(
-        task["algorithm"], g, x, y, params, task["budget_s"]
-    )
-    instance_id = instance_basename(
-        task["kind"].value, task["n"], task["directed"], task["index"]
-    )
-    row = _result_row(
-        instance_id,
-        task["kind"].value,
-        g,
-        task["algorithm"],
-        task["seed"],
-        res,
-        time_mode,
-    )
-    return row, res.witness, (x, y)
-
-
-def _summarize(rows_by_set):
-    lines = []
-    for key in sorted(rows_by_set):
-        rows = rows_by_set[key]
-        si, kind, n, directed, alg = key
-        solved = [r for r in rows if r["verdict"] != Verdict.TIMED_OUT.value]
-        times = [r["time_ms"] for r in solved]
-        iters = [r["iterations"] for r in solved]
-
-        def ms(vals, digits):
-            if not vals:
-                return "n/a"
-            m = statistics.fmean(vals)
-            s = statistics.stdev(vals) if len(vals) > 1 else 0.0
-            return f"{m:.{digits}f}±{s:.{digits}f}"
-
-        lines.append(
-            f"{kind} n={n} {'directed' if directed else 'undirected'} {alg}:"
-            f" solved {len(solved)}/{len(rows)},"
-            f" time {ms(times, 1)} ms, iterations {ms(iters, 2)}"
-        )
-    return lines
 
 
 def cmd_experiment(args) -> int:
@@ -366,28 +323,31 @@ def cmd_experiment(args) -> int:
         config = json.loads(Path(args.config).read_text())
     except json.JSONDecodeError as exc:
         raise UsageError(f"config is not valid JSON: {exc}")
-    tasks = _experiment_tasks(config)
-    results = [_run_task(task, args.time_mode) for task in tasks]
-    rows = []
-    rows_by_set = {}
-    for task, (row, witness, cycles) in zip(tasks, results):
-        rows.append(row)
-        key = (
-            task["set_index"],
-            task["kind"].value,
-            task["n"],
-            task["directed"],
-            task["algorithm"],
+    sets = _experiment_sets(config)
+    rows, cells, witnesses = [], {}, []
+    for si, (first, algorithms, count, budget_s) in enumerate(sets):
+        for alg in algorithms:
+            for i in range(count):
+                spec = replace(first, seed=first.seed + i)
+                x, y, g = generate_instance(spec)
+                res, row = run_instance(
+                    alg, x, y, g, instance_basename(spec, i), spec.kind.value,
+                    HeuristicParams(seed=spec.seed), budget_s, args.time_mode,
+                )
+                if res.witness is not None:
+                    witnesses.append((row, res.witness, x, y))
+                del res  # it holds the whole model; drop it before the next
+                rows.append(row)
+                cells.setdefault((si, alg), []).append(row)
+    for row, witness, x, y in witnesses:
+        side = write_witness(
+            args.out_csv, row["instance_id"], row["algorithm"], witness
         )
-        rows_by_set.setdefault(key, []).append(row)
-        if witness is not None:
-            side = write_witness(
-                args.out_csv, row["instance_id"], row["algorithm"], witness
-            )
-            load_witness(side, *cycles)
+        load_witness(side, x, y)
     append_csv_rows(args.out_csv, rows, fresh=True)
-    for line in _summarize(rows_by_set):
-        print(line)
+    # sets in config order, algorithms by name within a set
+    for key in sorted(cells):
+        print(_summary_line(cells[key]))
     print(f"{len(rows)} rows -> {args.out_csv}")
     return 0
 
@@ -459,9 +419,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"hamdec: error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"hamdec: error: {exc}", file=sys.stderr)
         return 1

@@ -250,14 +250,12 @@ def _open(pair, directed, trace, report) -> ComponentReport:
     return report
 
 
-def _sweep(pair, rng, base, attempt_limit, recursive, cut_sink, trace,
-           deadline):
-    """One move-then-repair pass over a fresh shuffle of the candidates.
+def _sweep(pair, rng, recursive, cut_sink, trace, deadline, complete):
+    """One move-then-complete pass over a fresh shuffle of the candidates.
 
-    Each candidate move is given `attempt_limit` randomized repair
-    replays from the post-move state.  Cascades that leave no broken
-    vertex are deterministic, so they get a single attempt.  The first
-    state with fewer than `base` cycles is accepted: its report goes to
+    Each candidate moves to W; `complete(trail)` then searches on from
+    the post-move state and gives the report of an improving state, or
+    None.  The first improving state is accepted: its report goes to
     `cut_sink` and `trace`, every non-parallel pin is released and the
     report is returned.  None means no candidate improved in time.
 
@@ -274,20 +272,29 @@ def _sweep(pair, rng, base, attempt_limit, recursive, cut_sink, trace,
             tried.add(cycle_of[eid])
         if _expired(deadline):
             return None
-        if fix_edge(pair, eid, W, trail, recursive):
-            checkpoint = len(trail)
-            for _ in range(attempt_limit if pair.broken else 1):
-                if _repair_all(pair, rng, trail, recursive):
-                    found = components(pair)
-                    if found.total < base:
-                        if cut_sink:
-                            cut_sink(found)
-                        if trace:
-                            trace.accept(pair, found.total)
-                        unfix_non_parallel(pair)
-                        return found
-                rollback(pair, trail, checkpoint)
+        found = fix_edge(pair, eid, W, trail, recursive) and complete(trail)
+        if found:
+            if cut_sink:
+                cut_sink(found)
+            if trace:
+                trace.accept(pair, found.total)
+            unfix_non_parallel(pair)
+            return found
         rollback(pair, trail, 0)
+    return None
+
+
+def _replays(pair, rng, trail, recursive, base, attempt_limit):
+    """Up to `attempt_limit` randomized repairs from the post-move state
+    (one if no vertex is broken: the cascade is then deterministic); the
+    report of the first with fewer than `base` cycles, or None."""
+    checkpoint = len(trail)
+    for _ in range(attempt_limit if pair.broken else 1):
+        if _repair_all(pair, rng, trail, recursive):
+            found = components(pair)
+            if found.total < base:
+                return found
+        rollback(pair, trail, checkpoint)
     return None
 
 
@@ -309,8 +316,9 @@ def local_search_directed(
     """
     best = _open(pair, True, trace, report)
     while best is not None and best.total > 2:
-        best = _sweep(pair, rng, best.total, 1, True, cut_sink, trace,
-                      deadline)
+        base = best.total
+        best = _sweep(pair, rng, True, cut_sink, trace, deadline,
+                      lambda trail: _replays(pair, rng, trail, True, base, 1))
     return pair
 
 
@@ -332,8 +340,9 @@ def ls_first_neighbourhood(
     start = _open(pair, False, trace, report)
     if start.total == 2:
         return start
-    found = _sweep(pair, rng, start.total, params.attempt_limit, recursive,
-                   cut_sink, trace, deadline)
+    found = _sweep(pair, rng, recursive, cut_sink, trace, deadline,
+                   lambda trail: _replays(pair, rng, trail, recursive,
+                                          start.total, params.attempt_limit))
     return found or start
 
 
@@ -341,6 +350,7 @@ def ls_second_neighbourhood(
     pair: TwoFactorPair,
     params: HeuristicParams,
     rng,
+    cut_sink=None,
     trace: TraceRecorder | None = None,
     recursive: bool = True,
     deadline: float | None = None,
@@ -348,25 +358,16 @@ def ls_second_neighbourhood(
 ) -> ComponentReport:
     """Depth-bounded backtracking over repair choices, first improvement.
 
-    `report` and the return value are as in `ls_first_neighbourhood`.
+    `cut_sink`, `report` and the return value are as in
+    `ls_first_neighbourhood`.
     """
     start = _open(pair, False, trace, report)
     if start.total == 2:
         return start
-    trail: FixTrail = []
-    for eid in _unfixed_z_edges(pair, rng):
-        if _expired(deadline):
-            break
-        found = fix_edge(pair, eid, W, trail, recursive) and _dive(
-            pair, 1, params.depth_limit, start.total, rng, trail, recursive
-        )
-        if found:
-            if trace:
-                trace.accept(pair, found.total)
-            unfix_non_parallel(pair)
-            return found
-        rollback(pair, trail, 0)
-    return start
+    found = _sweep(pair, rng, recursive, cut_sink, trace, deadline,
+                   lambda trail: _dive(pair, 1, params.depth_limit,
+                                       start.total, rng, trail, recursive))
+    return found or start
 
 
 def _dive(pair, depth, limit, base, rng, trail, recursive):
@@ -402,34 +403,23 @@ def vnd_undirected(
 
     The first neighbourhood is drained to a local minimum, then the
     bounded-backtracking one gets a pass; any improvement there loops
-    back to the first.  Improvements found by the second neighbourhood
-    report their subtours to `cut_sink` here, since that search keeps
-    no cut machinery of its own.  Each neighbourhood hands back the
-    cycle count of the state it leaves, so no state is counted twice;
-    `report` may give the count of the starting state.
+    back to the first.  Each neighbourhood hands back the cycle count of
+    the state it leaves, so no state is counted twice; `report` may give
+    the count of the starting state.
     """
     current = report if report is not None else components(pair)
     while current.total > 2:
-        while True:
-            found = ls_first_neighbourhood(
+        found = ls_first_neighbourhood(
+            pair, params, rng, cut_sink, trace, recursive, deadline, current
+        )
+        if found.total >= current.total:
+            if _expired(deadline):
+                break
+            found = ls_second_neighbourhood(
                 pair, params, rng, cut_sink, trace, recursive, deadline,
                 current,
             )
-            if found.total < current.total:
-                current = found
-                if current.total == 2:
-                    return pair
-                continue
-            break
-        if _expired(deadline):
-            return pair
-        found = ls_second_neighbourhood(
-            pair, params, rng, trace, recursive, deadline, current
-        )
-        if found.total < current.total:
-            current = found
-            if cut_sink:
-                cut_sink(current)
-            continue
-        return pair
+            if found.total >= current.total:
+                break
+        current = found
     return pair

@@ -67,7 +67,6 @@ class SolveOutcome:
     status: Status
     assignment: list[int] | None
     nodes: int
-    elapsed: float
     pops: int  # halves taken off the propagation queue; = rows have two
 
 
@@ -198,10 +197,9 @@ class _Deadline(Exception):
 def solve(model: IlpModel, budget_s: float, zeros=()) -> SolveOutcome:
     """Search for a feasible point; `zeros` are binaries fixed to 0
     before the root propagation, bounds of this search and not rows."""
-    started = time.monotonic()
-    deadline = started + budget_s
+    deadline = time.monotonic() + budget_s
     if budget_s <= 0:
-        return SolveOutcome(Status.TIMED_OUT, None, 0, 0.0, 0)
+        return SolveOutcome(Status.TIMED_OUT, None, 0, 0)
 
     nvars = len(model.names)
     lo = list(model.lo)
@@ -312,9 +310,7 @@ def solve(model: IlpModel, budget_s: float, zeros=()) -> SolveOutcome:
         return None
 
     def outcome(status, assignment=None):
-        return SolveOutcome(
-            status, assignment, nodes, time.monotonic() - started, pops
-        )
+        return SolveOutcome(status, assignment, nodes, pops)
 
     nodes = 1
     try:

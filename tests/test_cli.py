@@ -408,6 +408,35 @@ def test_experiment_summary_matches_recomputation(tmp_path, capsys):
     assert line == expect
 
 
+def test_experiment_stdout_is_pinned(tmp_path, capsys):
+    # sets print in config order, algorithms by name within a set; a
+    # repeated algorithm merges into one line, an empty set prints none
+    cfg = write_config(tmp_path, [
+        {"kind": "random-permutation", "n": 8, "count": 3, "directed": False,
+         "algorithms": ["mtz", "dfj", "dfj"], "per_set_time_limit_ms": 180000,
+         "seed": 4},
+        {"kind": "pyramidal", "n": 8, "count": 0, "directed": False,
+         "algorithms": ["dfj"], "per_set_time_limit_ms": 1000, "seed": 0},
+        {"kind": "four-peak", "n": 10, "count": 3, "directed": True,
+         "algorithms": ["dfj-ls", "dfj"], "per_set_time_limit_ms": 180000,
+         "seed": 9},
+    ])
+    out = tmp_path / "grid.csv"
+    assert main(["experiment", str(cfg), "--out-csv", str(out),
+                 "--time-mode", "deterministic"]) == 0
+    assert capsys.readouterr().out == (
+        "random-permutation n=8 undirected dfj: solved 6/6,"
+        " time 18.3±8.8 ms, iterations 3.33±1.03\n"
+        "random-permutation n=8 undirected mtz: solved 3/3,"
+        " time 28.3±9.5 ms, iterations 1.00±0.00\n"
+        "four-peak n=10 directed dfj: solved 3/3,"
+        " time 8.0±3.6 ms, iterations 2.00±1.00\n"
+        "four-peak n=10 directed dfj-ls: solved 3/3,"
+        " time 9.0±4.6 ms, iterations 2.00±1.00\n"
+        f"15 rows -> {out}\n"
+    )
+
+
 def test_experiment_deterministic_mode_reruns_identically(tmp_path):
     cfg = write_config(tmp_path, [
         {"kind": "four-peak", "n": 10, "count": 3, "directed": False,
@@ -523,8 +552,9 @@ def test_experiment_rejects_out_of_range_set_before_any_task(
 def assert_second_set_rejected(tmp_path, monkeypatch, capsys, bad):
     # the bad set comes second, so a late check would run the first one
     ran = []
+    # every task starts by generating its instance
     monkeypatch.setattr(
-        "hamdec.cli._run_task", lambda task, mode: ran.append(task)
+        "hamdec.cli.generate_instance", lambda spec: ran.append(spec)
     )
     cfg = write_config(tmp_path, [GOOD_SET, bad])
     out = tmp_path / "grid.csv"
@@ -539,8 +569,9 @@ def test_experiment_rejects_undirected_search_on_directed_set(
     tmp_path, monkeypatch, alg
 ):
     ran = []
+    # every task starts by generating its instance
     monkeypatch.setattr(
-        "hamdec.cli._run_task", lambda task, mode: ran.append(task)
+        "hamdec.cli.generate_instance", lambda spec: ran.append(spec)
     )
     bad = {**GOOD_SET, "directed": True, "algorithms": ["dfj", alg]}
     cfg = write_config(tmp_path, [GOOD_SET, bad])
