@@ -10,6 +10,7 @@ the first run.  Exit codes: 0 the command ran (whatever the verdict),
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import statistics
@@ -134,10 +135,12 @@ def append_csv_rows(csv_path, rows, fresh=False) -> None:
     path = Path(csv_path)
     mode = "w" if fresh or not path.exists() or path.stat().st_size == 0 else "a"
     with open(path, mode, newline="") as fh:
+        # quotes a value holding a comma, quote or line break, so each
+        # row reads back with one field per column
+        writer = csv.writer(fh, lineterminator="\n")
         if mode == "w":
-            fh.write(",".join(CSV_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row[c]) for c in CSV_COLUMNS) + "\n")
+            writer.writerow(CSV_COLUMNS)
+        writer.writerows([row[c] for c in CSV_COLUMNS] for row in rows)
 
 
 def witness_dir(csv_path) -> Path:

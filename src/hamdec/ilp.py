@@ -8,11 +8,15 @@ first, in declaration order, so a search returns the lexicographically
 greatest feasible point.  A caller may fix binaries to 0 at the root of
 one search without adding rows to the model.
 
-Bound changes are trailed once per variable per segment: the changes
-made since the last decision or backtrack.  A per-variable stamp
-records the segment of the variable's last trail entry, so an order
+Every bound is a lower bound (the bound literals of lazy clause
+generation, Ohrimenko, Stuckey & Codish, 2009): bound 2v is lo(v) and
+bound 2v+1 is -hi(v), a lower bound on -v, so the domain is empty once
+bound[k] + bound[k ^ 1] > 0.  Decisions, propagations and zero fixes
+each raise one bound.  Raises are trailed once per bound per segment:
+the changes made since the last decision or backtrack.  A per-bound
+stamp records the segment of the bound's last trail entry, so an order
 row raising a general integer one unit at a time still leaves one
-entry, holding the bounds from before the segment, which is what a
+entry, holding the bound from before the segment, which is what a
 backtrack restores (time stamps after Aggoun & Beldiceanu, 1990).
 
 Every row is kept as one or two `<=` halves, sum(c*x) <= rhs: the row
@@ -29,11 +33,13 @@ it takes off the queue, so a budget holds even when a single fixpoint
 is long.
 
 The model keeps its half index as rows arrive: each half's terms, rhs,
-least activity at the declared domains and threshold, and per variable
-the half terms that its lo rising (c > 0) or its hi falling (c < 0)
-moves.  A solve copies the activity list instead of rescanning every
-term, so the cutting loop's repeated solves of a growing model pay
-O(halves) each for set-up.
+least activity at the declared domains and threshold.  A half term is
+one tuple (half, a, k), with a = |c| and k the bound at which c*x is
+least (2v if c > 0, else 2v+1), so the term's least is a * bound[k].
+The same tuple sits in its half's terms and in bound k's list of the
+terms it moves; a row's negated half uses k ^ 1.  A solve copies the
+activity list instead of rescanning every term, so the cutting loop's
+repeated solves of a growing model pay O(halves) each for set-up.
 """
 
 from __future__ import annotations
@@ -42,13 +48,13 @@ import enum
 import time
 from collections import deque
 from dataclasses import dataclass
-from operator import neg
+from operator import mul
+from typing import NamedTuple
 
 LE, GE, EQ = "<=", ">=", "="
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
+class LinearConstraint(NamedTuple):
     coefs: tuple[int, ...]
     vars: tuple[int, ...]
     sense: str
@@ -80,18 +86,24 @@ class IlpModel:
     def __init__(self):
         self.names: list[str] = []
         self.var_of: dict[str, int] = {}  # name -> variable id
-        self.lo: list[int] = []
-        self.hi: list[int] = []
         self.binary: list[bool] = []
         self.constraints: list[LinearConstraint] = []
-        # half index (see the module docstring): per half its
-        # (coefs, vars, rhs), least activity and queueing threshold; per
-        # variable its (half, c) terms with c > 0 and with c < 0
-        self._halves: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
+        self._bound: list[int] = []  # lo(v) at 2v, -hi(v) at 2v+1
+        # half index (see the module docstring): per half its (terms,
+        # rhs), least activity and queueing threshold; per bound the
+        # half terms that it moves
+        self._halves: list[tuple[tuple[tuple[int, int, int], ...], int]] = []
         self._minact: list[int] = []
         self._le_at: list[int] = []
-        self._lo_terms: list[list[tuple[int, int]]] = []
-        self._hi_terms: list[list[tuple[int, int]]] = []
+        self._bound_terms: list[list[tuple[int, int, int]]] = []
+
+    @property
+    def lo(self) -> list[int]:
+        return self._bound[::2]
+
+    @property
+    def hi(self) -> list[int]:
+        return [-b for b in self._bound[1::2]]
 
     def add_int(self, name: str, lo: int, hi: int) -> int:
         # the name must read back from export_lp text as one new token
@@ -104,11 +116,9 @@ class IlpModel:
             raise ValueError(f"empty domain for {name}")
         self.var_of[name] = len(self.names)
         self.names.append(name)
-        self.lo.append(int(lo))
-        self.hi.append(int(hi))
+        self._bound += (int(lo), -int(hi))
         self.binary.append(False)
-        self._lo_terms.append([])
-        self._hi_terms.append([])
+        self._bound_terms += ([], [])
         return len(self.names) - 1
 
     def add_binary(self, name: str) -> int:
@@ -137,32 +147,31 @@ class IlpModel:
         self.constraints.append(LinearConstraint(coefs, vars_, sense, rhs, name))
         own, negated = sense != GE, sense != LE  # which halves the row has
         h = len(self._halves)  # the own half; the negated one is h + own
-        lo, hi = self.lo, self.hi
-        lo_terms, hi_terms = self._lo_terms, self._hi_terms
-        least = most = reach = 0
+        bound, bound_terms = self._bound, self._bound_terms
+        own_terms, neg_terms = [], []
+        least = neg_least = reach = 0
         for c, v in zip(coefs, vars_):
-            width = abs(c) * (hi[v] - lo[v])
+            a, k = (c, 2 * v) if c > 0 else (-c, 2 * v + 1)
+            width = a * -(bound[k] + bound[k ^ 1])
             if width > reach:
                 reach = width
-            if c > 0:
-                least += c * lo[v]
-                most += c * hi[v]
-                own_terms, neg_terms = lo_terms[v], hi_terms[v]
-            else:
-                least += c * hi[v]
-                most += c * lo[v]
-                own_terms, neg_terms = hi_terms[v], lo_terms[v]
             if own:
-                own_terms.append((h, c))
+                term = (h, a, k)
+                own_terms.append(term)
+                bound_terms[k].append(term)
+                least += a * bound[k]
             if negated:
-                neg_terms.append((h + own, -c))
+                term = (h + own, a, k ^ 1)
+                neg_terms.append(term)
+                bound_terms[k ^ 1].append(term)
+                neg_least += a * bound[k ^ 1]
         if own:
-            self._add_half(coefs, vars_, rhs, least, reach)
+            self._add_half(own_terms, rhs, least, reach)
         if negated:
-            self._add_half(tuple(map(neg, coefs)), vars_, -rhs, -most, reach)
+            self._add_half(neg_terms, -rhs, neg_least, reach)
 
-    def _add_half(self, coefs, vars_, rhs, least, reach):
-        self._halves.append((coefs, vars_, rhs))
+    def _add_half(self, terms, rhs, least, reach):
+        self._halves.append((terms, rhs))
         self._minact.append(least)
         self._le_at.append(rhs - reach)
 
@@ -177,15 +186,14 @@ class IlpModel:
 
     def check(self, assignment) -> bool:
         """Exact satisfaction check of every constraint."""
-        for con in self.constraints:
-            acc = sum(
-                c * assignment[v] for c, v in zip(con.coefs, con.vars)
-            )
-            if con.sense == LE and acc > con.rhs:
+        value = assignment.__getitem__
+        for coefs, vars_, sense, rhs, _ in self.constraints:
+            acc = sum(map(mul, coefs, map(value, vars_)))
+            if sense == LE and acc > rhs:
                 return False
-            if con.sense == GE and acc < con.rhs:
+            if sense == GE and acc < rhs:
                 return False
-            if con.sense == EQ and acc != con.rhs:
+            if sense == EQ and acc != rhs:
                 return False
         return True
 
@@ -202,17 +210,15 @@ def solve(model: IlpModel, budget_s: float, zeros=()) -> SolveOutcome:
         return SolveOutcome(Status.TIMED_OUT, None, 0, 0)
 
     nvars = len(model.names)
-    lo = list(model.lo)
-    hi = list(model.hi)
+    bound = list(model._bound)
     halves = model._halves
     nhalves = len(halves)
-    lo_terms = model._lo_terms
-    hi_terms = model._hi_terms
+    bound_terms = model._bound_terms
     minact = list(model._minact)
     le_at = model._le_at
 
-    trail: list[tuple[int, int, int]] = []
-    stamp = [-1] * nvars  # segment of each variable's last trail entry
+    trail: list[tuple[int, int]] = []
+    stamp = [-1] * len(bound)  # segment of each bound's last trail entry
     segment = 0
     # the root queues only the halves already past their threshold
     queued = [minact[h] > le_at[h] for h in range(nhalves)]
@@ -221,54 +227,31 @@ def solve(model: IlpModel, budget_s: float, zeros=()) -> SolveOutcome:
 
     # a bound change queues a half once the least activity it raises
     # passes the half's threshold, i.e. once its slack falls below reach
-    def set_lo(v, val) -> bool:
-        """Raise the lower bound; True means wipeout."""
-        old = lo[v]
+    def raise_bound(k, val) -> bool:
+        """Raise bound k to val; True means wipeout."""
+        old = bound[k]
         if val <= old:
             return False
-        if stamp[v] != segment:
-            stamp[v] = segment
-            trail.append((v, old, hi[v]))
-        lo[v] = val
+        if stamp[k] != segment:
+            stamp[k] = segment
+            trail.append((k, old))
+        bound[k] = val
         d = val - old
-        for h, c in lo_terms[v]:
-            act = minact[h] + c * d
+        for h, a, _ in bound_terms[k]:
+            act = minact[h] + a * d
             minact[h] = act
             if act > le_at[h] and not queued[h]:
                 queued[h] = True
                 push(h)
-        return val > hi[v]
-
-    def set_hi(v, val) -> bool:
-        old = hi[v]
-        if val >= old:
-            return False
-        if stamp[v] != segment:
-            stamp[v] = segment
-            trail.append((v, lo[v], old))
-        hi[v] = val
-        d = val - old
-        for h, c in hi_terms[v]:
-            act = minact[h] + c * d
-            minact[h] = act
-            if act > le_at[h] and not queued[h]:
-                queued[h] = True
-                push(h)
-        return val < lo[v]
+        return val + bound[k ^ 1] > 0
 
     def undo_to(mark):
         while len(trail) > mark:
-            v, olo, ohi = trail.pop()
-            dlo = olo - lo[v]
-            dhi = ohi - hi[v]
-            lo[v] = olo
-            hi[v] = ohi
-            if dlo:
-                for h, c in lo_terms[v]:
-                    minact[h] += c * dlo
-            if dhi:
-                for h, c in hi_terms[v]:
-                    minact[h] += c * dhi
+            k, old = trail.pop()
+            d = old - bound[k]
+            bound[k] = old
+            for h, a, _ in bound_terms[k]:
+                minact[h] += a * d
         while pending:
             queued[pending.pop()] = False
 
@@ -286,26 +269,21 @@ def solve(model: IlpModel, budget_s: float, zeros=()) -> SolveOutcome:
             pops += 1
             if not pops & 1023 and time.monotonic() > deadline:
                 raise _Deadline
-            coefs, vars_, rhs = halves[h]
+            terms, rhs = halves[h]
             slack = rhs - minact[h]
             if slack < 0:
                 return True
-            for c, v in zip(coefs, vars_):
-                if lo[v] == hi[v]:
-                    continue
-                if c > 0:
-                    cap = lo[v] + slack // c
-                    if cap < hi[v] and set_hi(v, cap):
-                        return True
-                else:
-                    floor_ = hi[v] - slack // (-c)
-                    if floor_ > lo[v] and set_lo(v, floor_):
-                        return True
+            # the term is a * y with y >= bound[k] (y = x, or -x if k is
+            # odd) and may rise by slack, so -y >= -bound[k] - slack // a
+            for _, a, k in terms:
+                new = -bound[k] - slack // a
+                if new > bound[k ^ 1] and raise_bound(k ^ 1, new):
+                    return True
         return False
 
     def first_open(start):
         for v in range(start, nvars):
-            if lo[v] < hi[v]:
+            if bound[2 * v] + bound[2 * v + 1] < 0:
                 return v
         return None
 
@@ -314,22 +292,23 @@ def solve(model: IlpModel, budget_s: float, zeros=()) -> SolveOutcome:
 
     nodes = 1
     try:
-        if any(set_hi(v, 0) for v in zeros) or propagate():
+        if any(raise_bound(2 * v + 1, 0) for v in zeros) or propagate():
             return outcome(Status.INFEASIBLE)
         start = 0
-        # frames: (var, alt_hi, trail mark before this decision, parent start)
+        # frames: (bound, value it takes on backtrack, trail mark before
+        # this decision, parent start)
         frames: list[tuple[int, int, int, int]] = []
         while True:
             v = first_open(start)
             if v is None:
-                assignment = lo[:]
+                assignment = bound[::2]
                 if not model.check(assignment):
                     raise AssertionError("propagation accepted a bad leaf")
                 return outcome(Status.FEASIBLE, assignment)
-            mid = (lo[v] + hi[v]) // 2
-            frames.append((v, mid, len(trail), start))
+            mid = (bound[2 * v] - bound[2 * v + 1]) // 2
+            frames.append((2 * v + 1, -mid, len(trail), start))
             segment += 1
-            conflict = set_lo(v, mid + 1) or propagate()
+            conflict = raise_bound(2 * v, mid + 1) or propagate()
             start = v
             nodes += 1
             if nodes % 256 == 0 and time.monotonic() > deadline:
@@ -337,10 +316,10 @@ def solve(model: IlpModel, budget_s: float, zeros=()) -> SolveOutcome:
             while conflict:
                 if not frames:
                     return outcome(Status.INFEASIBLE)
-                v, alt_hi, mark, pstart = frames.pop()
+                k, val, mark, pstart = frames.pop()
                 undo_to(mark)
                 segment += 1
-                conflict = set_hi(v, alt_hi) or propagate()
+                conflict = raise_bound(k, val) or propagate()
                 start = pstart
                 nodes += 1
                 if nodes % 256 == 0 and time.monotonic() > deadline:
@@ -379,10 +358,11 @@ def export_lp(model: IlpModel) -> str:
                 out.append(f"{line} {chunk}")
                 line = "  "
     generals = [v for v in range(len(model.names)) if not model.binary[v]]
+    lo, hi = model.lo, model.hi
     if generals:
         out.append("Bounds")
         for v in generals:
-            out.append(f" {model.lo[v]} <= {model.names[v]} <= {model.hi[v]}")
+            out.append(f" {lo[v]} <= {model.names[v]} <= {hi[v]}")
     binaries = [v for v in range(len(model.names)) if model.binary[v]]
     if binaries:
         out.append("Binaries")

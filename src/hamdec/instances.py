@@ -31,6 +31,8 @@ class InstanceSpec:
     seed: int
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be at least 0")
         minimum = 8 if self.kind is InstanceKind.FOUR_PEAK else 3
         if self.n < minimum:
             raise ValueError(

@@ -113,6 +113,17 @@ def test_generate_rejects_negative_count(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_generate_rejects_negative_seed_before_writing(tmp_path, capsys):
+    out = tmp_path / "x"
+    rc = main([
+        "generate", "--kind", "pyramidal", "--n", "8", "--count", "2",
+        "--seed", "-1", "--out-dir", str(out),
+    ])
+    assert rc == 1
+    assert "seed must be at least 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_kind_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["generate", "--kind", "spiral", "--n", "8",
@@ -166,6 +177,20 @@ def test_solve_appends_rows_without_extra_headers(tmp_path, ring6_file):
     rows = read_rows(out)
     assert {r["algorithm"] for r in rows} == {"dfj", "mtz"}
     assert {r["verdict"] for r in rows} == {"feasible"}
+
+
+def test_csv_quotes_a_comma_and_a_quote(tmp_path, ring6_file):
+    # a file stem and a generator name may hold CSV's special characters
+    inst = ring6_file.rename(tmp_path / "a,b.json")
+    out = tmp_path / "res.csv"
+    assert main(["solve", str(inst), "--algorithm", "dfj",
+                 "--generator", 'x,"y', "--out-csv", str(out)]) == 0
+    with open(out, newline="") as fh:
+        records = list(csv.reader(fh))
+    assert [len(r) for r in records] == [len(CSV_COLUMNS)] * 2
+    row = read_rows(out)[0]
+    assert (row["instance_id"], row["generator"]) == ("a,b", 'x,"y')
+    assert row["algorithm"] == "dfj" and row["verdict"] == "feasible"
 
 
 def test_solve_rejects_directionality_mismatch(tmp_path, ring6_file):
@@ -540,6 +565,7 @@ def test_experiment_rejects_bad_config_field_before_any_task(
 @pytest.mark.parametrize("changes", [
     {"kind": "four-peak", "n": 6},
     {"count": -3},
+    {"seed": -3},
 ])
 def test_experiment_rejects_out_of_range_set_before_any_task(
     tmp_path, monkeypatch, capsys, changes

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -7,6 +8,7 @@ from hamdec.formulations import (
     build_dfj_base,
     build_mtz_directed,
     build_mtz_undirected,
+    higher_copy_terms,
 )
 from hamdec.ilp import (
     EQ,
@@ -18,6 +20,7 @@ from hamdec.ilp import (
     parse_lp,
     solve,
 )
+from hamdec.instances import InstanceKind, InstanceSpec, generate_instance
 
 from conftest import random_instance
 
@@ -363,6 +366,43 @@ def test_solve_matches_sweeping_reference_on_structured_models():
         assert (out.status, out.assignment, out.nodes) == reference_solve(m), (
             label
         )
+
+
+# sha256 of repr([(status, nodes, pops, assignment), ...]) over
+# search_corpus(); a change to the engine that keeps verdicts but moves
+# the search (its branching, its propagation order, which halves it
+# queues) changes this digest
+PINNED_SEARCH_SHA256 = (
+    "5d3eb828569c2cfcf988bcb6e43b9b8085ebf109f1b81c79d1bc0ffc9fc66c73"
+)
+
+
+def search_corpus():
+    """(model, zeros) pairs: every builder on every kind, then random models."""
+    for kind in InstanceKind:
+        for n in (10, 16):
+            for directed in (False, True):
+                mtz = build_mtz_directed if directed else build_mtz_undirected
+                for seed in range(4):
+                    spec = InstanceSpec(kind, n, directed, seed)
+                    _, _, g = generate_instance(spec)
+                    for build in (build_dfj_base, mtz):
+                        m, z_terms = build(g)
+                        yield m, ()
+                        yield m, higher_copy_terms(g, z_terms)
+    for make in (random_model, random_search_model):
+        for seed in range(300):
+            yield make(seed), ()
+
+
+def test_search_is_pinned_node_for_node():
+    outcomes = []
+    for m, zeros in search_corpus():
+        out = solve(m, 60, zeros)
+        assert out.status is not Status.TIMED_OUT
+        outcomes.append((out.status.value, out.nodes, out.pops, out.assignment))
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == PINNED_SEARCH_SHA256
 
 
 def test_row_index_follows_rows_and_variables_added_between_solves():
