@@ -463,6 +463,31 @@ def test_heuristic_runs_match_pinned_digest():
     assert digest.hexdigest() == PINNED_HEURISTIC_SHA256, accepted
 
 
+# SHA-256 of the repr of every heuristic pinned run's (verdict,
+# iterations, work, emitted cuts, witness orders, accepted totals in
+# order): the moves alone, not how the trace groups them into sequences.
+PINNED_MOVES_SHA256 = (
+    "2114a890e26d63317bacd393319bc850b98724840f95f3fef1d3e5e49f5283d0"
+)
+
+
+def test_pinned_heuristic_runs_keep_their_moves():
+    digest = hashlib.sha256()
+    for kind, directed, variant, seed in PINNED_HEURISTIC_RUNS:
+        x, y, g = generate_instance(InstanceSpec(kind, 48, directed, seed))
+        res = solve_dfj_heuristic(
+            g, x, y, HeuristicParams(seed=seed), BUDGET, variant=variant
+        )
+        witness = res.witness and [c.order for c in res.witness]
+        cuts = [(sorted(key), side) for key, side in res.emitted_cuts]
+        accepted = [t for s in res.trace.sequences for t in s[1:]]
+        digest.update(repr((
+            res.verdict.value, res.iterations, res.work, cuts, witness,
+            accepted,
+        )).encode())
+    assert digest.hexdigest() == PINNED_MOVES_SHA256
+
+
 # Every run of the exact-engine pin below: the cutting loop on undirected
 # pyramidal unions, the order model's general-integer rows, and both
 # exact solvers on directed random-permutation unions.
