@@ -1,22 +1,28 @@
 """Local search over factor assignments of the union multigraph.
 
 The objective is the total number of connected components over both
-factors; 2 means each factor is a single Hamiltonian cycle.  Moves
-flip edges between factors.  Chain fixing propagates a forced move
-through the degree contract with one rule over the union's slot table
-(see `multigraph`): once a slot holds cap pinned edges of one factor,
-its unfixed edges are forced into the other; more than cap is a
-contradiction.  The pair keeps its pinned count per factor and slot, so
-the rule reads one count per slot end.  One chain loop, over slots and
-so the same for both directednesses, serves a fix, its cascade and the
-randomized repair: when the forced edges run out and a vertex is still
-broken, the repair step draws the next edge to move.  All mutation goes
-through a trail so failed candidates roll back exactly.
+factors; 2 means each factor is a single Hamiltonian cycle.  Every
+search is one variable neighbourhood descent over a tuple of
+neighbourhoods: a sweep moves each candidate edge to the other factor
+and completes the move in the current neighbourhood; an improvement
+goes back to the first neighbourhood, a sweep without one moves on.
+The undirected searches use randomized repairs, then backtracking over
+the repairs; the directed one (`ls`) has the first alone.
+
+Chain fixing propagates a forced move through the degree contract with
+one rule over the union's slot table (see `multigraph`): once a slot
+holds cap pinned edges of one factor, its unfixed edges are forced into
+the other; more than cap is a contradiction.  The pair keeps its pinned
+count per factor and slot, so the rule reads one count per slot end.
+One chain loop, over slots and so the same for both directednesses,
+serves a fix, its cascade and the randomized repair: when the forced
+edges run out and a vertex is still broken, the repair step draws the
+next edge to move.  All mutation goes through a trail so failed
+candidates roll back exactly.
 
 On a valid directed pair a chain flips the whole alternating cycle of
 its first edge (see `multigraph`), so every candidate of one cycle
-reaches the same state; a sweep tries each cycle once.  The shuffle of
-the candidates is drawn as before, so the accepted moves are the same.
+reaches the same state; a sweep tries each cycle once.
 
 One copy of every parallel edge pair is pinned in each factor up
 front: splitting them is necessary for Hamiltonicity, so the search
@@ -44,11 +50,14 @@ class HeuristicParams:
             raise ValueError("attempt_limit must be positive")
         if self.depth_limit < 0:
             raise ValueError("depth_limit must be non-negative")
+        if self.seed < 0:  # random.Random would use |seed|
+            raise ValueError("seed must be at least 0")
 
 
 @dataclass
 class TraceRecorder:
-    """Objective values at accepted states, one sequence per search run."""
+    """Cycle counts, one sequence per search pass: the start state's
+    count, then the count of each state the pass accepted."""
 
     sequences: list = field(default_factory=list)
     valid: bool = True
@@ -234,22 +243,6 @@ def _expired(deadline):
     return deadline is not None and time.monotonic() > deadline
 
 
-def _open(pair, directed, trace, report) -> ComponentReport:
-    """Pin parallel copies, count the start state, open a trace run."""
-    if pair.graph.directed != directed:
-        raise ValueError(
-            "this search works on directed unions"
-            if directed
-            else "this neighbourhood works on undirected unions"
-        )
-    fix_parallel_copies(pair)
-    if report is None:
-        report = components(pair)
-    if trace:
-        trace.open_run(report.total)
-    return report
-
-
 def _sweep(pair, rng, recursive, cut_sink, trace, deadline, complete):
     """One move-then-complete pass over a fresh shuffle of the candidates.
 
@@ -284,18 +277,65 @@ def _sweep(pair, rng, recursive, cut_sink, trace, deadline, complete):
     return None
 
 
-def _replays(pair, rng, trail, recursive, base, attempt_limit):
-    """Up to `attempt_limit` randomized repairs from the post-move state
-    (one if no vertex is broken: the cascade is then deterministic); the
-    report of the first with fewer than `base` cycles, or None."""
+def _replays(pair, params, rng, trail, recursive, base):
+    """First neighbourhood: up to `attempt_limit` randomized repairs from
+    the post-move state (one if no vertex is broken: the cascade is then
+    deterministic); the report of the first with fewer than `base`
+    cycles, or None."""
     checkpoint = len(trail)
-    for _ in range(attempt_limit if pair.broken else 1):
+    for _ in range(params.attempt_limit if pair.broken else 1):
         if _repair_all(pair, rng, trail, recursive):
             found = components(pair)
             if found.total < base:
                 return found
         rollback(pair, trail, checkpoint)
     return None
+
+
+def _dive(pair, params, rng, trail, recursive, base, depth=1):
+    """Second neighbourhood: backtracking over the repair choices down to
+    `depth_limit`; the report of an improving completion, or None."""
+    if not pair.broken:
+        found = components(pair)
+        return found if found.total < base else None
+    if depth > params.depth_limit:
+        return None
+    v = sorted(pair.broken)[int(rng.random() * len(pair.broken))]
+    want, pool = _repair_pool(pair, v)
+    for eid in pool:
+        mark = len(trail)
+        if fix_edge(pair, eid, want, trail, recursive):
+            found = _dive(pair, params, rng, trail, recursive, base, depth + 1)
+            if found:
+                return found
+        rollback(pair, trail, mark)
+    return None
+
+
+def _descend(pair, params, rng, recursive, completions, cut_sink, trace,
+             deadline, report):
+    """The descent of the module docstring over `completions`; it stops
+    at two cycles, when the last neighbourhood fails, or at `deadline`.
+    A start that is already a decomposition is left untouched."""
+    best = report if report is not None else components(pair)
+    if best.total == 2:
+        return pair
+    fix_parallel_copies(pair)
+    if trace:
+        trace.open_run(best.total)
+    k = 0
+    while best.total > 2:
+        base, complete = best.total, completions[k]
+        found = _sweep(pair, rng, recursive, cut_sink, trace, deadline,
+                       lambda trail: complete(pair, params, rng, trail,
+                                              recursive, base))
+        if found:
+            best, k = found, 0
+        else:
+            k += 1
+            if k == len(completions) or _expired(deadline):
+                break
+    return pair
 
 
 def local_search_directed(
@@ -308,85 +348,14 @@ def local_search_directed(
 ) -> TwoFactorPair:
     """Descend by single chain-fixed moves until no move improves.
 
-    Every accepted state's subtours are reported to `cut_sink`; after
-    an acceptance all non-parallel pins are released and the sweep
-    restarts over a fresh shuffle.  A chain that ends without a
-    contradiction leaves no broken vertex, so no repair is drawn.
-    `report` may give the cycle count of the starting state.
+    A chain that ends without a contradiction leaves no broken vertex,
+    so `_replays` makes one attempt and draws no repair.  The keywords
+    are as in `vnd_undirected`.
     """
-    best = _open(pair, True, trace, report)
-    while best is not None and best.total > 2:
-        base = best.total
-        best = _sweep(pair, rng, True, cut_sink, trace, deadline,
-                      lambda trail: _replays(pair, rng, trail, True, base, 1))
-    return pair
-
-
-def ls_first_neighbourhood(
-    pair: TwoFactorPair,
-    params: HeuristicParams,
-    rng,
-    cut_sink=None,
-    trace: TraceRecorder | None = None,
-    recursive: bool = True,
-    deadline: float | None = None,
-    report: ComponentReport | None = None,
-) -> ComponentReport:
-    """One sweep of move-then-repair; returns at the first improvement.
-
-    `report`, when given, is the cycle count of the starting state; the
-    return value is the one of the state the sweep leaves.
-    """
-    start = _open(pair, False, trace, report)
-    if start.total == 2:
-        return start
-    found = _sweep(pair, rng, recursive, cut_sink, trace, deadline,
-                   lambda trail: _replays(pair, rng, trail, recursive,
-                                          start.total, params.attempt_limit))
-    return found or start
-
-
-def ls_second_neighbourhood(
-    pair: TwoFactorPair,
-    params: HeuristicParams,
-    rng,
-    cut_sink=None,
-    trace: TraceRecorder | None = None,
-    recursive: bool = True,
-    deadline: float | None = None,
-    report: ComponentReport | None = None,
-) -> ComponentReport:
-    """Depth-bounded backtracking over repair choices, first improvement.
-
-    `cut_sink`, `report` and the return value are as in
-    `ls_first_neighbourhood`.
-    """
-    start = _open(pair, False, trace, report)
-    if start.total == 2:
-        return start
-    found = _sweep(pair, rng, recursive, cut_sink, trace, deadline,
-                   lambda trail: _dive(pair, 1, params.depth_limit,
-                                       start.total, rng, trail, recursive))
-    return found or start
-
-
-def _dive(pair, depth, limit, base, rng, trail, recursive):
-    """The report of an improving completion, or None if none is found."""
-    if not pair.broken:
-        found = components(pair)
-        return found if found.total < base else None
-    if depth > limit:
-        return None
-    v = sorted(pair.broken)[int(rng.random() * len(pair.broken))]
-    want, pool = _repair_pool(pair, v)
-    for eid in pool:
-        mark = len(trail)
-        if fix_edge(pair, eid, want, trail, recursive):
-            found = _dive(pair, depth + 1, limit, base, rng, trail, recursive)
-            if found:
-                return found
-        rollback(pair, trail, mark)
-    return None
+    if not pair.graph.directed:
+        raise ValueError("this search works on directed unions")
+    return _descend(pair, HeuristicParams(), rng, True, (_replays,),
+                    cut_sink, trace, deadline, report)
 
 
 def vnd_undirected(
@@ -399,27 +368,16 @@ def vnd_undirected(
     deadline: float | None = None,
     report: ComponentReport | None = None,
 ) -> TwoFactorPair:
-    """Alternate the two neighbourhoods until neither improves.
+    """Descend through the two neighbourhoods until neither improves.
 
-    The first neighbourhood is drained to a local minimum, then the
-    bounded-backtracking one gets a pass; any improvement there loops
-    back to the first.  Each neighbourhood hands back the cycle count of
-    the state it leaves, so no state is counted twice; `report` may give
-    the count of the starting state.
+    Randomized repairs (`_replays`) come first; bounded backtracking
+    over the repairs (`_dive`) runs only when they find nothing, and
+    any improvement goes back to them.  Every accepted state's subtours
+    go to `cut_sink` and its cycle count to `trace`.  `recursive`
+    chooses chain fixing or single-edge moves; `report` may give the
+    cycle count of the starting state.
     """
-    current = report if report is not None else components(pair)
-    while current.total > 2:
-        found = ls_first_neighbourhood(
-            pair, params, rng, cut_sink, trace, recursive, deadline, current
-        )
-        if found.total >= current.total:
-            if _expired(deadline):
-                break
-            found = ls_second_neighbourhood(
-                pair, params, rng, cut_sink, trace, recursive, deadline,
-                current,
-            )
-            if found.total >= current.total:
-                break
-        current = found
-    return pair
+    if pair.graph.directed:
+        raise ValueError("this search works on undirected unions")
+    return _descend(pair, params, rng, recursive, (_replays, _dive),
+                    cut_sink, trace, deadline, report)

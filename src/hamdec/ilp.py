@@ -294,36 +294,34 @@ def solve(model: IlpModel, budget_s: float, zeros=()) -> SolveOutcome:
     try:
         if any(raise_bound(2 * v + 1, 0) for v in zeros) or propagate():
             return outcome(Status.INFEASIBLE)
-        start = 0
         # frames: (bound, value it takes on backtrack, trail mark before
-        # this decision, parent start)
-        frames: list[tuple[int, int, int, int]] = []
+        # this decision); once a step raises bound k, every variable
+        # below k >> 1 is fixed
+        frames: list[tuple[int, int, int]] = []
+        k = 0
         while True:
-            v = first_open(start)
+            v = first_open(k >> 1)
             if v is None:
                 assignment = bound[::2]
                 if not model.check(assignment):
                     raise AssertionError("propagation accepted a bad leaf")
                 return outcome(Status.FEASIBLE, assignment)
             mid = (bound[2 * v] - bound[2 * v + 1]) // 2
-            frames.append((2 * v + 1, -mid, len(trail), start))
-            segment += 1
-            conflict = raise_bound(2 * v, mid + 1) or propagate()
-            start = v
-            nodes += 1
-            if nodes % 256 == 0 and time.monotonic() > deadline:
-                raise _Deadline
-            while conflict:
-                if not frames:
-                    return outcome(Status.INFEASIBLE)
-                k, val, mark, pstart = frames.pop()
-                undo_to(mark)
+            frames.append((2 * v + 1, -mid, len(trail)))
+            k, val = 2 * v, mid + 1
+            # one step per node: the decision, then backtracks on conflict
+            while True:
                 segment += 1
                 conflict = raise_bound(k, val) or propagate()
-                start = pstart
                 nodes += 1
                 if nodes % 256 == 0 and time.monotonic() > deadline:
                     raise _Deadline
+                if not conflict:
+                    break
+                if not frames:
+                    return outcome(Status.INFEASIBLE)
+                k, val, mark = frames.pop()
+                undo_to(mark)
     except _Deadline:
         return outcome(Status.TIMED_OUT)
 

@@ -166,6 +166,16 @@ def test_solve_same_seed_gives_identical_rows(tmp_path, ring6_file):
     assert outs[0] == outs[1]
 
 
+def test_solve_rejects_negative_seed_before_writing(tmp_path, ring6_file,
+                                                   capsys):
+    out = tmp_path / "res.csv"
+    rc = main(["solve", str(ring6_file), "--algorithm", "dfj-vnd-fix",
+               "--seed", "-7", "--out-csv", str(out)])
+    assert rc == 1
+    assert "seed must be at least 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_appends_rows_without_extra_headers(tmp_path, ring6_file):
     out = tmp_path / "res.csv"
     for alg in ("dfj", "mtz"):

@@ -1,4 +1,6 @@
 import random
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,8 +12,6 @@ from hamdec.heuristics import (
     fix_edge,
     fix_parallel_copies,
     local_search_directed,
-    ls_first_neighbourhood,
-    ls_second_neighbourhood,
     rollback,
     unfix_non_parallel,
     vnd_undirected,
@@ -492,12 +492,17 @@ def test_directed_sweep_tries_each_alternating_cycle_once(kind, monkeypatch):
 
 # ---------------------------------------------------- first neighbourhood
 
-def test_first_neighbourhood_rejects_directed_input():
-    x, y, g = random_instance(8, 1, directed=True)
-    with pytest.raises(ValueError):
-        ls_first_neighbourhood(
-            origin_pair(g), HeuristicParams(), np.random.default_rng(0)
-        )
+def one_sweep(pair, params, rng, complete, trace=None):
+    """One sweep of the neighbourhood `complete` through the real
+    `_sweep`, as the descent runs it: the accepted report, or None."""
+    fix_parallel_copies(pair)
+    base = components(pair).total
+    if trace:
+        trace.open_run(base)
+    return heur._sweep(
+        pair, rng, True, None, trace, None,
+        lambda trail: complete(pair, params, rng, trail, True, base),
+    )
 
 
 def test_first_neighbourhood_returns_on_first_improvement(dsq_state):
@@ -506,9 +511,8 @@ def test_first_neighbourhood_returns_on_first_improvement(dsq_state):
     for seed in range(6):
         pair = TwoFactorPair(g, list(base_pair.side))
         trace = TraceRecorder()
-        ls_first_neighbourhood(
-            pair, HeuristicParams(), np.random.default_rng(seed), trace=trace
-        )
+        one_sweep(pair, HeuristicParams(), np.random.default_rng(seed),
+                  heur._replays, trace)
         assert trace.valid
         assert len(trace.sequences) == 1
         seq = trace.sequences[0]
@@ -533,12 +537,8 @@ def test_first_neighbourhood_accepted_states_are_clean():
         for seed in range(3):
             pair = TwoFactorPair(g, list(start.side))
             trace = TraceRecorder()
-            ls_first_neighbourhood(
-                pair,
-                HeuristicParams(),
-                np.random.default_rng(seed),
-                trace=trace,
-            )
+            one_sweep(pair, HeuristicParams(), np.random.default_rng(seed),
+                      heur._replays, trace)
             assert trace.valid
             assert not pair.broken
             assert pair.broken == recount_broken(pair)
@@ -560,20 +560,12 @@ def test_attempt_limit_one_gives_single_rollout_per_edge(twin_state,
         for e in g.edges
         if pair.side[e.id] == Z and e.partner is None
     )
-    ls_first_neighbourhood(
-        pair, HeuristicParams(attempt_limit=1), np.random.default_rng(0)
-    )
+    one_sweep(pair, HeuristicParams(attempt_limit=1),
+              np.random.default_rng(0), heur._replays)
     assert len(calls) <= start_unfixed
 
 
 # --------------------------------------------------- second neighbourhood
-
-def test_second_neighbourhood_rejects_directed_input():
-    x, y, g = random_instance(8, 1, directed=True)
-    with pytest.raises(ValueError):
-        ls_second_neighbourhood(
-            origin_pair(g), HeuristicParams(), np.random.default_rng(0)
-        )
 
 
 def test_depth_zero_admits_only_self_completing_cascades(twin_state):
@@ -581,11 +573,8 @@ def test_depth_zero_admits_only_self_completing_cascades(twin_state):
     for seed in range(8):
         pair = TwoFactorPair(g, list(base_pair.side))
         before = tuple(pair.side)
-        ls_second_neighbourhood(
-            pair,
-            HeuristicParams(depth_limit=0),
-            np.random.default_rng(seed),
-        )
+        one_sweep(pair, HeuristicParams(depth_limit=0),
+                  np.random.default_rng(seed), heur._dive)
         # every candidate move here strands a broken vertex, and with no
         # repair budget each one is rolled straight back
         assert tuple(pair.side) == before
@@ -601,9 +590,9 @@ def test_bounded_backtracking_respects_depth_and_branch_budget(
     orig_dive = heur._dive
     orig_pool = heur._repair_pool
 
-    def watched_dive(pair, depth, lim, base, rng, trail, recursive):
+    def watched_dive(pair, params, rng, trail, recursive, base, depth=1):
         depths.append(depth)
-        return orig_dive(pair, depth, lim, base, rng, trail, recursive)
+        return orig_dive(pair, params, rng, trail, recursive, base, depth)
 
     def watched_pool(pair, v):
         want, pool = orig_pool(pair, v)
@@ -616,11 +605,8 @@ def test_bounded_backtracking_respects_depth_and_branch_budget(
         depths.clear()
         pools.clear()
         pair = TwoFactorPair(g, list(base_pair.side))
-        ls_second_neighbourhood(
-            pair,
-            HeuristicParams(depth_limit=limit),
-            np.random.default_rng(seed),
-        )
+        one_sweep(pair, HeuristicParams(depth_limit=limit),
+                  np.random.default_rng(seed), heur._dive)
         assert max(pools) <= 2
         assert max(depths) <= limit + 1
         per_start = []
@@ -651,18 +637,12 @@ def test_exhaustive_repairs_improve_whenever_sampling_does():
             continue
         for seed in range(6):
             p1 = TwoFactorPair(g, list(start.side))
-            ls_first_neighbourhood(
-                p1,
-                HeuristicParams(attempt_limit=10),
-                np.random.default_rng(seed),
-            )
+            one_sweep(p1, HeuristicParams(attempt_limit=10),
+                      np.random.default_rng(seed), heur._replays)
             t1 = components(p1).total
             p2 = TwoFactorPair(g, list(start.side))
-            ls_second_neighbourhood(
-                p2,
-                HeuristicParams(depth_limit=2 * g.n + 2),
-                np.random.default_rng(seed),
-            )
+            one_sweep(p2, HeuristicParams(depth_limit=2 * g.n + 2),
+                      np.random.default_rng(seed), heur._dive)
             t2 = components(p2).total
             assert t2 <= base
             if t1 < base:
@@ -672,6 +652,57 @@ def test_exhaustive_repairs_improve_whenever_sampling_does():
 
 
 # ------------------------------------------------------------------- VND
+
+def test_vnd_rejects_directed_input():
+    x, y, g = random_instance(8, 1, directed=True)
+    with pytest.raises(ValueError):
+        vnd_undirected(
+            origin_pair(g), HeuristicParams(), np.random.default_rng(0)
+        )
+
+
+def scripted_neighbourhood(name, improves_at, calls):
+    """A completion that improves by one cycle iff the base is listed."""
+    def complete(pair, params, rng, trail, recursive, base):
+        if not calls or calls[-1] != (name, base):
+            calls.append((name, base))
+        return SimpleNamespace(total=base - 1) if base in improves_at else None
+    return complete
+
+
+def test_descent_goes_back_to_the_first_neighbourhood_on_improvement():
+    _, _, g = random_instance(16, 0)
+    calls = []
+    heur._descend(
+        origin_pair(g), HeuristicParams(), random.Random(0), False,
+        (scripted_neighbourhood("first", {10, 8}, calls),
+         scripted_neighbourhood("second", {9, 7}, calls)),
+        None, None, None, SimpleNamespace(total=10),
+    )
+    assert calls == [
+        ("first", 10), ("first", 9), ("second", 9), ("first", 8),
+        ("first", 7), ("second", 7), ("first", 6), ("second", 6),
+    ]
+
+
+def test_passed_deadline_ends_the_descent_at_its_first_failed_sweep(
+    dsq_state, monkeypatch
+):
+    g, pair = dsq_state
+    sweeps = []
+    real_sweep = heur._sweep
+
+    def sweep(*args):
+        sweeps.append(1)
+        return real_sweep(*args)
+
+    monkeypatch.setattr(heur, "_sweep", sweep)
+    before = tuple(pair.side)
+    vnd_undirected(pair, HeuristicParams(), random.Random(0),
+                   deadline=time.monotonic() - 1.0)
+    assert len(sweeps) == 1
+    assert tuple(pair.side) == before
+
 
 def test_vnd_leaves_decomposition_alone(ring6):
     x, y = ring6
@@ -768,6 +799,8 @@ def test_params_validate_limits():
         HeuristicParams(attempt_limit=0)
     with pytest.raises(ValueError):
         HeuristicParams(depth_limit=-1)
+    with pytest.raises(ValueError):
+        HeuristicParams(seed=-7)
 
 
 # ------------------------------------------- chain loop against a reference

@@ -438,7 +438,7 @@ PINNED_HEURISTIC_RUNS = [
 # work, emitted cuts, trace sequences, witness orders).  A change that
 # alters a heuristic random stream on purpose updates it.
 PINNED_HEURISTIC_SHA256 = (
-    "75f7864011f58254b9009251476b091c35233768bc51f7d80c5273a2622b8ddb"
+    "ab651c7b1eb3d6c16f224583c5e6ccaf71332a5822f4ba988905b3bdaa1ef1fa"
 )
 
 
@@ -534,7 +534,7 @@ def test_exact_runs_match_pinned_digest():
 # the iterates alone, without `work`.  A change that only prunes the
 # search, such as fixing symmetric copies at the root, must keep it.
 PINNED_ITERATES_SHA256 = (
-    "cbfd0e1f8e8f8500f49c919ed185544e97a27836ab6b2dddc885e5b4e5536097"
+    "e18baa38c837c1d752ff02644bd13f72d96bcaa202f2303cfb036fa07b6ac32b"
 )
 
 

@@ -1,11 +1,14 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "hamdec").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "hamdec").glob("*.py"))
 
 
 def test_package_sources_are_found():
@@ -40,3 +43,18 @@ def test_no_unused_imports(path):
         (line, name) for name, line in imported.items() if name not in used
     )
     assert unused == [], f"{path.name}: unused imports {unused}"
+
+
+def test_every_traced_name_resolves():
+    # the bench tracer patches these names where their callers look them
+    # up; a refactor that drops one would only fail the bench's own tests
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", ROOT / "bench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [
+        (module, attr) for module, attr, _, _ in tracer.PATCHES
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert tracer.PATCHES and missing == []
