@@ -653,12 +653,29 @@ def test_exhaustive_repairs_improve_whenever_sampling_does():
 
 # ------------------------------------------------------------------- VND
 
-def test_vnd_rejects_directed_input():
+def refuses_directed_before(neighbourhood, params, monkeypatch):
+    """vnd_undirected refuses a directed union before `neighbourhood`
+    runs, and leaves the pair as it was."""
+    calls = []
+    monkeypatch.setattr(heur, neighbourhood,
+                        lambda *args: calls.append(args))
     x, y, g = random_instance(8, 1, directed=True)
+    pair = origin_pair(g)
+    before = tuple(pair.side)
     with pytest.raises(ValueError):
-        vnd_undirected(
-            origin_pair(g), HeuristicParams(), np.random.default_rng(0)
-        )
+        vnd_undirected(pair, params, np.random.default_rng(0))
+    assert calls == []
+    assert tuple(pair.side) == before
+
+
+def test_first_neighbourhood_rejects_directed_input(monkeypatch):
+    refuses_directed_before("_replays", HeuristicParams(), monkeypatch)
+
+
+def test_second_neighbourhood_rejects_directed_input(monkeypatch):
+    refuses_directed_before(
+        "_dive", HeuristicParams(depth_limit=18), monkeypatch
+    )
 
 
 def scripted_neighbourhood(name, improves_at, calls):
