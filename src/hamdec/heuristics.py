@@ -17,8 +17,8 @@ count per factor and slot, so the rule reads one count per slot end.
 One chain loop, over slots and so the same for both directednesses,
 serves a fix, its cascade and the randomized repair: when the forced
 edges run out and a vertex is still broken, the repair step draws the
-next edge to move.  All mutation goes through a trail so failed
-candidates roll back exactly.
+next edge to move.  A failed candidate is undone by restoring a
+snapshot of the pair taken before it (`TwoFactorPair.snapshot`).
 
 On a valid directed pair a chain flips the whole alternating cycle of
 its first edge (see `multigraph`), so every candidate of one cycle
@@ -35,8 +35,6 @@ import time
 from dataclasses import dataclass, field
 
 from .multigraph import W, Z, ComponentReport, TwoFactorPair, components
-
-FixTrail = list  # entries: (edge id, prior side); the edge was unfixed
 
 
 @dataclass
@@ -78,36 +76,6 @@ class TraceRecorder:
                 self.valid = False
 
 
-def rollback(pair: TwoFactorPair, trail: FixTrail, mark: int) -> None:
-    """Restore sides, fixed flags and counts to the state at `mark`."""
-    g = pair.graph
-    slot_a, slot_b, cap = g.slot_a, g.slot_b, g.cap
-    mate, owner = g.slot_mate, g.slot_vertex
-    sides, fixed, deg, pinned = pair.side, pair.fixed, pair.deg_z, pair.pinned
-    add, discard = pair.broken.add, pair.broken.discard
-    for eid, prior_side in reversed(trail[mark:]):
-        a, b = slot_a[eid], slot_b[eid]
-        if fixed[eid]:
-            fixed[eid] = False
-            pins = pinned[sides[eid]]
-            pins[a] -= 1
-            pins[b] -= 1
-        if sides[eid] != prior_side:
-            sides[eid] = prior_side
-            d = 1 if prior_side == Z else -1
-            deg[a] += d
-            if deg[a] == cap == deg[mate[a]]:
-                discard(owner[a])
-            else:
-                add(owner[a])
-            deg[b] += d
-            if deg[b] == cap == deg[mate[b]]:
-                discard(owner[b])
-            else:
-                add(owner[b])
-    del trail[mark:]
-
-
 def fix_parallel_copies(pair: TwoFactorPair) -> None:
     """Pin both copies of every parallel pair, one per factor."""
     for e in pair.graph.edges:
@@ -129,24 +97,24 @@ def fix_edge(
     pair: TwoFactorPair,
     edge_id: int,
     side: int,
-    trail: FixTrail,
     recursive: bool = True,
 ) -> bool:
     """Move an edge to `side` and pin it; False reports a contradiction.
 
     With `recursive` the move cascades through every edge the slot rule
     of the module docstring then forces; without it only the one edge
-    is touched and its slots go unchecked.
+    is touched and its slots go unchecked.  A contradiction leaves the
+    pair part way through the chain: the caller restores a snapshot.
     """
-    return _chain(pair, [(edge_id, side)], trail, recursive, None)
+    return _chain(pair, [(edge_id, side)], recursive, None)
 
 
-def _repair_all(pair, rng, trail, recursive) -> bool:
+def _repair_all(pair, rng, recursive) -> bool:
     """Move edges at random broken vertices until none remain."""
-    return _chain(pair, [], trail, recursive, rng)
+    return _chain(pair, [], recursive, rng)
 
 
-def _chain(pair, stack, trail, recursive, rng) -> bool:
+def _chain(pair, stack, recursive, rng) -> bool:
     """The chain loop behind `fix_edge` and `_repair_all`.
 
     Each step moves an edge to a factor and pins it.  The edge comes off
@@ -162,7 +130,7 @@ def _chain(pair, stack, trail, recursive, rng) -> bool:
     sides, fixed, deg = pair.side, pair.fixed, pair.deg_z
     pinned, broken = pair.pinned, pair.broken
     add, discard = broken.add, broken.discard
-    push, pop, log = stack.append, stack.pop, trail.append
+    push, pop = stack.append, stack.pop
     guard = 4 * len(sides)
     while True:
         if stack:
@@ -183,9 +151,7 @@ def _chain(pair, stack, trail, recursive, rng) -> bool:
                 return False
             eid = pool[int(rng.random() * len(pool))]
         a, b = slot_a[eid], slot_b[eid]
-        prior = sides[eid]
-        log((eid, prior))
-        if prior != want:
+        if sides[eid] != want:
             sides[eid] = want
             d = 1 if want == Z else -1
             deg[a] += d
@@ -246,16 +212,17 @@ def _expired(deadline):
 def _sweep(pair, rng, recursive, cut_sink, trace, deadline, complete):
     """One move-then-complete pass over a fresh shuffle of the candidates.
 
-    Each candidate moves to W; `complete(trail)` then searches on from
-    the post-move state and gives the report of an improving state, or
-    None.  The first improving state is accepted: its report goes to
-    `cut_sink` and `trace`, every non-parallel pin is released and the
-    report is returned.  None means no candidate improved in time.
+    Each candidate moves to W; `complete()` then searches on from the
+    post-move state and gives the report of an improving state, or None.
+    The first improving state is accepted: its report goes to `cut_sink`
+    and `trace`, every non-parallel pin is released and the report is
+    returned.  A failed candidate restores the sweep's start snapshot, so
+    None (no candidate improved in time) leaves the pair unchanged.
 
     On a directed union a candidate whose alternating cycle this sweep
     already tried is skipped: it would rebuild a rejected state.
     """
-    trail: FixTrail = []
+    start = pair.snapshot()
     cycle_of = pair.graph.cycle_of  # empty for undirected unions
     tried = set()
     for eid in _unfixed_z_edges(pair, rng):
@@ -265,7 +232,7 @@ def _sweep(pair, rng, recursive, cut_sink, trace, deadline, complete):
             tried.add(cycle_of[eid])
         if _expired(deadline):
             return None
-        found = fix_edge(pair, eid, W, trail, recursive) and complete(trail)
+        found = fix_edge(pair, eid, W, recursive) and complete()
         if found:
             if cut_sink:
                 cut_sink(found)
@@ -273,28 +240,30 @@ def _sweep(pair, rng, recursive, cut_sink, trace, deadline, complete):
                 trace.accept(pair, found.total)
             unfix_non_parallel(pair)
             return found
-        rollback(pair, trail, 0)
+        pair.restore(start)
     return None
 
 
-def _replays(pair, params, rng, trail, recursive, base):
+def _replays(pair, params, rng, recursive, base):
     """First neighbourhood: up to `attempt_limit` randomized repairs from
     the post-move state (one if no vertex is broken: the cascade is then
     deterministic); the report of the first with fewer than `base`
-    cycles, or None."""
-    checkpoint = len(trail)
+    cycles, or None.  Each failed repair restores the post-move state."""
+    moved = pair.snapshot()
     for _ in range(params.attempt_limit if pair.broken else 1):
-        if _repair_all(pair, rng, trail, recursive):
+        if _repair_all(pair, rng, recursive):
             found = components(pair)
             if found.total < base:
                 return found
-        rollback(pair, trail, checkpoint)
+        pair.restore(moved)
     return None
 
 
-def _dive(pair, params, rng, trail, recursive, base, depth=1):
+def _dive(pair, params, rng, recursive, base, depth=1):
     """Second neighbourhood: backtracking over the repair choices down to
-    `depth_limit`; the report of an improving completion, or None."""
+    `depth_limit`; the report of an improving completion, or None.  A
+    failed branch restores the snapshot taken before the branches, so
+    None leaves the pair as it was."""
     if not pair.broken:
         found = components(pair)
         return found if found.total < base else None
@@ -302,13 +271,13 @@ def _dive(pair, params, rng, trail, recursive, base, depth=1):
         return None
     v = sorted(pair.broken)[int(rng.random() * len(pair.broken))]
     want, pool = _repair_pool(pair, v)
+    branch = pair.snapshot()
     for eid in pool:
-        mark = len(trail)
-        if fix_edge(pair, eid, want, trail, recursive):
-            found = _dive(pair, params, rng, trail, recursive, base, depth + 1)
+        if fix_edge(pair, eid, want, recursive):
+            found = _dive(pair, params, rng, recursive, base, depth + 1)
             if found:
                 return found
-        rollback(pair, trail, mark)
+        pair.restore(branch)
     return None
 
 
@@ -327,8 +296,7 @@ def _descend(pair, params, rng, recursive, completions, cut_sink, trace,
     while best.total > 2:
         base, complete = best.total, completions[k]
         found = _sweep(pair, rng, recursive, cut_sink, trace, deadline,
-                       lambda trail: complete(pair, params, rng, trail,
-                                              recursive, base))
+                       lambda: complete(pair, params, rng, recursive, base))
         if found:
             best, k = found, 0
         else:

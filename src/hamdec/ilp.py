@@ -206,7 +206,7 @@ def solve(model: IlpModel, budget_s: float, zeros=()) -> SolveOutcome:
     """Search for a feasible point; `zeros` are binaries fixed to 0
     before the root propagation, bounds of this search and not rows."""
     deadline = time.monotonic() + budget_s
-    if budget_s <= 0:
+    if not budget_s > 0:  # a NaN budget counts as spent too
         return SolveOutcome(Status.TIMED_OUT, None, 0, 0)
 
     nvars = len(model.names)

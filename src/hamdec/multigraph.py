@@ -225,6 +225,10 @@ class TwoFactorPair:
     slots holds other than `cap` Z-edges: the 2-factor contract is 2
     undirected, 1-in/1-out directed.  W counts are complements, so a
     vertex is broken in Z exactly when it is broken in W.
+
+    `snapshot()` copies this state and `restore(state)` writes a copy
+    back in place, as often as needed: the search undoes a failed move
+    that way.
     """
 
     def __init__(self, graph: UnionMultigraph, sides):
@@ -271,6 +275,18 @@ class TwoFactorPair:
             pins = self.pinned[self.side[edge_id]]
             pins[g.slot_a[edge_id]] += d
             pins[g.slot_b[edge_id]] += d
+
+    def snapshot(self) -> tuple:
+        pin_z, pin_w = self.pinned
+        return (self.side[:], self.fixed[:], self.deg_z[:], pin_z[:],
+                pin_w[:], set(self.broken))
+
+    def restore(self, state: tuple) -> None:
+        side, fixed, deg_z, pin_z, pin_w, broken = state
+        self.side[:], self.fixed[:], self.deg_z[:] = side, fixed, deg_z
+        self.pinned[Z][:], self.pinned[W][:] = pin_z, pin_w
+        self.broken.clear()
+        self.broken.update(broken)
 
     def factor_multiset(self, side: int) -> tuple:
         pairs = [

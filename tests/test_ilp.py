@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -264,8 +265,12 @@ def test_pigeonhole_proved_infeasible():
 
 
 def test_zero_budget_times_out():
-    out = solve(pigeonhole(4), 0)
-    assert out.status is Status.TIMED_OUT
+    for budget in (0, math.nan):
+        assert solve(pigeonhole(4), budget).status is Status.TIMED_OUT
+    # a feasible one-binary model: a NaN budget must not search unbounded
+    m = IlpModel()
+    m.add_binary("b")
+    assert solve(m, math.nan).status is Status.TIMED_OUT
 
 
 def test_tight_budget_times_out_not_infeasible():

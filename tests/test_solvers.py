@@ -1,4 +1,5 @@
 import hashlib
+import math
 import time
 
 import numpy as np
@@ -177,14 +178,15 @@ def test_variant_must_match_directedness():
 
 def test_zero_budget_times_out():
     x, y, g = random_instance(10, 2, directed=False)
-    for res in (
-        solve_dfj(g, x, y, 0.0),
-        solve_mtz(g, x, y, 0.0),
-        solve_dfj_heuristic(g, x, y, HeuristicParams(), 0.0),
-    ):
-        assert res.verdict is Verdict.TIMED_OUT
-        assert res.witness is None
-        assert res.iterations == 1
+    for budget in (0.0, math.nan):
+        for res in (
+            solve_dfj(g, x, y, budget),
+            solve_mtz(g, x, y, budget),
+            solve_dfj_heuristic(g, x, y, HeuristicParams(), budget),
+        ):
+            assert res.verdict is Verdict.TIMED_OUT
+            assert res.witness is None
+            assert res.iterations == 1
 
 
 def test_mtz_budget_holds_inside_propagation():
