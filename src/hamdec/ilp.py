@@ -8,6 +8,16 @@ first, in declaration order, so a search returns the lexicographically
 greatest feasible point.  A caller may fix binaries to 0 at the root of
 one search without adding rows to the model.
 
+A binary doubleton equality, c*x + c*y = c or c*x - c*y = 0, puts x and
+y in one class, y = 1 - x or y = x (doubleton equations, Achterberg,
+Bixby, Gu, Rothberg & Weninger, 2020).  Each variable maps to a literal
+2r + f: its class's representative r, and f = 1 when it is 1 - r.  The
+search runs over representatives, branches on the first open model
+variable to the value that sets it to 1, and checks each leaf as a full
+assignment.  Other rows keep one bound per term, not one summed
+coefficient per representative, so propagation reaches the fixpoint it
+reaches over the full model and the search tree is the same.
+
 Every bound is a lower bound (the bound literals of lazy clause
 generation, Ohrimenko, Stuckey & Codish, 2009): bound 2v is lo(v) and
 bound 2v+1 is -hi(v), a lower bound on -v, so the domain is empty once
@@ -19,25 +29,28 @@ row raising a general integer one unit at a time still leaves one
 entry, holding the bound from before the segment, which is what a
 backtrack restores (time stamps after Aggoun & Beldiceanu, 1990).
 
-Every row is kept as one or two `<=` halves, sum(c*x) <= rhs: the row
-itself unless it is >=, and its negation unless it is <=, so an = row
-is two (the normal form of MIP presolve, Achterberg et al., 2020).
-Each half has a reach: the largest coefficient-times-initial-width of
-its terms.  A half whose slack is at least its reach can neither
-conflict nor tighten a bound, so the root queues only the halves whose
-least activity is past rhs - reach, and a bound change queues a half
-only when it takes the half's least activity past that threshold.  A
-queued half stays past it: activities only rise until a backtrack
-empties the queue.  Propagation checks the deadline every 1024 halves
-it takes off the queue, so a budget holds even when a single fixpoint
-is long.
+Every row but a joined doubleton is kept as one or two `<=` halves,
+sum(c*x) <= rhs: the row itself unless it is >=, and its negation
+unless it is <=, so an = row is two (the normal form of MIP presolve).  Each half has a reach:
+the largest coefficient-times-initial-width of its terms.  A half whose
+slack is at least its reach can neither conflict nor tighten a bound,
+so the root queues only the halves whose least activity is past
+rhs - reach, and a bound change queues a half only when it takes the
+half's least activity past that threshold.  A queued half stays past
+it: activities only rise until a backtrack empties the queue.  A raise
+of a binary queues at the back, one of a general integer at the front,
+so an order row's consequences run down its path before other rows
+pile onto the same integers.  A pop takes one half off the queue;
+propagation checks the deadline every 1024 pops, so a budget holds
+even when a single fixpoint is long.
 
-The model keeps its half index as rows arrive: each half's terms, rhs,
-least activity at the declared domains and threshold.  A half term is
-one tuple (half, a, k), with a = |c| and k the bound at which c*x is
-least (2v if c > 0, else 2v+1), so the term's least is a * bound[k].
-The same tuple sits in its half's terms and in bound k's list of the
-terms it moves; a row's negated half uses k ^ 1.  A solve copies the
+Each solve first adds the rows that arrived since the last one to the
+half index, inside its budget; a doubleton that joins two classes after
+rows were indexed clears it.  A half holds its terms (a, k), with a = |c|
+and k the bound at which the term is least (2r if c > 0, else 2r+1,
+swapped for a flipped term, whose constant moves to the rhs), its rhs,
+least activity at the declared domains and threshold.  Bound k lists
+(half, a), a summed over the half's terms at k.  A solve copies the
 activity list instead of rescanning every term, so the cutting loop's
 repeated solves of a growing model pay O(halves) each for set-up.
 """
@@ -48,7 +61,7 @@ import enum
 import time
 from collections import deque
 from dataclasses import dataclass
-from operator import mul
+from operator import le, mul
 from typing import NamedTuple
 
 LE, GE, EQ = "<=", ">=", "="
@@ -73,7 +86,7 @@ class SolveOutcome:
     status: Status
     assignment: list[int] | None
     nodes: int
-    pops: int  # halves taken off the propagation queue; = rows have two
+    pops: int  # halves taken off the queue; a joined doubleton has none
 
 
 class IlpModel:
@@ -89,13 +102,21 @@ class IlpModel:
         self.binary: list[bool] = []
         self.constraints: list[LinearConstraint] = []
         self._bound: list[int] = []  # lo(v) at 2v, -hi(v) at 2v+1
+        # doubleton classes (see the module docstring): per variable its
+        # literal 2r + f, and per representative r its class's members
+        self._lit: list[int] = []
+        self._members: list[list[int]] = []
+        self._rows: list[LinearConstraint] = []  # rows not joined away
+        self._clear_index()
+
+    def _clear_index(self):
         # half index (see the module docstring): per half its (terms,
-        # rhs), least activity and queueing threshold; per bound the
-        # half terms that it moves
-        self._halves: list[tuple[tuple[tuple[int, int, int], ...], int]] = []
+        # rhs), least activity and threshold; per bound the halves it moves
+        self._indexed = 0  # rows of _rows in the index
+        self._halves: list[tuple[list[tuple[int, int]], int]] = []
         self._minact: list[int] = []
         self._le_at: list[int] = []
-        self._bound_terms: list[list[tuple[int, int, int]]] = []
+        self._bound_terms: list[list[tuple[int, int]]] = []
 
     @property
     def lo(self) -> list[int]:
@@ -115,10 +136,11 @@ class IlpModel:
         if lo > hi:
             raise ValueError(f"empty domain for {name}")
         self.var_of[name] = len(self.names)
+        self._lit.append(2 * len(self.names))
+        self._members.append([len(self.names)])
         self.names.append(name)
         self._bound += (int(lo), -int(hi))
         self.binary.append(False)
-        self._bound_terms += ([], [])
         return len(self.names) - 1
 
     def add_binary(self, name: str) -> int:
@@ -143,32 +165,78 @@ class IlpModel:
                 raise ValueError(f"constraint {name} uses unknown var {v}")
         if 0 in coefs:
             raise ValueError(f"constraint {name} has a zero coefficient")
-        rhs = int(rhs)
-        self.constraints.append(LinearConstraint(coefs, vars_, sense, rhs, name))
-        own, negated = sense != GE, sense != LE  # which halves the row has
-        h = len(self._halves)  # the own half; the negated one is h + own
-        bound, bound_terms = self._bound, self._bound_terms
-        own_terms, neg_terms = [], []
-        least = neg_least = reach = 0
-        for c, v in zip(coefs, vars_):
-            a, k = (c, 2 * v) if c > 0 else (-c, 2 * v + 1)
-            width = a * -(bound[k] + bound[k ^ 1])
-            if width > reach:
-                reach = width
+        row = LinearConstraint(coefs, vars_, sense, int(rhs), name)
+        self.constraints.append(row)
+        joined = self._join(row) if len(vars_) == 2 and sense == EQ else None
+        if joined is None:
+            self._rows.append(row)
+        elif joined and self._halves:  # indexed rows name stale classes
+            self._clear_index()
+
+    def _join(self, row) -> bool | None:
+        """None if `row` stays a row (a doubleton that closes a class with
+        the wrong parity does), else whether it joined two classes."""
+        (c, d), (x, y) = row.coefs, row.vars  # an = row with two terms
+        if x == y or not (self.binary[x] and self.binary[y]):
+            return None
+        if not (c == d == row.rhs or c == -d and row.rhs == 0):
+            return None
+        odd = c == d  # y = 1 - x, else y = x
+        lit, members = self._lit, self._members
+        f = (lit[x] ^ lit[y] ^ odd) & 1  # flip from one class to the other
+        r, s = lit[x] >> 1, lit[y] >> 1
+        if r == s:
+            return False if not f else None
+        if len(members[r]) < len(members[s]):
+            r, s = s, r
+        for v in members[s]:
+            lit[v] = 2 * r + ((lit[v] ^ f) & 1)
+        members[r] += members[s]
+        members[s] = []
+        return True
+
+    def _index(self) -> None:
+        """Add the halves of every row added since the last call."""
+        bound, lit = self._bound, self._lit
+        bound_terms, halves = self._bound_terms, self._halves
+        bound_terms += [[] for _ in range(len(bound) - len(bound_terms))]
+        for coefs, vars_, sense, rhs, _ in self._rows[self._indexed:]:
+            own, negated = sense != GE, sense != LE  # which halves it has
+            h = len(halves)  # the own half; the negated one is h + own
+            terms = []  # (a, k): one per term of the row, a * y_k
+            least = neg_least = reach = 0
+            for c, v in zip(coefs, vars_):
+                k = lit[v]
+                if k & 1:  # a flipped term c * (1 - r) moves c to the rhs
+                    rhs -= c
+                if c < 0:
+                    c, k = -c, k ^ 1
+                terms.append((c, k))
+                width = c * -(bound[k] + bound[k ^ 1])
+                if width > reach:
+                    reach = width
+                # a bound lists one (half, a) per half; this half's entry,
+                # once there, is the bound's last, so terms add up into it
+                if own:
+                    least += c * bound[k]
+                    moved = bound_terms[k]
+                    if moved and moved[-1][0] == h:
+                        moved[-1] = (h, moved[-1][1] + c)
+                    else:
+                        moved.append((h, c))
+                if negated:
+                    neg_least += c * bound[k ^ 1]
+                    moved = bound_terms[k ^ 1]
+                    if moved and moved[-1][0] == h + own:
+                        moved[-1] = (h + own, moved[-1][1] + c)
+                    else:
+                        moved.append((h + own, c))
             if own:
-                term = (h, a, k)
-                own_terms.append(term)
-                bound_terms[k].append(term)
-                least += a * bound[k]
+                self._add_half(terms, rhs, least, reach)
             if negated:
-                term = (h + own, a, k ^ 1)
-                neg_terms.append(term)
-                bound_terms[k ^ 1].append(term)
-                neg_least += a * bound[k ^ 1]
-        if own:
-            self._add_half(own_terms, rhs, least, reach)
-        if negated:
-            self._add_half(neg_terms, -rhs, neg_least, reach)
+                self._add_half([(a, k ^ 1) for a, k in terms], -rhs,
+                               neg_least, reach)
+        self._indexed = len(self._rows)
 
     def _add_half(self, terms, rhs, least, reach):
         self._halves.append((terms, rhs))
@@ -185,7 +253,12 @@ class IlpModel:
         self.add_constraint(terms, EQ, rhs, name)
 
     def check(self, assignment) -> bool:
-        """Exact satisfaction check of every constraint."""
+        """Exact check: one value per variable, in its declared domain,
+        satisfying every constraint."""
+        if len(assignment) != len(self.names) or not (
+                all(map(le, self.lo, assignment))
+                and all(map(le, assignment, self.hi))):
+            return False
         value = assignment.__getitem__
         for coefs, vars_, sense, rhs, _ in self.constraints:
             acc = sum(map(mul, coefs, map(value, vars_)))
@@ -209,7 +282,9 @@ def solve(model: IlpModel, budget_s: float, zeros=()) -> SolveOutcome:
     if not budget_s > 0:  # a NaN budget counts as spent too
         return SolveOutcome(Status.TIMED_OUT, None, 0, 0)
 
+    model._index()
     nvars = len(model.names)
+    lit = model._lit
     bound = list(model._bound)
     halves = model._halves
     nhalves = len(halves)
@@ -223,7 +298,8 @@ def solve(model: IlpModel, budget_s: float, zeros=()) -> SolveOutcome:
     # the root queues only the halves already past their threshold
     queued = [minact[h] > le_at[h] for h in range(nhalves)]
     pending = deque([h for h in range(nhalves) if queued[h]])
-    push = pending.append
+    binary = model.binary
+    push_back, push_front = pending.append, pending.appendleft
 
     # a bound change queues a half once the least activity it raises
     # passes the half's threshold, i.e. once its slack falls below reach
@@ -237,7 +313,9 @@ def solve(model: IlpModel, budget_s: float, zeros=()) -> SolveOutcome:
             trail.append((k, old))
         bound[k] = val
         d = val - old
-        for h, a, _ in bound_terms[k]:
+        # a general integer's halves go first (see the module docstring)
+        push = push_back if binary[k >> 1] else push_front
+        for h, a in bound_terms[k]:
             act = minact[h] + a * d
             minact[h] = act
             if act > le_at[h] and not queued[h]:
@@ -250,7 +328,7 @@ def solve(model: IlpModel, budget_s: float, zeros=()) -> SolveOutcome:
             k, old = trail.pop()
             d = old - bound[k]
             bound[k] = old
-            for h, a, _ in bound_terms[k]:
+            for h, a in bound_terms[k]:
                 minact[h] += a * d
         while pending:
             queued[pending.pop()] = False
@@ -275,7 +353,7 @@ def solve(model: IlpModel, budget_s: float, zeros=()) -> SolveOutcome:
                 return True
             # the term is a * y with y >= bound[k] (y = x, or -x if k is
             # odd) and may rise by slack, so -y >= -bound[k] - slack // a
-            for _, a, k in terms:
+            for a, k in terms:
                 new = -bound[k] - slack // a
                 if new > bound[k ^ 1] and raise_bound(k ^ 1, new):
                     return True
@@ -283,7 +361,8 @@ def solve(model: IlpModel, budget_s: float, zeros=()) -> SolveOutcome:
 
     def first_open(start):
         for v in range(start, nvars):
-            if bound[2 * v] + bound[2 * v + 1] < 0:
+            k = lit[v]
+            if bound[k] + bound[k ^ 1] < 0:
                 return v
         return None
 
@@ -292,23 +371,31 @@ def solve(model: IlpModel, budget_s: float, zeros=()) -> SolveOutcome:
 
     nodes = 1
     try:
-        if any(raise_bound(2 * v + 1, 0) for v in zeros) or propagate():
+        # v = 0 raises bound k ^ 1 of v's literal k = 2r + f to f: -r >= 0,
+        # or r >= 1 if v = 1 - r
+        zero_fix = any(raise_bound(lit[v] ^ 1, lit[v] & 1) for v in zeros)
+        if zero_fix or propagate():
             return outcome(Status.INFEASIBLE)
         # frames: (bound, value it takes on backtrack, trail mark before
-        # this decision); once a step raises bound k, every variable
-        # below k >> 1 is fixed
-        frames: list[tuple[int, int, int]] = []
-        k = 0
+        # this decision, the decision's variable); once a step decides
+        # model variable v, every variable below v is fixed
+        frames: list[tuple[int, int, int, int]] = []
+        v = 0
         while True:
-            v = first_open(k >> 1)
+            v = first_open(v)
             if v is None:
-                assignment = bound[::2]
+                # lo(x) is bound[k] + f for x's literal k = 2r + f
+                assignment = [bound[k] + (k & 1) for k in lit]
                 if not model.check(assignment):
                     raise AssertionError("propagation accepted a bad leaf")
                 return outcome(Status.FEASIBLE, assignment)
-            mid = (bound[2 * v] - bound[2 * v + 1]) // 2
-            frames.append((2 * v + 1, -mid, len(trail)))
-            k, val = 2 * v, mid + 1
+            # split the domain of y = r (or -r = v - 1 if v is flipped),
+            # bounded below by bound k, at its midpoint: the upper half
+            # of y is the upper half of v
+            k = lit[v]
+            mid = (bound[k] - bound[k ^ 1]) // 2
+            frames.append((k ^ 1, -mid, len(trail), v))
+            val = mid + 1
             # one step per node: the decision, then backtracks on conflict
             while True:
                 segment += 1
@@ -320,7 +407,7 @@ def solve(model: IlpModel, budget_s: float, zeros=()) -> SolveOutcome:
                     break
                 if not frames:
                     return outcome(Status.INFEASIBLE)
-                k, val, mark = frames.pop()
+                k, val, mark, v = frames.pop()
                 undo_to(mark)
     except _Deadline:
         return outcome(Status.TIMED_OUT)

@@ -114,12 +114,13 @@ def _narrow(terms, rhs, lo, hi):
     return moved
 
 
-def reference_solve(model):
+def reference_solve(model, zeros=()):
     """solve's search, propagating by sweeping every row until no change.
 
-    Branches on the first open variable, upper half first, and counts
-    every propagated domain as a node, as solve does.  Returns
-    (status, assignment, nodes).
+    Works on the full model: every row, every variable.  Branches on the
+    first open variable, upper half first, and counts every propagated
+    domain as a node, as solve does; `zeros` cap binaries at 0 before
+    the root.  Returns (status, assignment, nodes).
     """
     sides = []
     for con in model.constraints:
@@ -154,7 +155,10 @@ def reference_solve(model):
                 return found
         return None
 
-    found = search(list(model.lo), list(model.hi))
+    hi = list(model.hi)
+    for v in zeros:
+        hi[v] = 0
+    found = search(list(model.lo), hi)
     status = Status.INFEASIBLE if found is None else Status.FEASIBLE
     return status, found, nodes
 
@@ -373,12 +377,174 @@ def test_solve_matches_sweeping_reference_on_structured_models():
         )
 
 
+def doubleton_model(seed):
+    """Random models made mostly of two-term equalities over binaries.
+
+    At random scales and signs, c*x + c*y = c and c*x - c*y = 0 link
+    binaries into chains, redundant cycles and odd cycles.  Mixed in
+    are two-term equalities that must stay rows (x + y = 0, x + y = 2,
+    x - y = 1, a binary twice, a binary with a general) and wider rows
+    near one random point, in which a class can appear with both flips.
+    Returns (model, zeros, late): `late` rows arrive after a first solve.
+    """
+    rng = np.random.default_rng(seed)
+    m = IlpModel()
+    nbin = int(rng.integers(4, 11))
+    for i in range(nbin):
+        m.add_binary(f"x_{i}")
+    for i in range(int(rng.integers(0, 3))):
+        m.add_int(f"y_{i}", -1, int(rng.integers(0, 3)))
+    nvars = len(m.names)
+    point = [int(rng.integers(lo, hi + 1)) for lo, hi in zip(m.lo, m.hi)]
+
+    def two_term():
+        x, y = (int(v) for v in rng.choice(nbin, size=2, replace=False))
+        if rng.random() < 0.1:  # x twice, or x with a general
+            y = int(rng.choice([x] + list(range(nbin, nvars))))
+        c = int(rng.choice([-2, -1, 1, 2]))
+        # (sign, rhs) of c*x + sign*c*y = rhs: the first two forms join
+        forms = [(1, c), (-1, 0), (1, c), (-1, 0), (1, 0), (1, 2 * c), (-1, c)]
+        # mostly forms that the point satisfies, so that some models stay
+        # feasible after many rows
+        near = [(sign, rhs) for sign, rhs in forms
+                if c * point[x] + sign * c * point[y] == rhs]
+        pool = near if near and rng.random() < 0.8 else forms
+        sign, rhs = pool[int(rng.integers(0, len(pool)))]
+        return [(c, x), (sign * c, y)], rhs
+
+    rows = []
+    for _ in range(int(rng.integers(3, 13))):
+        rows.append((*two_term(), EQ))
+    for _ in range(int(rng.integers(1, 5))):
+        arity = int(rng.integers(2, min(6, nvars + 1)))
+        vs = rng.choice(nvars, size=arity, replace=False)
+        coefs = rng.choice([-3, -2, -1, 1, 2, 3], size=arity)
+        terms = [(int(c), int(v)) for c, v in zip(coefs, vs)]
+        sense = (LE, GE, EQ)[int(rng.integers(0, 3))]
+        rhs = sum(c * point[v] for c, v in terms)
+        rhs += {LE: 1, GE: -1, EQ: 0}[sense] * int(rng.integers(-1, 2))
+        rows.append((terms, rhs, sense))
+    for i in rng.permutation(len(rows)):
+        terms, rhs, sense = rows[i]
+        m.add_constraint(terms, sense, rhs, f"r_{i}")
+    zeros = [int(v) for v in rng.choice(nbin, size=int(rng.integers(0, 3)))]
+    late = [two_term() for _ in range(int(rng.integers(1, 4)))]
+    return m, zeros, late
+
+
+def test_solve_matches_reference_on_doubleton_models():
+    statuses = set()
+    for seed in range(300):
+        m, zeros, late = doubleton_model(seed)
+        for step in ("first", "late"):
+            out = solve(m, 30, zeros)
+            assert (out.status, out.assignment, out.nodes) == (
+                reference_solve(m, zeros)
+            ), f"seed {seed}, {step} solve"
+            statuses.add(out.status)
+            for k, (terms, rhs) in enumerate(late):
+                m.add_eq(terms, rhs, f"late_{k}")
+    assert statuses == {Status.FEASIBLE, Status.INFEASIBLE}
+
+
+# (rows, zeros, status, assignment) over binaries x_0..x_3 and a general
+# g in 0..2; a row is (terms over variable ids, sense, rhs)
+DOUBLETON_CASES = {
+    "chain": (
+        [([(1, 0), (1, 1)], EQ, 1), ([(1, 1), (-1, 2)], EQ, 0),
+         ([(2, 2), (2, 3)], EQ, 2)],
+        (), "feasible", [1, 0, 0, 1, 2]),
+    "redundant cycle": (
+        [([(1, 0), (1, 1)], EQ, 1), ([(1, 1), (1, 2)], EQ, 1),
+         ([(1, 0), (-1, 2)], EQ, 0), ([(1, 0), (1, 3)], LE, 1)],
+        (), "feasible", [1, 0, 1, 0, 2]),
+    "odd cycle": (
+        [([(1, 0), (1, 1)], EQ, 1), ([(1, 1), (1, 2)], EQ, 1),
+         ([(1, 0), (1, 2)], EQ, 1)],
+        (), "infeasible", None),
+    "scaled": (
+        [([(-2, 0), (-2, 1)], EQ, -2), ([(3, 1), (-3, 2)], EQ, 0)],
+        (), "feasible", [1, 0, 0, 1, 2]),
+    "x + y = 0 and x + y = 2": (
+        [([(1, 0), (1, 1)], EQ, 0), ([(1, 2), (1, 3)], EQ, 2)],
+        (), "feasible", [0, 0, 1, 1, 2]),
+    "x - y = 1": ([([(1, 0), (-1, 1)], EQ, 1)], (), "feasible", [1, 0, 1, 1, 2]),
+    "binary and general": ([([(1, 0), (1, 4)], EQ, 1)], (), "feasible",
+                           [1, 1, 1, 1, 0]),
+    # summed coefficients would fix x_0 = 0 at the root: 3 nodes, not 5
+    "both flips in one row": (
+        [([(1, 2), (1, 3)], EQ, 1), ([(1, 0), (1, 2), (1, 3)], LE, 1)],
+        (), "feasible", [0, 1, 1, 0, 2]),
+    "zero on a flipped member": (
+        [([(1, 0), (1, 1)], EQ, 1)], (1,), "feasible", [1, 0, 1, 1, 2]),
+    "zeros on both members": (
+        [([(1, 0), (1, 1)], EQ, 1)], (0, 1), "infeasible", None),
+    "doubleton after a row": (
+        [([(1, 0), (1, 2)], LE, 1), ([(1, 0), (-1, 2)], EQ, 0)],
+        (), "feasible", [0, 1, 0, 1, 2]),
+}
+
+
+@pytest.mark.parametrize("case", DOUBLETON_CASES)
+def test_doubleton_cases_match_reference(case):
+    rows, zeros, status, assignment = DOUBLETON_CASES[case]
+    m = IlpModel()
+    for i in range(4):
+        m.add_binary(f"x_{i}")
+    m.add_int("g", 0, 2)
+    for k, (terms, sense, rhs) in enumerate(rows):
+        m.add_constraint(terms, sense, rhs, f"r_{k}")
+    out = solve(m, 10, zeros)
+    assert (out.status.value, out.assignment) == (status, assignment)
+    assert (out.status, out.assignment, out.nodes) == reference_solve(m, zeros)
+
+
+def test_doubleton_joining_classes_after_a_solve_rebuilds_the_index():
+    # the row over x_0 and x_2 is indexed by the first solve; the late
+    # doubleton makes x_2 = 1 - x_0, which the index must then express
+    m = IlpModel()
+    xs = [m.add_binary(f"x_{i}") for i in range(4)]
+    m.add_eq([(1, xs[0]), (1, xs[1])], 1, "d_01")
+    m.add_ge([(1, xs[0]), (1, xs[2]), (-1, xs[3])], 1, "wide")
+    first = solve(m, 10)
+    assert first.assignment == [1, 0, 1, 1]
+    m.add_eq([(1, xs[1]), (-1, xs[2])], 0, "d_12")
+    m.add_le([(1, xs[0]), (1, xs[3])], 1, "cap")
+    out = solve(m, 10)
+    assert (out.status, out.assignment, out.nodes) == reference_solve(m)
+    assert out.assignment == [1, 0, 0, 0]
+    fresh = solve(parse_lp(export_lp(m)), 10)
+    assert (fresh.status, fresh.assignment, fresh.nodes, fresh.pops) == (
+        out.status, out.assignment, out.nodes, out.pops
+    )
+
+
+def test_check_rejects_wrong_lengths_and_values_outside_domains():
+    # a merged binary's leaf value is derived from its class, so the
+    # check must hold every value to its declared domain
+    m = IlpModel()
+    x, y = m.add_binary("x"), m.add_binary("y")
+    u = m.add_int("u", -1, 2)
+    m.add_le([(1, x), (1, y), (1, u)], 3, "loose")
+    assert m.check([1, 1, 0])
+    assert not m.check([2, 0, 0])  # satisfies the row, not x's domain
+    assert not m.check([1, 1, 3])
+    assert not m.check([1, 1, -2])
+    assert not m.check([1, 1])
+    assert not m.check([1, 1, 0, 0])
+
+
+# sha256 of repr([(status, nodes, assignment), ...]) over search_corpus():
+# the search tree, which joining doubleton equalities into classes keeps
+PINNED_SEARCH_TREE_SHA256 = (
+    "2f96640ea42167dbd944e423b4d75be20b2e3b6c2d7026d7210de6b5d97a5913"
+)
 # sha256 of repr([(status, nodes, pops, assignment), ...]) over
 # search_corpus(); a change to the engine that keeps verdicts but moves
 # the search (its branching, its propagation order, which halves it
 # queues) changes this digest
 PINNED_SEARCH_SHA256 = (
-    "5d3eb828569c2cfcf988bcb6e43b9b8085ebf109f1b81c79d1bc0ffc9fc66c73"
+    "a9e1835d19b9a82a5fe1a41de3cbea480ba6a3924f18e365fd7fd5b0921c3fb5"
 )
 
 
@@ -401,13 +567,38 @@ def search_corpus():
 
 
 def test_search_is_pinned_node_for_node():
-    outcomes = []
+    trees, outcomes = [], []
     for m, zeros in search_corpus():
         out = solve(m, 60, zeros)
         assert out.status is not Status.TIMED_OUT
+        trees.append((out.status.value, out.nodes, out.assignment))
         outcomes.append((out.status.value, out.nodes, out.pops, out.assignment))
-    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
-    assert digest == PINNED_SEARCH_SHA256
+
+    def digest(items):
+        return hashlib.sha256(repr(items).encode()).hexdigest()
+
+    assert digest(trees) == PINNED_SEARCH_TREE_SHA256
+    assert digest(outcomes) == PINNED_SEARCH_SHA256
+
+
+# build_dfj_base on rp dir n=64, seeds 7000-7009, each solved once with
+# its higher parallel copies fixed to 0, when every row was indexed over
+# the model's own variables: each degree row popped once per arc of its
+# alternating cycle
+UNJOINED_POPS, UNJOINED_NODES = 2847, 57
+
+
+def test_directed_degree_rows_leave_the_queue():
+    pops = nodes = 0
+    for seed in range(7000, 7010):
+        spec = InstanceSpec(InstanceKind.RANDOM_PERMUTATION, 64, True, seed)
+        _, _, g = generate_instance(spec)
+        m, z_terms = build_dfj_base(g)
+        out = solve(m, 60, higher_copy_terms(g, z_terms))
+        pops += out.pops
+        nodes += out.nodes
+    assert nodes == UNJOINED_NODES
+    assert pops <= UNJOINED_POPS // 10
 
 
 def test_row_index_follows_rows_and_variables_added_between_solves():
