@@ -444,11 +444,13 @@ PINNED_HEURISTIC_SHA256 = (
 )
 
 
-def test_heuristic_runs_match_pinned_digest():
+def _heuristic_run_digest(runs, n):
+    """SHA-256 and accepted-move counts per variant over `runs`, hashing
+    the fields of `PINNED_HEURISTIC_SHA256`."""
     digest = hashlib.sha256()
     accepted = {}
-    for kind, directed, variant, seed in PINNED_HEURISTIC_RUNS:
-        x, y, g = generate_instance(InstanceSpec(kind, 48, directed, seed))
+    for kind, directed, variant, seed in runs:
+        x, y, g = generate_instance(InstanceSpec(kind, n, directed, seed))
         res = solve_dfj_heuristic(
             g, x, y, HeuristicParams(seed=seed), BUDGET, variant=variant
         )
@@ -460,9 +462,14 @@ def test_heuristic_runs_match_pinned_digest():
         )).encode())
         moves = sum(len(s) - 1 for s in res.trace.sequences)
         accepted[variant] = accepted.get(variant, 0) + moves
+    return digest.hexdigest(), accepted
+
+
+def test_heuristic_runs_match_pinned_digest():
+    digest, accepted = _heuristic_run_digest(PINNED_HEURISTIC_RUNS, 48)
     # each search must have accepted moves, or the pin shows nothing
     assert min(accepted.values()) > 0, accepted
-    assert digest.hexdigest() == PINNED_HEURISTIC_SHA256, accepted
+    assert digest == PINNED_HEURISTIC_SHA256, accepted
 
 
 # SHA-256 of the repr of every heuristic pinned run's (verdict,
@@ -488,6 +495,27 @@ def test_pinned_heuristic_runs_keep_their_moves():
             accepted,
         )).encode())
     assert digest.hexdigest() == PINNED_MOVES_SHA256
+
+
+# Both undirected searches on pyramidal unions, the kind with the most
+# parallel pairs, where most search passes slide back to {x, y}.
+PINNED_PYRAMIDAL_HEURISTIC_RUNS = [
+    (InstanceKind.PYRAMIDAL, False, variant, seed)
+    for variant in ("vnd", "vnd-fix")
+    for seed in range(100, 130)
+]
+# SHA-256 over the fields of `PINNED_HEURISTIC_SHA256`, n=20.
+PINNED_PYRAMIDAL_HEURISTIC_SHA256 = (
+    "5f5ccfd45d0898f0488c7a27e4e027cd80cf4b314f68b4e904166e8887baa430"
+)
+
+
+def test_pyramidal_heuristic_runs_match_pinned_digest():
+    digest, accepted = _heuristic_run_digest(
+        PINNED_PYRAMIDAL_HEURISTIC_RUNS, 20
+    )
+    assert min(accepted.values()) > 0, accepted
+    assert digest == PINNED_PYRAMIDAL_HEURISTIC_SHA256, accepted
 
 
 # Every run of the exact-engine pin below: the cutting loop on undirected
