@@ -61,7 +61,7 @@ import enum
 import time
 from collections import deque
 from dataclasses import dataclass
-from operator import le, mul
+from operator import index, le, mul
 from typing import NamedTuple
 
 LE, GE, EQ = "<=", ">=", "="
@@ -133,13 +133,19 @@ class IlpModel:
             raise ValueError(f"variable name {name!r} is not one LP token")
         if name in self.var_of:
             raise ValueError(f"duplicate variable name {name!r}")
+        try:  # int() would truncate 2.5 to 2
+            lo, hi = index(lo), index(hi)
+        except TypeError:
+            raise ValueError(
+                f"variable {name} has a non-integer bound"
+            ) from None
         if lo > hi:
             raise ValueError(f"empty domain for {name}")
         self.var_of[name] = len(self.names)
         self._lit.append(2 * len(self.names))
         self._members.append([len(self.names)])
         self.names.append(name)
-        self._bound += (int(lo), -int(hi))
+        self._bound += (lo, -hi)
         self.binary.append(False)
         return len(self.names) - 1
 
@@ -158,14 +164,20 @@ class IlpModel:
     def add_constraint(self, terms, sense: str, rhs: int, name: str) -> None:
         if sense not in (LE, GE, EQ):
             raise ValueError(f"unknown sense {sense!r}")
-        coefs = tuple([int(c) for c, _ in terms])
-        vars_ = tuple([int(v) for _, v in terms])
+        try:  # int() would truncate 1.5 to 1
+            coefs = tuple([index(c) for c, _ in terms])
+            vars_ = tuple([index(v) for _, v in terms])
+            rhs = index(rhs)
+        except TypeError:
+            raise ValueError(
+                f"constraint {name} has a non-integer number"
+            ) from None
         for v in vars_:
             if not 0 <= v < len(self.names):
                 raise ValueError(f"constraint {name} uses unknown var {v}")
         if 0 in coefs:
             raise ValueError(f"constraint {name} has a zero coefficient")
-        row = LinearConstraint(coefs, vars_, sense, int(rhs), name)
+        row = LinearConstraint(coefs, vars_, sense, rhs, name)
         self.constraints.append(row)
         joined = self._join(row) if len(vars_) == 2 and sense == EQ else None
         if joined is None:

@@ -288,14 +288,6 @@ class TwoFactorPair:
         self.broken.clear()
         self.broken.update(broken)
 
-    def factor_multiset(self, side: int) -> tuple:
-        pairs = [
-            (e.tail, e.head)
-            for e in self.graph.edges
-            if self.side[e.id] == side
-        ]
-        return normalize_pairs(pairs, self.graph.directed)
-
 
 @dataclass
 class ComponentReport:
@@ -366,12 +358,17 @@ def cycle_from_factor(pair: TwoFactorPair, side: int) -> HamCycle:
 def is_second_decomposition(
     pair: TwoFactorPair, x: HamCycle, y: HamCycle
 ) -> bool:
-    """True when the pair is a decomposition different from {x, y}."""
-    if pair.broken:
+    """True when the pair is a decomposition different from {x, y}.
+
+    `pair.graph` must be `build_union(x, y)`.  A Hamiltonian Z takes one
+    copy of every parallel pair, so the copies never tell {Z, W} from
+    {x, y}.  The pair is {x, y} exactly when every unshared edge sits on
+    its origin's side (Z = x), or every one sits on the other (Z = y),
+    so one pass over the unshared edges answers it.
+    """
+    if pair.broken or components(pair).total != 2:
         return False
-    report = components(pair)
-    if report.total != 2:
-        return False
-    got = sorted((pair.factor_multiset(Z), pair.factor_multiset(W)))
-    given = sorted((x.edge_multiset(), y.edge_multiset()))
-    return got != given
+    sides = pair.side  # Z = ORIGIN_X and W = ORIGIN_Y
+    at_home = {sides[e.id] == e.origin for e in pair.graph.edges
+               if e.partner is None}
+    return len(at_home) == 2

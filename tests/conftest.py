@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hamdec.multigraph import HamCycle, build_union
+from hamdec.multigraph import HamCycle, build_union, normalize_pairs
 
 
 def make_cycle(order, directed=False):
@@ -72,4 +72,36 @@ def sides_for_cycles(g, cycle_vertex_lists):
             e = find_edge(g, cyc[i], cyc[(i + 1) % len(cyc)], used=used)
             sides[e] = Z
             used.add(e)
+    return sides
+
+
+def factor_multiset(pair, side):
+    """Sorted edge multiset of one factor, comparable with
+    `HamCycle.edge_multiset`."""
+    pairs = [
+        (e.tail, e.head)
+        for e in pair.graph.edges
+        if pair.side[e.id] == side
+    ]
+    return normalize_pairs(pairs, pair.graph.directed)
+
+
+def witness_sides(g, z):
+    """Side vector whose Z factor realizes cycle z, first copies first,
+    or AssertionError."""
+    from collections import Counter
+
+    from hamdec.multigraph import W, Z
+
+    want = Counter(z.edge_multiset())
+    sides = [W] * len(g.edges)
+    for e in g.edges:
+        if g.directed:
+            key = (e.tail, e.head)
+        else:
+            key = tuple(sorted((e.tail, e.head)))
+        if want[key] > 0:
+            want[key] -= 1
+            sides[e.id] = Z
+    assert sum(want.values()) == 0
     return sides

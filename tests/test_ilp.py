@@ -634,6 +634,27 @@ def test_zero_coefficient_is_rejected_with_the_row_name():
     assert m.constraints == []
 
 
+def test_non_integer_numbers_are_rejected_with_their_name():
+    # int() would make x >= 1.5 read x >= 1, 1.7x <= 1 read x <= 1 and
+    # a domain 0.5..2.5 read 0..2
+    m = IlpModel()
+    x = m.add_binary("x")
+    with pytest.raises(ValueError, match="r_rhs"):
+        m.add_ge([(1, x)], 1.5, "r_rhs")
+    with pytest.raises(ValueError, match="r_coef"):
+        m.add_le([(1.7, x)], 1, "r_coef")
+    with pytest.raises(ValueError, match="g"):
+        m.add_int("g", 0.5, 2.5)
+    assert m.constraints == [] and m.names == ["x"]
+    assert solve(m, 10).status is Status.FEASIBLE
+    # integers of other types still pass, as Python ints
+    g = m.add_int("g", np.int64(0), np.int32(2))
+    m.add_le([(np.int64(2), x), (1, g)], np.int64(2), "r_np")
+    row = m.constraints[-1]
+    assert (m.lo[g], m.hi[g], row.coefs, row.rhs) == (0, 2, (2, 1), 2)
+    assert all(type(c) is int for c in row.coefs + (row.rhs, m.hi[g]))
+
+
 # ---------------------------------------------------------------- LP text
 
 def test_export_empty_model():

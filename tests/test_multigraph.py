@@ -19,14 +19,17 @@ from hamdec.multigraph import (
     normalize_pairs,
     peaks,
 )
+from hamdec.oracle import enumerate_decompositions
 
 from conftest import (
     RING6_W,
     RING6_Z,
+    factor_multiset,
     make_cycle,
     random_cycle,
     random_instance,
     sides_for_cycles,
+    witness_sides,
 )
 
 
@@ -361,6 +364,63 @@ def test_split_factor_is_not_second_decomposition(twin_triangles):
     g = build_union(x, y)
     sides = sides_for_cycles(g, [[1, 2, 6], [3, 4, 5]])
     assert not is_second_decomposition(TwoFactorPair(g, sides), x, y)
+
+
+def reference_is_second(pair, x, y):
+    """The sorted edge multiset comparison of both factors with x and y."""
+    if pair.broken or components(pair).total != 2:
+        return False
+    got = sorted((factor_multiset(pair, Z), factor_multiset(pair, W)))
+    return got != sorted((x.edge_multiset(), y.edge_multiset()))
+
+
+def second_decomposition_cases(g, rng):
+    """Side vectors over g: every decomposition in both factor orders,
+    with its parallel copies swapped too, plus broken and split states
+    (every vector when g has at most 12 edges, else random ones)."""
+    for z, w in enumerate_decompositions(g):
+        for cycle in (z, w):
+            sides = witness_sides(g, cycle)
+            yield sides
+            swapped = list(sides)
+            for e in g.edges:
+                if e.partner is not None:
+                    swapped[e.id] = sides[e.partner]
+            yield swapped
+    m = len(g.edges)
+    if m <= 12:
+        for bits in range(1 << m):
+            yield [(bits >> i) & 1 for i in range(m)]
+    else:
+        for _ in range(300):
+            yield [int(b) for b in rng.integers(0, 2, m)]
+
+
+def test_second_decomposition_test_matches_multiset_reference():
+    rng = np.random.default_rng(23)
+    answers = set()
+    for directed in (False, True):
+        for kind in InstanceKind:
+            for n in range(5, 11):
+                if kind is InstanceKind.FOUR_PEAK and n < 8:
+                    continue
+                x, y, _ = generate_instance(
+                    InstanceSpec(kind, n, directed, 40 + n)
+                )
+                for a, b in ((x, y), (x, x)):
+                    g = build_union(a, b)
+                    for sides in second_decomposition_cases(g, rng):
+                        pair = TwoFactorPair(g, sides)
+                        want = reference_is_second(pair, a, b)
+                        assert is_second_decomposition(pair, a, b) is want
+                        assert is_second_decomposition(pair, b, a) is want
+                        split = not pair.broken and components(pair).total > 2
+                        answers.add((want, pair.broken != set(), split))
+    # a second decomposition, {x, y} itself, a broken and a split state
+    assert answers >= {
+        (True, False, False), (False, False, False),
+        (False, True, False), (False, False, True),
+    }, answers
 
 
 def test_cycle_from_factor_rejects_split_factor(twin_triangles):

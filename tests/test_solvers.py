@@ -34,7 +34,7 @@ from hamdec.solvers import (
     solve_mtz,
 )
 
-from conftest import make_cycle, random_instance
+from conftest import make_cycle, random_instance, witness_sides
 
 BUDGET = 60.0
 
@@ -62,24 +62,6 @@ def check_witness(res, g, x, y):
     sides = witness_sides(g, z)
     pair = TwoFactorPair(g, sides)
     assert is_second_decomposition(pair, x, y)
-
-
-def witness_sides(g, z):
-    """Side vector whose Z factor realizes cycle z, or AssertionError."""
-    from collections import Counter
-
-    want = Counter(z.edge_multiset())
-    sides = [W] * len(g.edges)
-    for e in g.edges:
-        if g.directed:
-            key = (e.tail, e.head)
-        else:
-            key = tuple(sorted((e.tail, e.head)))
-        if want[key] > 0:
-            want[key] -= 1
-            sides[e.id] = Z
-    assert sum(want.values()) == 0
-    return sides
 
 
 # -------------------------------------------------------------- verdicts
