@@ -137,7 +137,7 @@ class IlpModel:
             lo, hi = index(lo), index(hi)
         except TypeError:
             raise ValueError(
-                f"variable {name} has a non-integer bound"
+                f"variable {name!r} has a non-integer bound"
             ) from None
         if lo > hi:
             raise ValueError(f"empty domain for {name}")

@@ -360,11 +360,13 @@ def is_second_decomposition(
 ) -> bool:
     """True when the pair is a decomposition different from {x, y}.
 
-    `pair.graph` must be `build_union(x, y)`.  A Hamiltonian Z takes one
-    copy of every parallel pair, so the copies never tell {Z, W} from
-    {x, y}.  The pair is {x, y} exactly when every unshared edge sits on
-    its origin's side (Z = x), or every one sits on the other (Z = y),
-    so one pass over the unshared edges answers it.
+    `pair.graph` must be `build_union(x, y)`.  Only the edges' `origin`
+    and `partner` are read, never x or y themselves, so x and y may come
+    in either order and nothing here checks that precondition.  A
+    Hamiltonian Z takes one copy of every parallel pair, so the copies
+    never tell {Z, W} from {x, y}.  The pair is {x, y} exactly when every
+    unshared edge sits on its origin's side (Z = x), or every one sits on
+    the other (Z = y), so one pass over the unshared edges answers it.
     """
     if pair.broken or components(pair).total != 2:
         return False

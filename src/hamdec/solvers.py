@@ -136,7 +136,11 @@ def _cutting_loop(
     algorithm: str,
     params: HeuristicParams | None = None,
 ) -> RunResult:
-    """Build the model for `algorithm`; solve, decode and cut until settled."""
+    """Build the model for `algorithm`; solve, decode and cut until settled.
+
+    `g` must be `build_union(x, y)`: the final witness check reads only
+    `g`'s edge origins, not x and y.
+    """
     started = time.monotonic()
     deadline = started + budget_s
     if algorithm != "mtz":
@@ -205,7 +209,10 @@ def _cutting_loop(
 def solve_dfj(
     g: UnionMultigraph, x: HamCycle, y: HamCycle, budget_s: float
 ) -> RunResult:
-    """Cutting loop alone: solve, cut every subtour, repeat."""
+    """Cutting loop alone: solve, cut every subtour, repeat.
+
+    `g` must be `build_union(x, y)`.
+    """
     return _cutting_loop(g, x, y, budget_s, "dfj")
 
 
@@ -224,7 +231,8 @@ def solve_dfj_heuristic(
     the same with plain single-edge moves.  Defaults by directedness to
     "ls" or "vnd-fix".  Improvements found between solver calls emit
     their subtour cuts into the shared model.  Every search pass of one
-    run draws from the same `random.Random(params.seed)`.
+    run draws from the same `random.Random(params.seed)`.  `g` must be
+    `build_union(x, y)`.
     """
     if variant is None:
         variant = "ls" if g.directed else "vnd-fix"
@@ -238,5 +246,8 @@ def solve_dfj_heuristic(
 def solve_mtz(
     g: UnionMultigraph, x: HamCycle, y: HamCycle, budget_s: float
 ) -> RunResult:
-    """Order-variable model: one solve settles, no cuts are added."""
+    """Order-variable model: one solve settles, no cuts are added.
+
+    `g` must be `build_union(x, y)`.
+    """
     return _cutting_loop(g, x, y, budget_s, "mtz")

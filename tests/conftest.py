@@ -1,7 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from hamdec.multigraph import HamCycle, build_union, normalize_pairs
+from hamdec.multigraph import W, Z, HamCycle, build_union, normalize_pairs
 
 
 def make_cycle(order, directed=False):
@@ -63,8 +65,6 @@ def find_edge(g, u, v, *, used=None):
 
 def sides_for_cycles(g, cycle_vertex_lists):
     """Side vector putting the listed cycles in Z and the rest in W."""
-    from hamdec.multigraph import W, Z
-
     sides = [W] * len(g.edges)
     used = set()
     for cyc in cycle_vertex_lists:
@@ -89,10 +89,6 @@ def factor_multiset(pair, side):
 def witness_sides(g, z):
     """Side vector whose Z factor realizes cycle z, first copies first,
     or AssertionError."""
-    from collections import Counter
-
-    from hamdec.multigraph import W, Z
-
     want = Counter(z.edge_multiset())
     sides = [W] * len(g.edges)
     for e in g.edges:

@@ -643,7 +643,7 @@ def test_non_integer_numbers_are_rejected_with_their_name():
         m.add_ge([(1, x)], 1.5, "r_rhs")
     with pytest.raises(ValueError, match="r_coef"):
         m.add_le([(1.7, x)], 1, "r_coef")
-    with pytest.raises(ValueError, match="g"):
+    with pytest.raises(ValueError, match="'g'"):
         m.add_int("g", 0.5, 2.5)
     assert m.constraints == [] and m.names == ["x"]
     assert solve(m, 10).status is Status.FEASIBLE
