@@ -6,6 +6,7 @@ search is one variable neighbourhood descent over a tuple of
 neighbourhoods: a sweep moves each candidate edge to the other factor
 and completes the move in the current neighbourhood; an improvement
 goes back to the first neighbourhood, a sweep without one moves on.
+A completion's cycle count stops once it cannot beat the current one.
 The undirected searches use randomized repairs, then backtracking over
 the repairs; the directed one (`ls`) has the first alone.
 
@@ -265,8 +266,8 @@ def _replays(pair, params, rng, recursive, base):
     moved = pair.snapshot()
     for _ in range(params.attempt_limit if pair.broken else 1):
         if _repair_all(pair, rng, recursive):
-            found = components(pair)
-            if found.total < base:
+            found = components(pair, below=base)
+            if found:
                 return found
         pair.restore(moved)
     return None
@@ -278,8 +279,7 @@ def _dive(pair, params, rng, recursive, base, depth=1):
     failed branch restores the snapshot taken before the branches, so
     None leaves the pair as it was."""
     if not pair.broken:
-        found = components(pair)
-        return found if found.total < base else None
+        return components(pair, below=base)
     if depth > params.depth_limit:
         return None
     v = sorted(pair.broken)[int(rng.random() * len(pair.broken))]

@@ -305,21 +305,36 @@ class ComponentReport:
         return [c for c in self.z_cycles + self.w_cycles if len(c) < n]
 
 
-def components(pair: TwoFactorPair) -> ComponentReport:
+def components(
+    pair: TwoFactorPair, below: int | None = None
+) -> ComponentReport | None:
     """Cycle decomposition of both factors.
 
     Only defined when every vertex meets the factor-degree contract.
+    With `below`, the walk gives None as soon as the total cannot fall
+    under it: its count is the cycles closed so far, plus one for the
+    factor being walked while it has vertices left, plus one for W
+    while Z is walked.  So the answer is None exactly when the total is
+    at least `below`, and otherwise the full report.
     """
-    return ComponentReport(
-        _factor_cycles(pair, Z), _factor_cycles(pair, W)
-    )
+    if below is None:
+        return ComponentReport(
+            _factor_cycles(pair, Z), _factor_cycles(pair, W)
+        )
+    z = _factor_cycles(pair, Z, below - 1)  # W holds at least one cycle
+    w = None if z is None else _factor_cycles(pair, W, below - len(z))
+    return None if w is None else ComponentReport(z, w)
 
 
-def _factor_cycles(pair: TwoFactorPair, side: int) -> list[list[int]]:
+def _factor_cycles(
+    pair: TwoFactorPair, side: int, below: int | None = None
+) -> list[list[int]] | None:
     """Cycles of one factor, walked through slot v (`inc[v]` or out-port).
 
     The walk takes at each vertex the first factor edge it did not come
-    in by, so it needs the degree contract to hold everywhere.
+    in by, so it needs the degree contract to hold everywhere.  With
+    `below`, it gives None instead of starting a cycle that would bring
+    its count to `below`.
     """
     if pair.broken:
         raise ValueError(
@@ -329,9 +344,12 @@ def _factor_cycles(pair: TwoFactorPair, side: int) -> list[list[int]]:
     slots, sides, tail, head = g.slots, pair.side, g.tail, g.head
     seen = [False] * (g.n + 1)
     cycles = []
+    last = g.n if below is None else below - 1  # n: fewer precede any start
     for s in range(1, g.n + 1):
         if seen[s]:
             continue
+        if len(cycles) >= last:
+            return None
         comp = []
         v, entered = s, -1
         while not seen[v]:
@@ -368,7 +386,7 @@ def is_second_decomposition(
     unshared edge sits on its origin's side (Z = x), or every one sits on
     the other (Z = y), so one pass over the unshared edges answers it.
     """
-    if pair.broken or components(pair).total != 2:
+    if pair.broken or components(pair, below=3) is None:
         return False
     sides = pair.side  # Z = ORIGIN_X and W = ORIGIN_Y
     at_home = {sides[e.id] == e.origin for e in pair.graph.edges

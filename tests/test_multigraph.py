@@ -60,6 +60,55 @@ def factor_pairs(pair, side):
     ]
 
 
+def euler_sides(g, rng):
+    """Sides alternating along a random Euler circuit of an undirected
+    union, so each pass through a vertex takes one edge of each factor."""
+    used = [False] * len(g.edges)
+    stack, circuit = [(1, None)], []
+    while stack:
+        v, entered = stack[-1]
+        live = [e for e in g.inc[v] if not used[e]]
+        if live:
+            e = live[rng.integers(len(live))]
+            used[e] = True
+            stack.append((g.tail[e] + g.head[e] - v, e))
+        else:
+            stack.pop()
+            if entered is not None:
+                circuit.append(entered)
+    sides = [Z] * len(g.edges)
+    for i, e in enumerate(circuit):
+        sides[e] = i % 2
+    return sides
+
+
+def random_valid_sides(g, rng):
+    """A random valid side vector: a random set of alternating cycles
+    flipped away from Z = x when directed, else `euler_sides`."""
+    if not g.directed:
+        return euler_sides(g, rng)
+    flip = rng.integers(0, 2, max(g.cycle_of) + 1)
+    return [e.origin ^ int(flip[g.cycle_of[e.id]]) for e in g.edges]
+
+
+def assert_bounded_counts_match(pair):
+    """`components(pair, below=k)` for k = 1..total+1 against the
+    union-find total: None iff total >= k, else the full report."""
+    n = pair.graph.n
+    total = sum(
+        uf_component_count(n, factor_pairs(pair, side)) for side in (Z, W)
+    )
+    full = components(pair)
+    assert full.total == total
+    for below in range(1, total + 2):
+        got = components(pair, below=below)
+        if total >= below:
+            assert got is None, (total, below)
+        else:
+            assert got == full, (total, below)
+    return total
+
+
 def peak_scan(cycle):
     """Peak set recomputed from the raw edge list, not the order index."""
     nbrs = {v: [] for v in range(1, cycle.n + 1)}
@@ -274,8 +323,9 @@ def test_components_rejects_broken_state(ring6):
     pair = TwoFactorPair(g, [Z] * 6 + [W] * 6)
     pair.move(0)
     assert pair.broken == {1, 2}
-    with pytest.raises(ValueError):
-        components(pair)
+    for below in (None, 1, 3, 13):
+        with pytest.raises(ValueError):
+            components(pair, below=below)
 
 
 def test_components_match_union_find_on_exhaustive_n6(ring6):
@@ -293,7 +343,23 @@ def test_components_match_union_find_on_exhaustive_n6(ring6):
             pairs = factor_pairs(pair, side)
             assert uf_component_count(6, pairs) == len(cycles)
         assert sorted(v for c in rep.z_cycles for v in c) == list(range(1, 7))
+        assert_bounded_counts_match(pair)
     assert checked > 0
+
+
+@pytest.mark.parametrize("kind", list(InstanceKind))
+@pytest.mark.parametrize("directed", [False, True])
+def test_bounded_components_match_union_find_on_random_pairs(kind, directed):
+    rng = np.random.default_rng(47)
+    totals = set()
+    for n in (8, 13, 24, 40):
+        for seed in range(3):
+            _, _, g = generate_instance(InstanceSpec(kind, n, directed, seed))
+            for _ in range(6):
+                pair = TwoFactorPair(g, random_valid_sides(g, rng))
+                assert not pair.broken
+                totals.add(assert_bounded_counts_match(pair))
+    assert len(totals) >= 3, totals
 
 
 def test_move_bookkeeping_matches_recount(ring6):
