@@ -318,9 +318,7 @@ def components(
     at least `below`, and otherwise the full report.
     """
     if below is None:
-        return ComponentReport(
-            _factor_cycles(pair, Z), _factor_cycles(pair, W)
-        )
+        below = pair.graph.n + 1  # above any total: each cycle has 2+ vertices
     z = _factor_cycles(pair, Z, below - 1)  # W holds at least one cycle
     w = None if z is None else _factor_cycles(pair, W, below - len(z))
     return None if w is None else ComponentReport(z, w)
