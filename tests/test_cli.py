@@ -10,11 +10,13 @@ import pytest
 
 from hamdec.cli import (
     CSV_COLUMNS,
+    instance_basename,
     load_witness,
     main,
     read_instance,
     write_instance,
 )
+from hamdec.instances import generate_instance
 from hamdec.multigraph import build_union
 from hamdec.oracle import enumerate_decompositions
 
@@ -470,6 +472,37 @@ def test_experiment_stdout_is_pinned(tmp_path, capsys):
         " time 9.0±4.6 ms, iterations 2.00±1.00\n"
         f"15 rows -> {out}\n"
     )
+
+
+def test_experiment_generates_each_instance_once(tmp_path, monkeypatch):
+    # every listing of a set runs on one generated instance, but the rows
+    # still come listing by listing, then instance by instance
+    specs = []
+
+    def counted(spec):
+        specs.append(spec)
+        return generate_instance(spec)
+
+    monkeypatch.setattr("hamdec.cli.generate_instance", counted)
+    cfg = write_config(tmp_path, [
+        {"kind": "random-permutation", "n": 8, "count": 3, "directed": False,
+         "algorithms": ["mtz", "dfj", "mtz"], "per_set_time_limit_ms": 180000,
+         "seed": 4},
+        {"kind": "pyramidal", "n": 8, "count": 2, "directed": True,
+         "algorithms": ["dfj-ls"], "per_set_time_limit_ms": 90000, "seed": 7},
+    ])
+    out = tmp_path / "grid.csv"
+    assert main(["experiment", str(cfg), "--out-csv", str(out),
+                 "--time-mode", "deterministic"]) == 0
+    assert [s.seed for s in specs] == [4, 5, 6, 7, 8]
+    ids = [instance_basename(s, i)
+           for s, i in zip(specs, (0, 1, 2, 0, 1))]
+    expect = [(ids[i], alg) for alg in ("mtz", "dfj", "mtz") for i in (0, 1, 2)]
+    expect += [(ids[i], "dfj-ls") for i in (3, 4)]
+    rows = read_rows(out)
+    assert [(r["instance_id"], r["algorithm"]) for r in rows] == expect
+    # a listing twice over gives the same rows twice
+    assert rows[0:3] == rows[6:9]
 
 
 def test_experiment_deterministic_mode_reruns_identically(tmp_path):

@@ -850,6 +850,13 @@ def test_params_validate_limits():
         HeuristicParams(depth_limit=-1)
     with pytest.raises(ValueError):
         HeuristicParams(seed=-7)
+    # int() would truncate: a non-integer is rejected by name
+    for field in ("attempt_limit", "depth_limit", "seed"):
+        for value in (2.5, 1.0, "3", None):
+            with pytest.raises(ValueError, match=field):
+                HeuristicParams(**{field: value})
+    params = HeuristicParams(attempt_limit=np.int64(3), seed=np.int64(4))
+    assert (type(params.attempt_limit), type(params.seed)) == (int, int)
 
 
 # ------------------------------------------- chain loop against a reference
@@ -947,8 +954,11 @@ def random_start(g, rng):
 def test_chain_loop_matches_per_pick_reference(directed, recursive):
     rng = random.Random(11)
     repaired = 0
-    for seed in range(60):
-        _, _, g = random_instance(rng.choice((9, 12, 16)), seed, directed)
+    # 60 small unions, then 12 at the size of the bench workload of this
+    # directedness: rp-und-heur has n=96, rp-dir-exact n=64
+    sizes = [None] * 60 + [64 if directed else 96] * 12
+    for seed, n in enumerate(sizes):
+        _, _, g = random_instance(n or rng.choice((9, 12, 16)), seed, directed)
         mine = random_start(g, rng)
         ref = pinned_copy(mine)
         eid, side = rng.randrange(len(g.edges)), rng.choice((Z, W))
