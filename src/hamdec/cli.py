@@ -41,10 +41,6 @@ CSV_COLUMNS = [
 ]
 
 
-class UsageError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse with the exit-code contract of this tool (1, not 2)."""
 
@@ -86,22 +82,22 @@ def read_instance(path):
     """Load and validate an instance file; returns (x, y, union)."""
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
-        raise UsageError("instance file must hold a JSON object")
+        raise ValueError("instance file must hold a JSON object")
     for key in ("n", "directed", "x", "y"):
         if key not in doc:
-            raise UsageError(f"instance file missing key {key!r}")
+            raise ValueError(f"instance file missing key {key!r}")
     directed = doc["directed"]
     if not isinstance(directed, bool):
-        raise UsageError("instance field 'directed' must be true or false")
+        raise ValueError("instance field 'directed' must be true or false")
     if not _is_int(doc["n"]):
-        raise UsageError("instance field 'n' must be an integer")
+        raise ValueError("instance field 'n' must be an integer")
     for key in ("x", "y"):
         if not isinstance(doc[key], list) or not all(map(_is_int, doc[key])):
-            raise UsageError(f"instance field {key!r} must be a vertex list")
+            raise ValueError(f"instance field {key!r} must be a vertex list")
     x = HamCycle.from_order(doc["x"], directed)
     y = HamCycle.from_order(doc["y"], directed)
     if x.n != doc["n"] or y.n != doc["n"]:
-        raise UsageError("cycle lengths disagree with declared n")
+        raise ValueError("cycle lengths disagree with declared n")
     return x, y, build_union(x, y)
 
 
@@ -205,7 +201,7 @@ def run_instance(algorithm, x, y, g, instance_id, generator, params,
 
 def cmd_generate(args) -> int:
     if args.count < 0:
-        raise UsageError("--count must be at least 0")
+        raise ValueError("--count must be at least 0")
     kind = InstanceKind(args.kind)
     # rejects an n below the kind's minimum, before any file is written
     first = InstanceSpec(kind, args.n, args.directed, args.seed)
@@ -269,7 +265,7 @@ def _experiment_sets(config):
     spec of its first instance, and its time limit split over its count.
     """
     if not isinstance(config, list):
-        raise UsageError("config must be a JSON list of set objects")
+        raise ValueError("config must be a JSON list of set objects")
     sets = []
     for si, block in enumerate(config):
         try:
@@ -293,8 +289,15 @@ def _experiment_sets(config):
                 if not isinstance(alg, str) or alg not in ALGORITHMS:
                     raise ValueError(f"unknown algorithm {alg!r}")
                 check_directedness(alg, directed)
+            # instance ids number a set's instances from 0: two such sets
+            # would give different instances one id and one sidecar name
+            for sj, (other, algs, other_count, _) in enumerate(sets):
+                if (count and other_count and other.seed != seed
+                        and replace(other, seed=seed) == spec
+                        and set(algorithms) & set(algs)):
+                    raise ValueError(f"instance ids clash with set {sj}")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise UsageError(f"config set {si}: {exc}")
+            raise ValueError(f"config set {si}: {exc}")
         budget_s = limit_ms / 1000.0 / max(count, 1)
         sets.append((spec, algorithms, count, budget_s))
     return sets
@@ -325,35 +328,34 @@ def cmd_experiment(args) -> int:
     try:
         config = json.loads(Path(args.config).read_text())
     except json.JSONDecodeError as exc:
-        raise UsageError(f"config is not valid JSON: {exc}")
+        raise ValueError(f"config is not valid JSON: {exc}")
     sets = _experiment_sets(config)
-    rows, cells, witnesses = [], {}, []
+    # one sidecar per (instance id, algorithm), however often it is listed
+    rows, cells, witnesses = [], {}, {}
     for si, (first, algorithms, count, budget_s) in enumerate(sets):
         # each instance is generated once and run by every listing; the
-        # rows and witnesses of each listing go out one listing after another
-        runs = [([], []) for _ in algorithms]
+        # rows of each listing go out one listing after another
+        runs = [[] for _ in algorithms]
         for i in range(count):
             spec = replace(first, seed=first.seed + i)
             x, y, g = generate_instance(spec)
-            for alg, (alg_rows, alg_witnesses) in zip(algorithms, runs):
+            instance_id = instance_basename(spec, i)
+            for alg, alg_rows in zip(algorithms, runs):
                 res, row = run_instance(
-                    alg, x, y, g, instance_basename(spec, i), spec.kind.value,
+                    alg, x, y, g, instance_id, spec.kind.value,
                     HeuristicParams(seed=spec.seed), budget_s, args.time_mode,
                 )
                 if res.witness is not None:
-                    alg_witnesses.append((row, res.witness, x, y))
+                    witnesses[instance_id, alg] = res.witness, x, y
                 del res  # it holds the whole model; drop it before the next
                 alg_rows.append(row)
-        for alg, (alg_rows, alg_witnesses) in zip(algorithms, runs):
+        for alg, alg_rows in zip(algorithms, runs):
             rows.extend(alg_rows)
-            witnesses.extend(alg_witnesses)
             if alg_rows:  # a set with count 0 has no summary line
                 cells.setdefault((si, alg), []).extend(alg_rows)
-    for row, witness, x, y in witnesses:
-        side = write_witness(
-            args.out_csv, row["instance_id"], row["algorithm"], witness
-        )
-        load_witness(side, x, y)
+    for (instance_id, alg), (witness, x, y) in witnesses.items():
+        load_witness(write_witness(args.out_csv, instance_id, alg, witness),
+                     x, y)
     append_csv_rows(args.out_csv, rows, fresh=True)
     # sets in config order, algorithms by name within a set
     for key in sorted(cells):
@@ -365,7 +367,7 @@ def cmd_experiment(args) -> int:
 def cmd_oracle(args) -> int:
     x, y, g = read_instance(Path(args.instance))
     if g.n > MAX_ORACLE_N:
-        raise UsageError(
+        raise ValueError(
             f"oracle enumeration is capped at n <= {MAX_ORACLE_N}"
         )
     decs = enumerate_decompositions(g)

@@ -65,22 +65,21 @@ class TraceRecorder:
     count, then the count of each state the pass accepted."""
 
     sequences: list = field(default_factory=list)
-    valid: bool = True
 
     def open_run(self, start_total: int) -> None:
         self.sequences.append([start_total])
 
     def accept(self, pair: TwoFactorPair, total: int) -> None:
-        self.sequences[-1].append(total)
-        # revalidate from scratch: accepted states must be clean 2-factors
-        fresh = TwoFactorPair(pair.graph, pair.side)
+        """Record an accepted state; RuntimeError unless it is a clean
+        2-factor pair with the copies of each parallel pair apart."""
+        fresh = TwoFactorPair(pair.graph, pair.side)  # revalidate from scratch
         if fresh.broken:
-            self.valid = False
-        for e in pair.graph.edges:
-            if e.partner is not None and (
-                pair.side[e.id] == pair.side[e.partner]
-            ):
-                self.valid = False
+            raise RuntimeError(f"accepted state breaks {sorted(fresh.broken)}")
+        side = pair.side
+        if any(e.partner is not None and side[e.id] == side[e.partner]
+               for e in pair.graph.edges):
+            raise RuntimeError("accepted state joins parallel copies")
+        self.sequences[-1].append(total)
 
 
 def fix_parallel_copies(pair: TwoFactorPair) -> None:

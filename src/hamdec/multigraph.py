@@ -57,14 +57,6 @@ class HamCycle:
     def edge_multiset(self) -> tuple:
         return normalize_pairs(self.edge_pairs(), self.directed)
 
-    def same_cycle(self, other: "HamCycle") -> bool:
-        """Equality as a cycle: same traversed edge multiset."""
-        return (
-            self.n == other.n
-            and self.directed == other.directed
-            and self.edge_multiset() == other.edge_multiset()
-        )
-
 
 def normalize_pairs(pairs, directed: bool) -> tuple:
     """Canonical sorted signature of an edge multiset."""
@@ -247,10 +239,6 @@ class TwoFactorPair:
         self.broken = {
             v for v in range(1, n + 1) if not deg[v] == cap == deg[mate[v]]
         }
-
-    # directed views of deg_z: Z out- and in-degree per vertex
-    out_z = property(lambda self: self.deg_z[: self.graph.n + 1])
-    in_z = property(lambda self: self.deg_z[self.graph.n + 1 :])
 
     def move(self, edge_id: int) -> None:
         """Flip one edge to the other factor; a pinned edge stays pinned."""

@@ -36,26 +36,15 @@ def enumerate_decompositions(
     n = g.n
     m = len(g.edges)
     side = [UNSET] * m
-    if g.directed:
-        cap = 1
-        slots = {
-            Z: [g.out_arcs, g.in_arcs],
-            W: [g.out_arcs, g.in_arcs],
-        }
-        counts = {
-            Z: [[0] * (n + 1), [0] * (n + 1)],
-            W: [[0] * (n + 1), [0] * (n + 1)],
-        }
+    # a port lists a factor's candidate edges at a vertex: out- and
+    # in-arcs when directed (cap 1 each), all four edges otherwise (cap 2)
+    ports = [g.out_arcs, g.in_arcs] if g.directed else [g.inc]
+    cap = 1 if g.directed else 2
+    counts = {s: [[0] * (n + 1) for _ in ports] for s in (Z, W)}
 
-        def touched(e, slot):
-            return e.tail if slot == 0 else e.head
-    else:
-        cap = 2
-        slots = {Z: [g.inc], W: [g.inc]}
-        counts = {Z: [[0] * (n + 1)], W: [[0] * (n + 1)]}
-
-        def touched(e, slot):
-            return (e.tail, e.head)
+    def ends(e):
+        """The (port, vertex) pair at each end of an edge."""
+        return ((0, e.tail), (len(ports) - 1, e.head))
 
     trail: list[int] = []
 
@@ -73,36 +62,26 @@ def enumerate_decompositions(
                 return False
             side[eid] = want
             trail.append(eid)
-            if g.directed:
-                ends = ((0, e.tail), (1, e.head))
-            else:
-                ends = ((0, e.tail), (0, e.head))
-            for slot, v in ends:
-                c = counts[want][slot]
+            other = W if want == Z else Z
+            for port, v in ends(e):
+                c = counts[want][port]
                 c[v] += 1
                 if c[v] > cap:
                     return False
                 if c[v] == cap:
                     # saturated: remaining incident edges go the other way
-                    other = W if want == Z else Z
-                    for oid in slots[want][slot][v]:
+                    for oid in ports[port][v]:
                         if side[oid] == UNSET:
                             stack.append((oid, other))
             if e.partner is not None and side[e.partner] == UNSET:
-                stack.append((e.partner, W if want == Z else Z))
+                stack.append((e.partner, other))
         return True
 
     def undo(mark):
         while len(trail) > mark:
             eid = trail.pop()
-            e = g.edges[eid]
-            s = side[eid]
-            if g.directed:
-                counts[s][0][e.tail] -= 1
-                counts[s][1][e.head] -= 1
-            else:
-                counts[s][0][e.tail] -= 1
-                counts[s][0][e.head] -= 1
+            for port, v in ends(g.edges[eid]):
+                counts[side[eid]][port][v] -= 1
             side[eid] = UNSET
 
     found: dict = {}

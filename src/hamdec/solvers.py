@@ -122,9 +122,7 @@ class _CutPool:
         return fresh
 
 
-def _witness(pair, x, y):
-    if not is_second_decomposition(pair, x, y):
-        raise RuntimeError("witness is not a second decomposition")
+def _witness(pair):
     return cycle_from_factor(pair, Z), cycle_from_factor(pair, W)
 
 
@@ -183,7 +181,10 @@ def _cutting_loop(
         pair = decode(out.assignment, z_terms, g)
         report = components(pair)
         if report.total == 2:
-            return done(Verdict.FEASIBLE, _witness(pair, x, y))
+            # the model's forbid rows keep {x, y} out of its feasible set
+            if not is_second_decomposition(pair, x, y):
+                raise RuntimeError("solver returned the original decomposition")
+            return done(Verdict.FEASIBLE, _witness(pair))
         if algorithm == "mtz":
             raise RuntimeError("order model returned split factors")
         # both cut halves are in the model for every known set, so any
@@ -201,7 +202,7 @@ def _cutting_loop(
             # the search may slide back into {x, y}; only a genuinely
             # different decomposition settles the question
             if is_second_decomposition(pair, x, y):
-                return done(Verdict.FEASIBLE, _witness(pair, x, y))
+                return done(Verdict.FEASIBLE, _witness(pair))
         if time.monotonic() > deadline:
             return done(Verdict.TIMED_OUT)
 

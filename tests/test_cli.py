@@ -15,6 +15,7 @@ from hamdec.cli import (
     main,
     read_instance,
     write_instance,
+    write_witness,
 )
 from hamdec.instances import generate_instance
 from hamdec.multigraph import build_union
@@ -484,6 +485,13 @@ def test_experiment_generates_each_instance_once(tmp_path, monkeypatch):
         return generate_instance(spec)
 
     monkeypatch.setattr("hamdec.cli.generate_instance", counted)
+    written = []
+
+    def counted_write(*args):
+        written.append(write_witness(*args))
+        return written[-1]
+
+    monkeypatch.setattr("hamdec.cli.write_witness", counted_write)
     cfg = write_config(tmp_path, [
         {"kind": "random-permutation", "n": 8, "count": 3, "directed": False,
          "algorithms": ["mtz", "dfj", "mtz"], "per_set_time_limit_ms": 180000,
@@ -501,8 +509,12 @@ def test_experiment_generates_each_instance_once(tmp_path, monkeypatch):
     expect += [(ids[i], "dfj-ls") for i in (3, 4)]
     rows = read_rows(out)
     assert [(r["instance_id"], r["algorithm"]) for r in rows] == expect
-    # a listing twice over gives the same rows twice
+    # a listing twice over gives the same rows twice, but one sidecar
     assert rows[0:3] == rows[6:9]
+    feasible = {(r["instance_id"], r["algorithm"]) for r in rows
+                if r["verdict"] == "feasible"}
+    assert ("random-permutation_n8_und_0001", "mtz") in feasible
+    assert len(written) == len(set(written)) == len(feasible)
 
 
 def test_experiment_deterministic_mode_reruns_identically(tmp_path):
@@ -609,6 +621,7 @@ def test_experiment_rejects_bad_config_field_before_any_task(
     {"kind": "four-peak", "n": 6},
     {"count": -3},
     {"seed": -3},
+    {"seed": 100},  # its instance ids would clash with the first set's
 ])
 def test_experiment_rejects_out_of_range_set_before_any_task(
     tmp_path, monkeypatch, capsys, changes
@@ -616,6 +629,20 @@ def test_experiment_rejects_out_of_range_set_before_any_task(
     assert_second_set_rejected(
         tmp_path, monkeypatch, capsys, {**GOOD_SET, **changes}
     )
+
+
+@pytest.mark.parametrize("changes", [
+    {"seed": 0}, {"n": 9}, {"directed": True}, {"algorithms": ["mtz"]},
+    {"count": 0},
+])
+def test_experiment_accepts_sets_that_give_no_id_two_instances(
+    tmp_path, changes
+):
+    cfg = write_config(tmp_path, [
+        GOOD_SET, {**GOOD_SET, "seed": 100, **changes},
+    ])
+    out = tmp_path / "grid.csv"
+    assert main(["experiment", str(cfg), "--out-csv", str(out)]) == 0
 
 
 def assert_second_set_rejected(tmp_path, monkeypatch, capsys, bad):

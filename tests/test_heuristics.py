@@ -25,7 +25,7 @@ from hamdec.multigraph import (
     components,
 )
 
-from conftest import find_edge, random_instance, sides_for_cycles
+from conftest import RING6_Z, find_edge, random_instance, sides_for_cycles
 
 
 def origin_pair(g):
@@ -39,8 +39,7 @@ def observed(pair):
     return (
         tuple(pair.side),
         tuple(pair.fixed),
-        tuple(pair.deg_z) if not pair.graph.directed else
-        (tuple(pair.out_z), tuple(pair.in_z)),
+        tuple(pair.deg_z),
         frozenset(pair.broken),
     )
 
@@ -384,7 +383,6 @@ def test_directed_search_descends_and_reports():
         )
         end = components(pair).total
         assert end <= base
-        assert trace.valid
         for seq in trace.sequences:
             assert all(a > b for a, b in zip(seq, seq[1:]))
         assert len(reports) == sum(len(s) - 1 for s in trace.sequences)
@@ -496,7 +494,6 @@ def test_first_neighbourhood_returns_on_first_improvement(dsq_state):
         trace = TraceRecorder()
         one_sweep(pair, HeuristicParams(), np.random.default_rng(seed),
                   heur._replays, trace)
-        assert trace.valid
         assert len(trace.sequences) == 1
         seq = trace.sequences[0]
         assert seq[0] == 4
@@ -520,11 +517,27 @@ def test_first_neighbourhood_accepted_states_are_clean():
         for seed in range(3):
             pair = TwoFactorPair(g, list(start.side))
             trace = TraceRecorder()
+            # the trace raises on an accepted state that is not clean
             one_sweep(pair, HeuristicParams(), np.random.default_rng(seed),
                       heur._replays, trace)
-            assert trace.valid
             assert not pair.broken
             assert pair.broken == recount_broken(pair)
+
+
+def test_trace_raises_on_accepting_a_state_that_is_not_clean(ring6):
+    g = build_union(*ring6)
+    trace = TraceRecorder()
+    trace.open_run(4)
+    trace.accept(TwoFactorPair(g, sides_for_cycles(g, [RING6_Z])), 2)
+    broken = TwoFactorPair(g, [Z] * len(g.edges))
+    with pytest.raises(RuntimeError, match="breaks"):
+        trace.accept(broken, 3)
+    # both copies of the parallel edge {2, 3} in Z: every degree is right
+    doubled = TwoFactorPair(g, sides_for_cycles(g, [[2, 3], [1, 5, 4, 6]]))
+    assert not doubled.broken
+    with pytest.raises(RuntimeError, match="parallel copies"):
+        trace.accept(doubled, 3)
+    assert trace.sequences == [[4, 2]]
 
 
 def test_attempt_limit_one_gives_single_rollout_per_edge(twin_state,
@@ -774,7 +787,6 @@ def test_vnd_descends_monotonically(twin_state, dsq_state):
                 cut_sink=reports.append,
                 trace=trace,
             )
-            assert trace.valid
             for seq in trace.sequences:
                 assert all(a > b for a, b in zip(seq, seq[1:]))
             assert components(pair).total == 2

@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 from collections import Counter
 
 import pytest
 
+from hamdec.instances import InstanceKind, InstanceSpec, generate_instance
 from hamdec.multigraph import HamCycle, build_union, normalize_pairs
 from hamdec.oracle import enumerate_decompositions, has_second_decomposition
 
@@ -146,3 +148,34 @@ def test_large_inputs_are_rejected():
     x, y, g = random_instance(15, seed=0)
     with pytest.raises(ValueError):
         enumerate_decompositions(g)
+
+
+# SHA-256 of the repr of every instance's decomposition orders, in the
+# order `enumerate_decompositions` lists them, and of the answer of
+# `has_second_decomposition` with its witness orders: 3 kinds, both
+# directednesses, n = 8..12, seeds 0..11.  A rewrite of the oracle must
+# keep it byte for byte.
+PINNED_ORACLE_SHA256 = (
+    "bac6fdd1acf26abb3a729e6ca3fc4bd5f4ce673b8b8aaebb64df37dcfeb0b175"
+)
+
+
+def test_oracle_output_matches_pinned_digest():
+    digest = hashlib.sha256()
+    answers = set()
+    for kind in InstanceKind:
+        for directed in (False, True):
+            for n in range(8, 13):
+                for seed in range(12):
+                    spec = InstanceSpec(kind, n, directed, seed)
+                    x, y, g = generate_instance(spec)
+                    decs = enumerate_decompositions(g)
+                    ok, witness = has_second_decomposition(g, x, y)
+                    answers.add((directed, ok))
+                    digest.update(repr((
+                        [(z.order, w.order) for z, w in decs],
+                        ok, witness and [c.order for c in witness],
+                    )).encode())
+    # both answers occur on both directednesses
+    assert len(answers) == 4, answers
+    assert digest.hexdigest() == PINNED_ORACLE_SHA256
