@@ -22,7 +22,7 @@ from .heuristics import HeuristicParams
 from .ilp import export_lp
 from .instances import InstanceKind, InstanceSpec, generate_instance
 from .multigraph import HamCycle, build_union
-from .oracle import MAX_ORACLE_N, enumerate_decompositions, has_second_decomposition
+from .oracle import MAX_ORACLE_N, enumerate_decompositions, other_decomposition
 from .solvers import ALGORITHMS, Verdict, check_directedness
 from .solvers import solve_dfj, solve_dfj_heuristic, solve_mtz
 
@@ -371,9 +371,9 @@ def cmd_oracle(args) -> int:
             f"oracle enumeration is capped at n <= {MAX_ORACLE_N}"
         )
     decs = enumerate_decompositions(g)
-    second, witness = has_second_decomposition(g, x, y)
+    witness = other_decomposition(decs, x, y)
     noun = "decomposition" if len(decs) == 1 else "decompositions"
-    verdictish = "exists" if second else "does not exist"
+    verdictish = "does not exist" if witness is None else "exists"
     print(f"{len(decs)} {noun}; second {verdictish}")
     if witness is not None:
         z, w = witness

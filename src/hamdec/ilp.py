@@ -45,14 +45,26 @@ propagation checks the deadline every 1024 pops, so a budget holds
 even when a single fixpoint is long.
 
 Each solve first adds the rows that arrived since the last one to the
-half index, inside its budget; a doubleton that joins two classes after
-rows were indexed clears it.  A half holds its terms (a, k), with a = |c|
+half index, inside its budget; a doubleton that joins two classes
+after a solve clears it.  A half holds its terms (a, k), with a = |c|
 and k the bound at which the term is least (2r if c > 0, else 2r+1,
 swapped for a flipped term, whose constant moves to the rhs), its rhs,
 least activity at the declared domains and threshold.  Bound k lists
-(half, a), a summed over the half's terms at k.  A solve copies the
-activity list instead of rescanning every term, so the cutting loop's
-repeated solves of a growing model pay O(halves) each for set-up.
+(half, a), a summed over the half's terms at k.  A fresh solve copies
+the activity list instead of rescanning every term.
+
+A solve may instead go on with the search of the last FEASIBLE outcome
+(lazy constraints, Ohrimenko, Stuckey & Codish): new rows only cut
+points off, so every point above that search's point L stays
+infeasible, and the search keeps its state and returns what a fresh
+solve of the grown model returns.  (1) New halves get their least
+activity at L; those past their threshold propagate at L.  (2) Least
+activity only falls towards the root, so only those can be past it at
+an ancestor: a re-wake list holds them, each frame records its length,
+and a backtrack re-queues those listed since that are past it there.
+(3) Only a search's last outcome resumes, if FEASIBLE, on its model and
+zeros with no variable added or doubleton joined since; else ValueError.
+`nodes` and `pops` count one call's work.
 """
 
 from __future__ import annotations
@@ -60,7 +72,7 @@ from __future__ import annotations
 import enum
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import index, le, mul
 from typing import NamedTuple
 
@@ -87,6 +99,8 @@ class SolveOutcome:
     assignment: list[int] | None
     nodes: int
     pops: int  # halves taken off the queue; a joined doubleton has none
+    # a FEASIBLE outcome's search, which `solve(..., previous=)` resumes
+    search: object = field(default=None, repr=False, compare=False)
 
 
 class IlpModel:
@@ -182,8 +196,8 @@ class IlpModel:
         joined = self._join(row) if len(vars_) == 2 and sense == EQ else None
         if joined is None:
             self._rows.append(row)
-        elif joined and self._halves:  # indexed rows name stale classes
-            self._clear_index()
+        elif joined and self._bound_terms:  # a solve indexed the old classes
+            self._clear_index()  # so no search resumes either
 
     def _join(self, row) -> bool | None:
         """None if `row` stays a row (a doubleton that closes a class with
@@ -287,13 +301,31 @@ class _Deadline(Exception):
     """Raised inside propagation once the deadline has passed."""
 
 
-def solve(model: IlpModel, budget_s: float, zeros=()) -> SolveOutcome:
+def solve(model: IlpModel, budget_s: float, zeros=(),
+          previous: SolveOutcome | None = None) -> SolveOutcome:
     """Search for a feasible point; `zeros` are binaries fixed to 0
-    before the root propagation, bounds of this search and not rows."""
+    before the root propagation, bounds of this search and not rows.
+    `previous`, the last outcome of a FEASIBLE search of `model` with
+    the same `zeros`, resumes that search (see the module docstring)."""
+    zeros = tuple(zeros)
+    if previous is not None:
+        search, previous.search = previous.search, None
+        if search is None:
+            raise ValueError("only a search's last FEASIBLE outcome resumes")
     deadline = time.monotonic() + budget_s
     if not budget_s > 0:  # a NaN budget counts as spent too
         return SolveOutcome(Status.TIMED_OUT, None, 0, 0)
+    if previous is None:
+        search = _search(model, zeros, deadline)
+    out = search.send(None if previous is None else (model, zeros, deadline))
+    if out.status is Status.FEASIBLE:
+        out.search = search
+    return out
 
+
+def _search(model, zeros, deadline):
+    """The search of `solve`: yields one outcome per call, and after a
+    FEASIBLE one is sent (model, zeros, deadline) to resume at its leaf."""
     model._index()
     nvars = len(model.names)
     lit = model._lit
@@ -304,7 +336,9 @@ def solve(model: IlpModel, budget_s: float, zeros=()) -> SolveOutcome:
     minact = list(model._minact)
     le_at = model._le_at
 
-    trail: list[tuple[int, int]] = []
+    # (bound, value before) flat: ints give the cyclic garbage collector
+    # nothing to scan while a search waits between cut rounds
+    trail: list[int] = []
     stamp = [-1] * len(bound)  # segment of each bound's last trail entry
     segment = 0
     # the root queues only the halves already past their threshold
@@ -312,6 +346,7 @@ def solve(model: IlpModel, budget_s: float, zeros=()) -> SolveOutcome:
     pending = deque([h for h in range(nhalves) if queued[h]])
     binary = model.binary
     push_back, push_front = pending.append, pending.appendleft
+    rewake: list[int] = []  # halves added at a leaf past their threshold
 
     # a bound change queues a half once the least activity it raises
     # passes the half's threshold, i.e. once its slack falls below reach
@@ -322,7 +357,7 @@ def solve(model: IlpModel, budget_s: float, zeros=()) -> SolveOutcome:
             return False
         if stamp[k] != segment:
             stamp[k] = segment
-            trail.append((k, old))
+            trail.extend((k, old))
         bound[k] = val
         d = val - old
         # a general integer's halves go first (see the module docstring)
@@ -337,7 +372,8 @@ def solve(model: IlpModel, budget_s: float, zeros=()) -> SolveOutcome:
 
     def undo_to(mark):
         while len(trail) > mark:
-            k, old = trail.pop()
+            old = trail.pop()
+            k = trail.pop()
             d = old - bound[k]
             bound[k] = old
             for h, a in bound_terms[k]:
@@ -376,7 +412,7 @@ def solve(model: IlpModel, budget_s: float, zeros=()) -> SolveOutcome:
             k = lit[v]
             if bound[k] + bound[k ^ 1] < 0:
                 return v
-        return None
+        return nvars
 
     def outcome(status, assignment=None):
         return SolveOutcome(status, assignment, nodes, pops)
@@ -386,43 +422,62 @@ def solve(model: IlpModel, budget_s: float, zeros=()) -> SolveOutcome:
         # v = 0 raises bound k ^ 1 of v's literal k = 2r + f to f: -r >= 0,
         # or r >= 1 if v = 1 - r
         zero_fix = any(raise_bound(lit[v] ^ 1, lit[v] & 1) for v in zeros)
-        if zero_fix or propagate():
-            return outcome(Status.INFEASIBLE)
+        conflict = zero_fix or propagate()
         # frames: (bound, value it takes on backtrack, trail mark before
-        # this decision, the decision's variable); once a step decides
-        # model variable v, every variable below v is fixed
-        frames: list[tuple[int, int, int, int]] = []
+        # this decision, the decision's variable, len(rewake) then); once
+        # a step decides model variable v, every variable below v is fixed
+        frames: list[tuple[int, int, int, int, int]] = []
         v = 0
+        # one step per node: a decision, or a backtrack after a conflict
         while True:
-            v = first_open(v)
-            if v is None:
-                # lo(x) is bound[k] + f for x's literal k = 2r + f
-                assignment = [bound[k] + (k & 1) for k in lit]
-                if not model.check(assignment):
-                    raise AssertionError("propagation accepted a bad leaf")
-                return outcome(Status.FEASIBLE, assignment)
-            # split the domain of y = r (or -r = v - 1 if v is flipped),
-            # bounded below by bound k, at its midpoint: the upper half
-            # of y is the upper half of v
-            k = lit[v]
-            mid = (bound[k] - bound[k ^ 1]) // 2
-            frames.append((k ^ 1, -mid, len(trail), v))
-            val = mid + 1
-            # one step per node: the decision, then backtracks on conflict
-            while True:
-                segment += 1
-                conflict = raise_bound(k, val) or propagate()
-                nodes += 1
-                if nodes % 256 == 0 and time.monotonic() > deadline:
-                    raise _Deadline
-                if not conflict:
-                    break
+            if conflict:
                 if not frames:
-                    return outcome(Status.INFEASIBLE)
-                k, val, mark, v = frames.pop()
+                    yield outcome(Status.INFEASIBLE)
+                    return
+                k, val, mark, v, woken = frames.pop()
                 undo_to(mark)
+                for h in rewake[woken:]:  # rule 2 of the module docstring
+                    if minact[h] > le_at[h]:
+                        queued[h] = True
+                        push_back(h)
+            else:
+                v = first_open(v)
+                if v == nvars:
+                    # lo(x) is bound[k] + f for x's literal k = 2r + f
+                    assignment = [bound[k] + (k & 1) for k in lit]
+                    if not model.check(assignment):
+                        raise AssertionError("propagation accepted a bad leaf")
+                    *sent, deadline = yield outcome(Status.FEASIBLE,
+                                                    assignment)
+                    if (sent != [model, zeros] or len(lit) != nvars
+                            or model._halves is not halves):
+                        raise ValueError("a search resumes only on its model "
+                                         "and zeros, with rows added")
+                    nodes, pops, start = 1, 0, len(minact)
+                    model._index()
+                    for h in range(start, len(halves)):  # rule 1
+                        act = sum([a * bound[k] for a, k in halves[h][0]])
+                        minact.append(act)
+                        queued.append(act > le_at[h])
+                        if act > le_at[h]:
+                            rewake.append(h)
+                            push_back(h)
+                    conflict = propagate()
+                    continue
+                # split the domain of y = r (or -r = v - 1 if v is
+                # flipped), bounded below by bound k, at its midpoint: the
+                # upper half of y is the upper half of v
+                k = lit[v]
+                mid = (bound[k] - bound[k ^ 1]) // 2
+                frames.append((k ^ 1, -mid, len(trail), v, len(rewake)))
+                val = mid + 1
+            segment += 1
+            conflict = raise_bound(k, val) or propagate()
+            nodes += 1
+            if nodes % 256 == 0 and time.monotonic() > deadline:
+                raise _Deadline
     except _Deadline:
-        return outcome(Status.TIMED_OUT)
+        yield outcome(Status.TIMED_OUT)
 
 
 # ------------------------------------------------------------- LP text

@@ -121,12 +121,20 @@ def enumerate_decompositions(
     return [found[k] for k in sorted(found, key=sorted)]
 
 
+def other_decomposition(
+    decs: list[tuple[HamCycle, HamCycle]], x: HamCycle, y: HamCycle
+) -> tuple[HamCycle, HamCycle] | None:
+    """The first of `decs` that is not {x, y}, or None."""
+    original = frozenset((x.edge_multiset(), y.edge_multiset()))
+    for z, w in decs:
+        if frozenset((z.edge_multiset(), w.edge_multiset())) != original:
+            return z, w
+    return None
+
+
 def has_second_decomposition(
     g: UnionMultigraph, x: HamCycle, y: HamCycle
 ) -> tuple[bool, tuple[HamCycle, HamCycle] | None]:
     """Ground-truth answer plus a witness different from {x, y}."""
-    original = frozenset((x.edge_multiset(), y.edge_multiset()))
-    for z, w in enumerate_decompositions(g):
-        if frozenset((z.edge_multiset(), w.edge_multiset())) != original:
-            return True, (z, w)
-    return False, None
+    witness = other_decomposition(enumerate_decompositions(g), x, y)
+    return witness is not None, witness

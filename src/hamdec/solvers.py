@@ -4,15 +4,18 @@ Every algorithm runs through one loop: build the model, solve, decode
 Z through the model's per-edge terms, and count the factors' cycles.
 The compact degree model (`dfj`) cuts every subtour it finds and solves
 again, with a local search pass after each solve in its `dfj-*`
-variants.  The order-variable model (`mtz`) is complete as built, so it
-settles on its first solve.  Iteration counts are exact solver-call
-counts; heuristic sweeps are free.
+variants.  Each round only adds rows, so each solve goes on with the
+last round's search from the point it returned, not from the root.
+The order-variable model (`mtz`) is complete as built, so it settles on
+its first solve.  Iteration counts are exact solver-call counts;
+heuristic sweeps are free.
 
 The two copies of a parallel edge pair have identical columns, and
-their `par` row puts one of them in Z, so each solve fixes the higher
-copy's Z terms to 0 at its root.  The search returns the greatest
-feasible point in declaration order, which already has the lower copy
-in Z: only `work` changes, not the verdicts, cuts, traces or witnesses.
+their `par` row puts one of them in Z, so each run fixes the higher
+copy's Z terms to 0 at the root of its search.  The search returns the
+greatest feasible point in declaration order, which already has the
+lower copy in Z: only `work` changes, not the verdicts, cuts, traces or
+witnesses.
 """
 
 from __future__ import annotations
@@ -170,8 +173,10 @@ def _cutting_loop(
             model=model,
         )
 
+    resume = ()  # from the second round on, the last outcome
     while True:
-        out = solve(model, deadline - time.monotonic(), zeros)
+        out = solve(model, deadline - time.monotonic(), zeros, *resume)
+        resume = (out,)
         iterations += 1
         nodes += out.nodes
         if out.status is Status.INFEASIBLE:

@@ -626,6 +626,101 @@ def test_row_index_follows_rows_and_variables_added_between_solves():
     assert [out.nodes for _, out in snapshots] == [4, 2, 2]
 
 
+def test_resumed_search_rewakes_a_cut_fixed_above_its_frames():
+    # the first search decides x_0..x_3 high in turn; the cut over x_0
+    # and x_1, added at that leaf, has both terms fixed above the frames
+    # of x_2 and x_3, so only the re-wake list brings it back when the
+    # search backtracks to them
+    m = IlpModel()
+    xs = [m.add_binary(f"x_{i}") for i in range(4)]
+    first = solve(m, 10)
+    assert first.assignment == [1, 1, 1, 1]
+    m.add_le([(1, xs[0]), (1, xs[1])], 1, "cut")
+    out = solve(m, 10, (), first)
+    fresh = solve(parse_lp(export_lp(m)), 10)
+    assert (out.status, out.assignment) == (fresh.status, fresh.assignment)
+    assert out.assignment == [1, 0, 1, 1]
+    # the leaf, the backtracks to x_3, x_2 and x_1, then x_2 and x_3 high
+    assert out.nodes == 6
+    m.add_ge([(1, xs[1]), (1, xs[2])], 2, "both")
+    again = solve(m, 10, (), out)
+    assert (again.status, again.assignment) == (Status.FEASIBLE, [0, 1, 1, 1])
+    m.add_le([(1, xs[2]), (1, xs[3])], 0, "neither")
+    assert solve(m, 10, (), again).status is Status.INFEASIBLE
+
+
+def test_resumed_search_matches_fresh_solves_on_random_models():
+    # rows arrive one by one; each solve goes on with the last search
+    resumed = 0
+    for seed in range(300):
+        full = random_search_model(seed)
+        m = IlpModel()
+        for name, lo, hi, binary in zip(full.names, full.lo, full.hi,
+                                        full.binary):
+            if binary:
+                m.add_binary(name)
+            else:
+                m.add_int(name, lo, hi)
+        out = None
+        for row in full.constraints:
+            m.add_constraint(list(zip(row.coefs, row.vars)), row.sense,
+                             row.rhs, row.name)
+            # a doubleton may join classes, after which no search resumes
+            joins = row.sense == EQ and len(row.vars) == 2
+            previous = [out] if out and not joins else []
+            out = solve(m, 10, (), *previous)
+            fresh = solve(parse_lp(export_lp(m)), 10)
+            assert (out.status, out.assignment) == (
+                fresh.status, fresh.assignment), f"seed {seed}"
+            resumed += bool(previous)
+            if out.status is not Status.FEASIBLE:
+                break
+    assert resumed > 1000, resumed
+
+
+# Each step gets a model over x_0..x_2 and the FEASIBLE outcome of its
+# first search with x_2 fixed to 0, changes something other than adding
+# rows, and then tries to resume that search.
+REFUSED_RESUMES = {
+    # a new variable: the search holds no bounds for it
+    "add_binary": lambda m, first: (
+        m.add_binary("x_3"), solve(m, 10, [2], first)),
+    # a joining doubleton rewrites the classes the search runs over
+    "joining doubleton": lambda m, first: (
+        m.add_eq([(1, 0), (1, 1)], 1, "join"), solve(m, 10, [2], first)),
+    "other zeros": lambda m, first: solve(m, 10, [], first),
+    "other model": lambda m, first: solve(pigeonhole(2), 10, [2], first),
+    # an outcome already resumed from
+    "twice": lambda m, first: (
+        solve(m, 10, [2], first), solve(m, 10, [2], first)),
+    # outcomes that are not FEASIBLE
+    "infeasible": lambda m, first: solve(
+        m, 10, [2], solve(pigeonhole(2), 10)),
+    "timed out": lambda m, first: solve(m, 10, [2], solve(m, 0, [2])),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_RESUMES)
+def test_resume_after_a_change_other_than_rows_is_refused(case):
+    m = IlpModel()
+    xs = [m.add_binary(f"x_{i}") for i in range(3)]
+    m.add_le([(1, xs[0]), (1, xs[1])], 1, "pair")
+    first = solve(m, 10, [2])
+    assert first.status is Status.FEASIBLE
+    with pytest.raises(ValueError, match="resume"):
+        REFUSED_RESUMES[case](m, first)
+
+
+def test_resume_after_a_join_in_a_model_without_rows_is_refused():
+    # nothing was indexed, but the first search ran over the old classes
+    m = IlpModel()
+    xs = [m.add_binary(f"x_{i}") for i in range(2)]
+    first = solve(m, 10)
+    m.add_eq([(1, xs[0]), (1, xs[1])], 1, "join")
+    with pytest.raises(ValueError, match="resume"):
+        solve(m, 10, (), first)
+
+
 def test_zero_coefficient_is_rejected_with_the_row_name():
     m = IlpModel()
     x, y = m.add_binary("x"), m.add_binary("y")

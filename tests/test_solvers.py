@@ -421,7 +421,7 @@ PINNED_HEURISTIC_RUNS = [
 # work, emitted cuts, trace sequences, witness orders).  A change that
 # alters a heuristic random stream on purpose updates it.
 PINNED_HEURISTIC_SHA256 = (
-    "ab651c7b1eb3d6c16f224583c5e6ccaf71332a5822f4ba988905b3bdaa1ef1fa"
+    "87b09a81827c047082c70c577149f4ab9e2452b6b4f5d48829416e9a4a4d7585"
 )
 
 
@@ -457,7 +457,7 @@ def test_heuristic_runs_match_pinned_digest():
 # iterations, work, emitted cuts, witness orders, accepted totals in
 # order): the moves alone, not how the trace groups them into sequences.
 PINNED_MOVES_SHA256 = (
-    "2114a890e26d63317bacd393319bc850b98724840f95f3fef1d3e5e49f5283d0"
+    "ecb2d08e05594d14c982875f2d519f444196209c90f765eea8934ae717db9cbd"
 )
 
 
@@ -487,7 +487,7 @@ PINNED_PYRAMIDAL_HEURISTIC_RUNS = [
 ]
 # SHA-256 over the fields of `PINNED_HEURISTIC_SHA256`, n=20.
 PINNED_PYRAMIDAL_HEURISTIC_SHA256 = (
-    "5f5ccfd45d0898f0488c7a27e4e027cd80cf4b314f68b4e904166e8887baa430"
+    "b1791f003c2d2a674f84c5ce9aeee93a46833980541d79902305480b4dc3cf1f"
 )
 
 
@@ -521,7 +521,7 @@ PINNED_EXACT_RUNS = (
 # cuts_added).  A change to the search order or to propagation strength
 # alters it; a pure speed-up of the exact engine must not.
 PINNED_EXACT_SHA256 = (
-    "ec79c44af9afd1f75c14a7e725d9f3b688fca7dbaf829d0b1c69017e30ba27be"
+    "ce6407527cefd644149b91e6e0fcb8d358346cf1910922a562feb138648f2e5f"
 )
 
 
@@ -570,3 +570,39 @@ def test_pinned_runs_keep_their_iterates():
             res.verdict.value, res.iterations, cuts, sequences, witness,
         )).encode())
     assert digest.hexdigest() == PINNED_ITERATES_SHA256
+
+
+# Cells of the differential test below: (kind, n, directed, seeds).
+RESUMED_CELLS = [
+    (InstanceKind.RANDOM_PERMUTATION, 12, False, range(0, 40)),
+    (InstanceKind.RANDOM_PERMUTATION, 96, False, range(5000, 5010)),
+    (InstanceKind.PYRAMIDAL, 20, False, range(100, 140)),
+    (InstanceKind.FOUR_PEAK, 96, False, range(9000, 9006)),
+    (InstanceKind.RANDOM_PERMUTATION, 64, True, range(7000, 7010)),
+    (InstanceKind.PYRAMIDAL, 96, True, range(9100, 9106)),
+]
+
+
+def test_resumed_search_matches_a_fresh_solve_every_round(monkeypatch):
+    # each round after the first goes on with the last round's search;
+    # it must return what a fresh search of the grown model returns
+    resumed = []
+
+    def checked(model, budget_s, zeros=(), *previous):
+        out = ilp.solve(model, budget_s, zeros, *previous)
+        fresh = ilp.solve(ilp.parse_lp(ilp.export_lp(model)), BUDGET, zeros)
+        assert (out.status, out.assignment) == (fresh.status, fresh.assignment)
+        resumed.append(bool(previous))
+        return out
+
+    monkeypatch.setattr(solvers, "solve", checked)
+    for kind, n, directed, seeds in RESUMED_CELLS:
+        algorithms = ["dfj", "dfj-ls"] if directed else [
+            "dfj", "dfj-vnd", "dfj-vnd-fix"]
+        for seed in seeds:
+            x, y, g = generate_instance(InstanceSpec(kind, n, directed, seed))
+            for algorithm in algorithms:
+                res = solvers._cutting_loop(g, x, y, BUDGET, algorithm,
+                                            HeuristicParams(seed=seed))
+                assert res.verdict is not Verdict.TIMED_OUT
+    assert sum(resumed) > 150, sum(resumed)
