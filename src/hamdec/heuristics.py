@@ -47,8 +47,11 @@ class HeuristicParams:
 
     def __post_init__(self):
         for name in ("attempt_limit", "depth_limit", "seed"):
+            value = getattr(self, name)
             try:  # not int(): that would truncate 1.5 to 1
-                setattr(self, name, index(getattr(self, name)))
+                if isinstance(value, bool):  # index(True) is 1
+                    raise TypeError
+                setattr(self, name, index(value))
             except TypeError:
                 raise ValueError(f"{name} must be an integer") from None
         if self.attempt_limit < 1:

@@ -24,10 +24,10 @@ bound 2v+1 is -hi(v), a lower bound on -v, so the domain is empty once
 bound[k] + bound[k ^ 1] > 0.  Decisions, propagations and zero fixes
 each raise one bound.  Raises are trailed once per bound per segment:
 the changes made since the last decision or backtrack.  A per-bound
-stamp records the segment of the bound's last trail entry, so an order
-row raising a general integer one unit at a time still leaves one
-entry, holding the bound from before the segment, which is what a
-backtrack restores (time stamps after Aggoun & Beldiceanu, 1990).
+stamp records the segment of the bound's last trail entry, so a bound
+raised many times still leaves one entry, holding the bound from
+before the segment, which is what a backtrack restores (time stamps
+after Aggoun & Beldiceanu, 1990).
 
 Every row but a joined doubleton is kept as one or two `<=` halves,
 sum(c*x) <= rhs: the row itself unless it is >=, and its negation
@@ -37,12 +37,23 @@ slack is at least its reach can neither conflict nor tighten a bound,
 so the root queues only the halves whose least activity is past
 rhs - reach, and a bound change queues a half only when it takes the
 half's least activity past that threshold.  A queued half stays past
-it: activities only rise until a backtrack empties the queue.  A raise
-of a binary queues at the back, one of a general integer at the front,
-so an order row's consequences run down its path before other rows
-pile onto the same integers.  A pop takes one half off the queue;
-propagation checks the deadline every 1024 pops, so a budget holds
-even when a single fixpoint is long.
+it: activities only rise until a backtrack empties the queue.
+
+A difference row (two general integers with coefficients +-1, at most
+one binary: MTZ's order rows a_i - a_j + n*z <= n - 1) has no bound
+terms.  Each half y_k1 + y_k2 + a*y_kb <= rhs is two arcs, k1 -> k2^1
+and k2 -> k1^1, each bound[head] >= bound[tail] + a*bound[kb] - rhs
+(Cotton & Maler, SAT 2006).  Once the queue runs dry, the arcs out of
+each general integer bound raised since are relaxed, then each arc
+whose binary rose is inserted, in row order (mirror arcs run the other
+way: in reverse).  A relaxation that raises starts a wave: a bound
+rises as it leaves the heap, largest rise first, so once per wave
+unless an arc not yet inserted raises it again, and then relaxes its
+arcs and their rows' binary rule.  A raise of a bound up the chain of
+raises that reached it closes a positive cycle, which rows would climb
+one unit per lap: a conflict at once.  A pop takes one half off the
+queue or one bound off a heap; propagation checks the deadline every
+1024 pops, so a budget holds even when a fixpoint is long.
 
 Each solve first adds the rows that arrived since the last one to the
 half index, inside its budget; a doubleton that joins two classes
@@ -61,7 +72,8 @@ solve of the grown model returns.  (1) New halves get their least
 activity at L; those past their threshold propagate at L.  (2) Least
 activity only falls towards the root, so only those can be past it at
 an ancestor: a re-wake list holds them, each frame records its length,
-and a backtrack re-queues those listed since that are past it there.
+and a backtrack re-queues those listed since that are past it there
+(a difference half, always, has the arcs out of its tails relaxed).
 (3) Only a search's last outcome resumes, if FEASIBLE, on its model and
 zeros with no variable added or doubleton joined since; else ValueError.
 `nodes` and `pops` count one call's work.
@@ -73,6 +85,7 @@ import enum
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from operator import index, le, mul
 from typing import NamedTuple
 
@@ -98,7 +111,7 @@ class SolveOutcome:
     status: Status
     assignment: list[int] | None
     nodes: int
-    pops: int  # halves taken off the queue; a joined doubleton has none
+    pops: int  # halves off the queue, bounds off a wave's heap: see above
     # a FEASIBLE outcome's search, which `solve(..., previous=)` resumes
     search: object = field(default=None, repr=False, compare=False)
 
@@ -131,6 +144,10 @@ class IlpModel:
         self._minact: list[int] = []
         self._le_at: list[int] = []
         self._bound_terms: list[list[tuple[int, int]]] = []
+        # per half its arcs if a difference half; per bound its out-arcs,
+        # or for a binary the halves whose arcs it weighs
+        self._pairs: list = []
+        self._arcs: dict[int, list] = {}
 
     @property
     def lo(self) -> list[int]:
@@ -223,10 +240,14 @@ class IlpModel:
 
     def _index(self) -> None:
         """Add the halves of every row added since the last call."""
-        bound, lit = self._bound, self._lit
+        bound, lit, binary = self._bound, self._lit, self.binary
         bound_terms, halves = self._bound_terms, self._halves
         bound_terms += [[] for _ in range(len(bound) - len(bound_terms))]
         for coefs, vars_, sense, rhs, _ in self._rows[self._indexed:]:
+            if (len(vars_) <= 3  # two general integers and 0 or 1 binary
+                    and len(vars_) - sum(map(binary.__getitem__, vars_)) == 2
+                    and self._add_arcs(coefs, vars_, sense, rhs)):
+                continue
             own, negated = sense != GE, sense != LE  # which halves it has
             h = len(halves)  # the own half; the negated one is h + own
             terms = []  # (a, k): one per term of the row, a * y_k
@@ -264,10 +285,44 @@ class IlpModel:
                                neg_least, reach)
         self._indexed = len(self._rows)
 
-    def _add_half(self, terms, rhs, least, reach):
+    def _add_arcs(self, coefs, vars_, sense, rhs) -> bool:
+        """Index a difference row (see the module docstring), unless its
+        general integers are one, or one's coefficient is not +-1."""
+        bound, ks = self._bound, []
+        a = kb = 0
+        for c, v in zip(coefs, vars_):
+            if self.binary[v]:
+                kb = self._lit[v]
+                rhs -= c if kb & 1 else 0
+                a, kb = (c, kb) if c > 0 else (-c, kb ^ 1)
+            elif c * c != 1:
+                return False
+            else:
+                ks.append(2 * v + (c < 0))  # a general's literal is 2v
+        k1, k2 = ks
+        if k1 >> 1 == k2 >> 1:
+            return False
+        reach = max(-bound[k1] - bound[k1 ^ 1], -bound[k2] - bound[k2 ^ 1],
+                    a * -(bound[kb] + bound[kb ^ 1]))
+        for f in (0, 1)[sense == GE:1 + (sense != LE)]:  # own, negated
+            h, r = len(self._halves), -rhs if f else rhs
+            u1, u2, b = k1 ^ f, k2 ^ f, kb ^ f
+            # arcs (head, a, kb, rhs, tail); kb lists the half, and no
+            # bound its terms: propagate never pops it
+            pair = (u2 ^ 1, a, b, r, u1), (u1 ^ 1, a, b, r, u2)
+            for arc in pair:
+                self._arcs.setdefault(arc[4], []).append(arc)
+            if a:
+                self._arcs.setdefault(b, []).append(h)
+            self._add_half((), r, bound[u1] + bound[u2] + a * bound[b],
+                           reach, pair)
+        return True
+
+    def _add_half(self, terms, rhs, least, reach, pair=None):
         self._halves.append((terms, rhs))
         self._minact.append(least)
         self._le_at.append(rhs - reach)
+        self._pairs.append(pair)
 
     def add_le(self, terms, rhs, name):
         self.add_constraint(terms, LE, rhs, name)
@@ -335,18 +390,30 @@ def _search(model, zeros, deadline):
     bound_terms = model._bound_terms
     minact = list(model._minact)
     le_at = model._le_at
+    arcs, pairs = model._arcs, model._pairs
 
     # (bound, value before) flat: ints give the cyclic garbage collector
     # nothing to scan while a search waits between cut rounds
     trail: list[int] = []
     stamp = [-1] * len(bound)  # segment of each bound's last trail entry
     segment = 0
-    # the root queues only the halves already past their threshold
-    queued = [minact[h] > le_at[h] for h in range(nhalves)]
-    pending = deque([h for h in range(nhalves) if queued[h]])
+    queued = [False] * nhalves
+    pending: deque[int] = deque()
     binary = model.binary
-    push_back, push_front = pending.append, pending.appendleft
+    push_back = pending.append
     rewake: list[int] = []  # halves added at a leaf past their threshold
+    touched: list[int] = []  # bounds with arcs raised since the last settle
+
+    def wake(h):  # queue a half; for a difference half, touch its tails
+        if pairs[h]:
+            touched.extend([tail for *_, tail in pairs[h]])
+        else:
+            queued[h] = True
+            push_back(h)
+
+    # the root queues only the halves already past their threshold
+    for h in [h for h in range(nhalves) if minact[h] > le_at[h]]:
+        wake(h)
 
     # a bound change queues a half once the least activity it raises
     # passes the half's threshold, i.e. once its slack falls below reach
@@ -360,14 +427,14 @@ def _search(model, zeros, deadline):
             trail.extend((k, old))
         bound[k] = val
         d = val - old
-        # a general integer's halves go first (see the module docstring)
-        push = push_back if binary[k >> 1] else push_front
         for h, a in bound_terms[k]:
             act = minact[h] + a * d
             minact[h] = act
             if act > le_at[h] and not queued[h]:
                 queued[h] = True
-                push(h)
+                push_back(h)
+        if k in arcs:
+            touched.append(k)
         return val + bound[k ^ 1] > 0
 
     def undo_to(mark):
@@ -380,8 +447,66 @@ def _search(model, zeros, deadline):
                 minact[h] += a * d
         while pending:
             queued[pending.pop()] = False
+        del touched[:]
 
     pops = 0
+
+    # per bound, the last wave that raised it and the bound whose arc did
+    seen, up = [0] * len(bound), [-1] * len(bound)
+    waves = 0
+
+    def settle():
+        """Relax the arcs out of each general integer bound raised since
+        the last call, then insert those weighed by a binary raised since.
+        True means conflict."""
+        nonlocal pops, waves
+        batch = [pairs[h] for k in touched if binary[k >> 1] for h in arcs[k]]
+        roots = [arc for k in dict.fromkeys(touched) if not binary[k >> 1]
+                 for arc in arcs[k]] + [first for first, _ in batch]
+        roots += [second for _, second in reversed(batch)]
+        del touched[:]
+        heap = []  # (old - new, bound, new, the bound whose arc gave new)
+        for arc in roots:
+            v, a, kb, rhs, u = arc
+            if (bound[u] + a * bound[kb] - rhs <= bound[v]
+                    and not (a and bound[kb] + bound[kb ^ 1] < 0)):
+                continue  # it raises nothing, and its binary is fixed
+            waves += 1
+            seen[u], up[u], out = waves, -1, (arc,)
+            while True:  # the wave of arc
+                bu = bound[u]
+                for v, a, kb, rhs, _ in out:
+                    new = bu + a * bound[kb] - rhs
+                    if new > bound[v]:
+                        if seen[v] == waves:
+                            z = u  # v rose: is it up the chain to u?
+                            while z >= 0:
+                                if z == v:
+                                    return True
+                                z = up[z]
+                        heappush(heap, (bound[v] - new, v, new, u))
+                    # the binary's rule: lo(y_kb) + 1 leaves slack < a
+                    if a and bound[kb] + bound[kb ^ 1] < 0:
+                        slack = -bound[v ^ 1] - new
+                        if slack < a and raise_bound(
+                                kb ^ 1, -bound[kb] - slack // a):
+                            return True
+                while heap:
+                    _, u, new, z = heappop(heap)
+                    if new > bound[u]:
+                        break
+                else:
+                    break
+                pops += 1
+                if not pops & 1023 and time.monotonic() > deadline:
+                    raise _Deadline
+                seen[u], up[u] = waves, z
+                if raise_bound(u, new):
+                    return True
+                out = arcs.get(u, ())
+                if out:
+                    touched.pop()  # u's arcs are relaxed right here
+        return False
 
     def propagate() -> bool:
         """Fixpoint bounds propagation; True means conflict.
@@ -389,23 +514,27 @@ def _search(model, zeros, deadline):
         Raises _Deadline once the deadline has passed.
         """
         nonlocal pops
-        while pending:
-            h = pending.popleft()
-            queued[h] = False
-            pops += 1
-            if not pops & 1023 and time.monotonic() > deadline:
-                raise _Deadline
-            terms, rhs = halves[h]
-            slack = rhs - minact[h]
-            if slack < 0:
-                return True
-            # the term is a * y with y >= bound[k] (y = x, or -x if k is
-            # odd) and may rise by slack, so -y >= -bound[k] - slack // a
-            for a, k in terms:
-                new = -bound[k] - slack // a
-                if new > bound[k ^ 1] and raise_bound(k ^ 1, new):
+        while True:
+            while pending:
+                h = pending.popleft()
+                queued[h] = False
+                pops += 1
+                if not pops & 1023 and time.monotonic() > deadline:
+                    raise _Deadline
+                terms, rhs = halves[h]
+                slack = rhs - minact[h]
+                if slack < 0:
                     return True
-        return False
+                # the term is a * y with y >= bound[k] (y = x, or -x if k is
+                # odd) and may rise by slack, so -y >= -bound[k] - slack // a
+                for a, k in terms:
+                    new = -bound[k] - slack // a
+                    if new > bound[k ^ 1] and raise_bound(k ^ 1, new):
+                        return True
+            if not touched:
+                return False
+            if settle():
+                return True
 
     def first_open(start):
         for v in range(start, nvars):
@@ -438,8 +567,7 @@ def _search(model, zeros, deadline):
                 undo_to(mark)
                 for h in rewake[woken:]:  # rule 2 of the module docstring
                     if minact[h] > le_at[h]:
-                        queued[h] = True
-                        push_back(h)
+                        wake(h)
             else:
                 v = first_open(v)
                 if v == nvars:
@@ -456,12 +584,14 @@ def _search(model, zeros, deadline):
                     nodes, pops, start = 1, 0, len(minact)
                     model._index()
                     for h in range(start, len(halves)):  # rule 1
-                        act = sum([a * bound[k] for a, k in halves[h][0]])
+                        # a difference half is always past it (see wake)
+                        act = le_at[h] + 1 if pairs[h] else sum(
+                            [a * bound[k] for a, k in halves[h][0]])
                         minact.append(act)
-                        queued.append(act > le_at[h])
+                        queued.append(False)
                         if act > le_at[h]:
                             rewake.append(h)
-                            push_back(h)
+                            wake(h)
                     conflict = propagate()
                     continue
                 # split the domain of y = r (or -r = v - 1 if v is

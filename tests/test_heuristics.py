@@ -863,8 +863,9 @@ def test_params_validate_limits():
     with pytest.raises(ValueError):
         HeuristicParams(seed=-7)
     # int() would truncate: a non-integer is rejected by name
+    # and so is a bool, although index(True) is 1, as the CLI rejects it
     for field in ("attempt_limit", "depth_limit", "seed"):
-        for value in (2.5, 1.0, "3", None):
+        for value in (2.5, 1.0, "3", None, True, False, np.bool_(True)):
             with pytest.raises(ValueError, match=field):
                 HeuristicParams(**{field: value})
     params = HeuristicParams(attempt_limit=np.int64(3), seed=np.int64(4))

@@ -298,6 +298,53 @@ def test_deadline_is_checked_inside_root_propagation():
     assert out.nodes == 1
 
 
+def test_deadline_is_checked_inside_arc_propagation():
+    # z = 1 at the root switches on 1,999 difference rows, the chain
+    # a_{i+1} >= a_i + 1, which fixes all 2,000 integers; the root's
+    # waves alone pass the 1024-pop clock check
+    m = IlpModel()
+    z = m.add_binary("z")
+    a = [m.add_int(f"a_{i}", 0, 1999) for i in range(2000)]
+    m.add_ge([(1, z)], 1, "on")
+    for i in range(1999):
+        m.add_le([(1, a[i]), (-1, a[i + 1]), (2000, z)], 1999, f"chain_{i}")
+    full = solve(m, 10)
+    assert (full.status, full.nodes) == (Status.FEASIBLE, 1)
+    assert full.assignment == [1] + list(range(2000))
+    # the row "on", then each lower bound up the chain and each upper
+    # bound down it, once
+    assert full.pops == 1 + 2 * 1999
+    out = solve(m, 1e-9)
+    assert out.status is Status.TIMED_OUT
+    assert out.nodes == 1
+
+
+def difference_cycle(width):
+    """Three integers in 0..width and a binary z forced to 1 at the root;
+    with z = 1, rows a_i - a_{i+1} + (width + 1) * z <= width say
+    a_{i+1} >= a_i + 1 around a cycle, which no point satisfies."""
+    m = IlpModel()
+    z = m.add_binary("z")
+    a = [m.add_int(f"a_{i}", 0, width) for i in range(3)]
+    m.add_ge([(1, z)], 1, "on")
+    for i in range(3):
+        m.add_le([(1, a[i]), (-1, a[(i + 1) % 3]), (width + 1, z)], width,
+                 f"order_{i}")
+    return m
+
+
+def test_positive_cycle_is_refuted_without_climbing():
+    # row by row, bounds propagation raised each lower bound by one per
+    # lap of the cycle: 66,669 pops at width 10**5, growing with width
+    outs = [solve(difference_cycle(width), 10) for width in (10**3, 10**6)]
+    assert [(out.status, out.nodes) for out in outs] == [
+        (Status.INFEASIBLE, 1)] * 2
+    assert outs[0].pops == outs[1].pops
+    m = difference_cycle(10)
+    out = solve(m, 10)
+    assert (out.status, out.assignment, out.nodes) == reference_solve(m)
+
+
 def test_leaf_that_fails_the_exact_check_raises(monkeypatch):
     # a leaf is re-checked against every row; a propagation fault that
     # lets a bad leaf through must fail loudly, also under python -O
@@ -447,6 +494,106 @@ def test_solve_matches_reference_on_doubleton_models():
     assert statuses == {Status.FEASIBLE, Status.INFEASIBLE}
 
 
+def test_bound_raised_twice_in_one_wave_closes_no_cycle():
+    # z = 1 switches on s >= p + 1, x >= s + 1, t >= s + 1, x >= t + 10.
+    # Once p >= 5, the wave of the first raises s, then x and t by 7, x
+    # first; t then raises x again.  x is not up the chain p, s, t that
+    # reaches it this time, so this is no cycle
+    m = IlpModel()
+    z = m.add_binary("z")
+    p, s, x, t = (m.add_int(name, 0, 100) for name in "psxt")
+    m.add_ge([(1, z)], 1, "on")
+    m.add_ge([(1, p)], 5, "p_floor")
+    for name, (tail, head), gap in (("first", (p, s), 1), ("s_x", (s, x), 1),
+                                    ("s_t", (s, t), 1), ("second", (t, x), 10)):
+        m.add_le([(1, tail), (-1, head), (50, z)], 50 - gap, name)
+    out = solve(m, 10)
+    assert (out.status, out.assignment, out.nodes) == reference_solve(m)
+    assert out.status is Status.FEASIBLE
+
+
+ROW_KINDS = ("arcs", "no binary", "twice", "coef 2", "two")
+
+
+def difference_model(seed):
+    """Random models made mostly of difference rows: two general integers
+    with coefficients +-1, with or without one binary term.
+
+    The binary's coefficient is random, not the order rows' n, and x_1
+    is sometimes joined to 1 - x_0, so that a binary term can be
+    flipped.  Mixed in are near-misses that must stay halves: an integer
+    twice, an integer with coefficient 2, two binaries.  Rows pass near
+    one random point.  Returns (model, late, kinds): `late` rows arrive
+    after a first solve; `kinds` counts the rows made of each kind.
+    """
+    rng = np.random.default_rng(seed)
+    m = IlpModel()
+    xs = [m.add_binary(f"x_{i}") for i in range(int(rng.integers(2, 6)))]
+    ys = []
+    for i in range(int(rng.integers(2, 5))):
+        lo = int(rng.integers(-3, 3))
+        ys.append(m.add_int(f"y_{i}", lo, lo + int(rng.integers(1, 6))))
+    if rng.random() < 0.5:
+        m.add_eq([(1, xs[0]), (1, xs[1])], 1, "flip")
+    point = [int(rng.integers(lo, hi + 1)) for lo, hi in zip(m.lo, m.hi)]
+    kinds = dict.fromkeys(ROW_KINDS, 0)
+
+    def row():
+        i, j = (ys[int(k)] for k in rng.choice(len(ys), 2, replace=False))
+        x, w = (xs[int(k)] for k in rng.choice(len(xs), 2, replace=False))
+        sign = [int(c) for c in rng.choice([-1, 1], 2)]
+        terms = [(sign[0], i), (sign[1], j)]
+        kind = str(rng.choice(["arcs"] * 4 + list(ROW_KINDS[1:])))
+        coef = int(rng.choice([-5, -3, -2, -1, 1, 2, 3, 5]))
+        if kind != "no binary":
+            terms.append((coef, x))
+        if kind == "twice":
+            terms[1] = (terms[1][0], i)
+        elif kind == "coef 2":
+            terms[1] = (2 * terms[1][0], j)
+        elif kind == "two":
+            terms.append((-coef, w))
+        kinds[kind] += 1
+        sense = (LE, GE, EQ, LE, GE)[int(rng.integers(0, 5))]
+        rhs = sum(c * point[v] for c, v in terms)
+        rhs += {LE: 1, GE: -1, EQ: 0}[sense] * int(rng.integers(-1, 3))
+        return terms, sense, rhs
+
+    for k in range(int(rng.integers(2, 9))):
+        terms, sense, rhs = row()
+        m.add_constraint(terms, sense, rhs, f"r_{k}")
+    late = [row() for _ in range(int(rng.integers(1, 4)))]
+    return m, late, kinds
+
+
+def test_solve_matches_reference_on_difference_models():
+    # the first solve, a fresh solve after each late row, and the
+    # resumed search that takes each late row, against the sweep
+    statuses, resumed = set(), 0
+    kinds = dict.fromkeys(ROW_KINDS, 0)
+    for seed in range(300):
+        m, late, made = difference_model(seed)
+        for kind, count in made.items():
+            kinds[kind] += count
+        out = solve(m, 30)
+        assert (out.status, out.assignment, out.nodes) == (
+            reference_solve(m)), f"seed {seed}"
+        statuses.add(out.status)
+        for k, (terms, sense, rhs) in enumerate(late):
+            m.add_constraint(terms, sense, rhs, f"late_{k}")
+            previous = [out] if out.status is Status.FEASIBLE else []
+            out = solve(m, 30, (), *previous)
+            resumed += bool(previous)
+            fresh = solve(parse_lp(export_lp(m)), 30)
+            assert (fresh.status, fresh.assignment, fresh.nodes) == (
+                reference_solve(m)), f"seed {seed}, row {k}"
+            assert (out.status, out.assignment) == (
+                fresh.status, fresh.assignment), f"seed {seed}, row {k}"
+    assert statuses == {Status.FEASIBLE, Status.INFEASIBLE}
+    assert resumed > 100, resumed
+    assert min(kinds.values()) > 50, kinds
+
+
 # (rows, zeros, status, assignment) over binaries x_0..x_3 and a general
 # g in 0..2; a row is (terms over variable ids, sense, rhs)
 DOUBLETON_CASES = {
@@ -542,9 +689,9 @@ PINNED_SEARCH_TREE_SHA256 = (
 # sha256 of repr([(status, nodes, pops, assignment), ...]) over
 # search_corpus(); a change to the engine that keeps verdicts but moves
 # the search (its branching, its propagation order, which halves it
-# queues) changes this digest
+# queues, how it relaxes difference arcs) changes this digest
 PINNED_SEARCH_SHA256 = (
-    "a9e1835d19b9a82a5fe1a41de3cbea480ba6a3924f18e365fd7fd5b0921c3fb5"
+    "75190fff94225947948bcff27efd874f54869acd95ab1d9427c4b033a81197e3"
 )
 
 
@@ -676,6 +823,22 @@ def test_resumed_search_matches_fresh_solves_on_random_models():
             if out.status is not Status.FEASIBLE:
                 break
     assert resumed > 1000, resumed
+
+
+def test_resumed_search_takes_the_first_difference_row():
+    # the first search knows no arcs; the late row brings the first, and
+    # at the leaf (z, a, b) = (1, 2, 5) its wave raises lo(a) to b + 3,
+    # past a's domain, so the search goes on at z = 0
+    m = IlpModel()
+    z, a, b = m.add_binary("z"), m.add_int("a", 0, 5), m.add_int("b", 0, 5)
+    m.add_le([(1, a), (1, a), (1, z)], 6, "a_twice")
+    first = solve(m, 10)
+    assert first.assignment == [1, 2, 5]
+    m.add_le([(1, b), (-1, a), (3, z)], 0, "late")
+    out = solve(m, 10, (), first)
+    fresh = solve(parse_lp(export_lp(m)), 10)
+    assert (out.status, out.assignment) == (fresh.status, fresh.assignment)
+    assert out.assignment == [0, 3, 3]
 
 
 # Each step gets a model over x_0..x_2 and the FEASIBLE outcome of its
