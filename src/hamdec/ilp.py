@@ -14,9 +14,15 @@ Bixby, Gu, Rothberg & Weninger, 2020).  Each variable maps to a literal
 2r + f: its class's representative r, and f = 1 when it is 1 - r.  The
 search runs over representatives, branches on the first open model
 variable to the value that sets it to 1, and checks each leaf as a full
-assignment.  Other rows keep one bound per term, not one summed
-coefficient per representative, so propagation reaches the fixpoint it
-reaches over the full model and the search tree is the same.
+assignment.  Every other row is folded over the classes before it is
+indexed (the aggregation step of the same presolve): a flipped term
+c*(1 - r) moves c to the rhs and adds -c to r, so the row holds one
+summed coefficient per representative, and one whose sum is 0 drops
+out.  A row left with no terms is still indexed, so 0 <= rhs is checked
+at the root.  A folded row's least activity is at least the sum of its
+terms' least activities, so propagation is at least as strong as over
+the full model: the tree can only shrink, and the returned point, the
+lexicographically greatest feasible one, stays.
 
 Every bound is a lower bound (the bound literals of lazy clause
 generation, Ohrimenko, Stuckey & Codish, 2009): bound 2v is lo(v) and
@@ -57,11 +63,11 @@ queue or one bound off a heap; propagation checks the deadline every
 
 Each solve first adds the rows that arrived since the last one to the
 half index, inside its budget; a doubleton that joins two classes
-after a solve clears it.  A half holds its terms (a, k), with a = |c|
-and k the bound at which the term is least (2r if c > 0, else 2r+1,
-swapped for a flipped term, whose constant moves to the rhs), its rhs,
+after a solve clears it.  A half holds its folded terms (a, k), one per
+representative r, with a = |c| for the summed coefficient c and k the
+bound at which the term is least (2r if c > 0, else 2r+1), its rhs,
 least activity at the declared domains and threshold.  Bound k lists
-(half, a), a summed over the half's terms at k.  A fresh solve copies
+(half, a) once for each half with a term at k.  A fresh solve copies
 the activity list instead of rescanning every term.
 
 A solve may instead go on with the search of the last FEASIBLE outcome
@@ -248,36 +254,35 @@ class IlpModel:
                     and len(vars_) - sum(map(binary.__getitem__, vars_)) == 2
                     and self._add_arcs(coefs, vars_, sense, rhs)):
                 continue
-            own, negated = sense != GE, sense != LE  # which halves it has
-            h = len(halves)  # the own half; the negated one is h + own
-            terms = []  # (a, k): one per term of the row, a * y_k
-            least = neg_least = reach = 0
+            folded = {}  # 2r -> the row's summed coefficient on r
             for c, v in zip(coefs, vars_):
                 k = lit[v]
-                if k & 1:  # a flipped term c * (1 - r) moves c to the rhs
+                if k & 1:  # c * (1 - r): c moves to the rhs, -c onto r
                     rhs -= c
+                    c, k = -c, k ^ 1
+                if k in folded:
+                    folded[k] += c
+                else:
+                    folded[k] = c
+            own, negated = sense != GE, sense != LE  # which halves it has
+            h = len(halves)  # the own half; the negated one is h + own
+            terms = []  # (a, k): one per representative, a * y_k
+            least = neg_least = reach = 0
+            for k, c in folded.items():
                 if c < 0:
                     c, k = -c, k ^ 1
+                elif not c:  # the representative cancels out
+                    continue
                 terms.append((c, k))
                 width = c * -(bound[k] + bound[k ^ 1])
                 if width > reach:
                     reach = width
-                # a bound lists one (half, a) per half; this half's entry,
-                # once there, is the bound's last, so terms add up into it
                 if own:
                     least += c * bound[k]
-                    moved = bound_terms[k]
-                    if moved and moved[-1][0] == h:
-                        moved[-1] = (h, moved[-1][1] + c)
-                    else:
-                        moved.append((h, c))
+                    bound_terms[k].append((h, c))
                 if negated:
                     neg_least += c * bound[k ^ 1]
-                    moved = bound_terms[k ^ 1]
-                    if moved and moved[-1][0] == h + own:
-                        moved[-1] = (h + own, moved[-1][1] + c)
-                    else:
-                        moved.append((h + own, c))
+                    bound_terms[k ^ 1].append((h + own, c))
             if own:
                 self._add_half(terms, rhs, least, reach)
             if negated:
@@ -663,13 +668,24 @@ def export_lp(model: IlpModel) -> str:
 _HEADERS = ("Minimize", "Subject To", "Bounds", "Binaries", "Generals")
 
 
+def _number(tok: str, where: str) -> int:
+    """The int that export_lp writes as `tok`, which is its str(); int()
+    alone also reads `+0`, `03`, `1_0` and non-ASCII digits."""
+    try:
+        if str(int(tok)) == tok:
+            return int(tok)
+    except ValueError:
+        pass
+    raise ValueError(f"{where}: {tok!r} is not a number export_lp writes")
+
+
 def parse_lp(text: str) -> IlpModel:
     """Re-read LP text produced by export_lp into a structurally equal model.
 
     Only the dialect export_lp writes is accepted: its exact section
     headers, `name:` labels, terms `[+|-] [coefficient] var` with a
-    nonzero coefficient, the relations `<=`, `>=` and `=`, and `0` for an
-    empty left-hand side.
+    nonzero coefficient, the relations `<=`, `>=` and `=`, `0` for an
+    empty left-hand side, and each number as str(int) writes it.
     """
     sections: dict[str, list[str]] = {header: [] for header in _HEADERS}
     current = None
@@ -697,7 +713,8 @@ def parse_lp(text: str) -> IlpModel:
             raise ValueError(f"unsupported bounds line: {line!r}")
         if toks[2] in bounds:
             raise ValueError(f"second bounds line for {toks[2]!r}")
-        bounds[toks[2]] = (int(toks[0]), int(toks[4]))
+        where = f"bounds line {line!r}"
+        bounds[toks[2]] = (_number(toks[0], where), _number(toks[4], where))
     for line in sections["Generals"]:
         for name in line.split():
             if name not in bounds:
@@ -726,7 +743,7 @@ def parse_lp(text: str) -> IlpModel:
             elif tok in ("+", "-") and sign is None and coef is None:
                 sign = 1 if tok == "+" else -1
             elif tok.isdigit() and coef is None:
-                coef = int(tok)
+                coef = _number(tok, f"constraint {name!r}")
             elif tok in model.var_of and (sign is not None or not terms):
                 mag = 1 if coef is None else coef
                 terms.append(((sign or 1) * mag, model.var_of[tok]))
@@ -742,7 +759,7 @@ def parse_lp(text: str) -> IlpModel:
             raise ValueError(f"dangling constant in constraint {name!r}")
         if i >= len(tokens):
             raise ValueError(f"constraint {name!r} has no right-hand side")
-        rhs = int(tokens[i])
+        rhs = _number(tokens[i], f"constraint {name!r}")
         i += 1
         model.add_constraint(terms, sense, rhs, name)
     return model

@@ -485,9 +485,9 @@ def test_experiment_stdout_is_pinned(tmp_path, capsys):
         "random-permutation n=8 undirected mtz: solved 3/3,"
         " time 28.3±9.5 ms, iterations 1.00±0.00\n"
         "four-peak n=10 directed dfj: solved 3/3,"
-        " time 6.7±2.1 ms, iterations 2.00±1.00\n"
+        " time 4.7±2.1 ms, iterations 2.00±1.00\n"
         "four-peak n=10 directed dfj-ls: solved 3/3,"
-        " time 7.7±3.1 ms, iterations 2.00±1.00\n"
+        " time 5.7±3.1 ms, iterations 2.00±1.00\n"
         f"15 rows -> {out}\n"
     )
 
@@ -565,7 +565,7 @@ PINNED_GRID = [
      "per_set_time_limit_ms": 600000, "seed": 5},
 ]
 PINNED_GRID_CSV_SHA256 = (
-    "eae0f26930d94238af87cdccebe746b6b940c1c34f56a4b3f00850cd1c767a86"
+    "856a0ec8d0875c748970afe4a456dc2c02f733b2d2079fee957124ac7e113b19"
 )
 PINNED_GRID_WITNESS_SHA256 = (
     "93684f81b3b96ee09cbe7563d72c2ef6ac6522fa699f0f0c359d7e8065e98501"

@@ -163,6 +163,104 @@ def reference_solve(model, zeros=()):
     return status, found, nodes
 
 
+def folded_reference_solve(model, zeros=()):
+    """solve's search over doubleton classes, propagating by sweeping
+    every row folded per class until no change.
+
+    A union-find with parity joins the binaries x != y of every row
+    c*x + c*y = c (y = 1 - x) and c*x - c*y = 0 (y = x), so each variable
+    is its root r, or 1 - r if flipped.  Every row, a joining one too,
+    is folded: one summed coefficient per root, a flipped term c*(1 - r)
+    moving c to the rhs, a root whose sum is 0 left out.  Branches on
+    the first variable whose root is open, to the half that holds its
+    upper half, and counts every propagated domain as a node, as solve
+    does.  Returns (status, assignment, nodes).
+    """
+    parent, flip = list(range(len(model.names))), [0] * len(model.names)
+
+    def find(v):  # (root, 1 if v = 1 - root)
+        f = 0
+        while parent[v] != v:
+            f ^= flip[v]
+            v = parent[v]
+        return v, f
+
+    for con in model.constraints:
+        if con.sense != EQ or len(con.vars) != 2:
+            continue
+        (c, d), (x, y) = con.coefs, con.vars
+        if x == y or not (model.binary[x] and model.binary[y]):
+            continue
+        if c == d == con.rhs or (c == -d and con.rhs == 0):
+            (rx, fx), (ry, fy) = find(x), find(y)
+            if rx != ry:
+                parent[ry], flip[ry] = rx, fx ^ fy ^ (c == d)
+
+    sides = []
+    for con in model.constraints:
+        folded, rhs = {}, con.rhs
+        for c, v in zip(con.coefs, con.vars):
+            r, f = find(v)
+            if f:
+                rhs -= c
+            folded[r] = folded.get(r, 0) + (-c if f else c)
+        terms = [(c, r) for r, c in folded.items() if c]
+        if con.sense != GE:
+            sides.append((terms, rhs))
+        if con.sense != LE:
+            sides.append(([(-c, r) for c, r in terms], -rhs))
+    lits = [find(v) for v in range(len(model.names))]
+    nodes = 0
+
+    def search(lo, hi):
+        nonlocal nodes
+        nodes += 1
+        if any(map(int.__gt__, lo, hi)):
+            return None
+        moved = True
+        while moved:
+            moved = False
+            for terms, rhs in sides:
+                step = _narrow(terms, rhs, lo, hi)
+                if step is None:
+                    return None
+                moved = moved or step
+        open_ = [(r, f) for r, f in lits if lo[r] < hi[r]]
+        if not open_:
+            return [1 - lo[r] if f else lo[r] for r, f in lits]
+        r, f = open_[0]
+        mid = (lo[r] + hi[r]) // 2
+        halves = [(mid + 1, hi[r]), (lo[r], mid)]
+        if f:  # v = 1 - r: v's upper half is r's lower half
+            halves.reverse()
+        for half in halves:
+            child_lo, child_hi = lo[:], hi[:]
+            child_lo[r], child_hi[r] = half
+            found = search(child_lo, child_hi)
+            if found is not None:
+                return found
+        return None
+
+    lo, hi = list(model.lo), list(model.hi)
+    for v in zeros:  # v = 0 caps r at 0, or raises r to 1 if v = 1 - r
+        r, f = lits[v]
+        if f:
+            lo[r] = 1
+        else:
+            hi[r] = 0
+    found = search(lo, hi)
+    status = Status.INFEASIBLE if found is None else Status.FEASIBLE
+    return status, found, nodes
+
+
+def assert_matches_folded_reference(out, model, zeros=(), label=""):
+    """`out` has the folded sweep's status, point and nodes, and no more
+    nodes than the sweep that keeps one bound per term."""
+    expected = folded_reference_solve(model, zeros)
+    assert (out.status, out.assignment, out.nodes) == expected, label
+    assert out.nodes <= reference_solve(model, zeros)[2], label
+
+
 def pigeonhole(m):
     """m+1 pigeons into m exclusive holes; infeasible by counting."""
     model = IlpModel()
@@ -418,10 +516,7 @@ def structured_models():
 
 def test_solve_matches_sweeping_reference_on_structured_models():
     for label, m in structured_models():
-        out = solve(m, 30)
-        assert (out.status, out.assignment, out.nodes) == reference_solve(m), (
-            label
-        )
+        assert_matches_folded_reference(solve(m, 30), m, (), label)
 
 
 def doubleton_model(seed):
@@ -485,9 +580,8 @@ def test_solve_matches_reference_on_doubleton_models():
         m, zeros, late = doubleton_model(seed)
         for step in ("first", "late"):
             out = solve(m, 30, zeros)
-            assert (out.status, out.assignment, out.nodes) == (
-                reference_solve(m, zeros)
-            ), f"seed {seed}, {step} solve"
+            assert_matches_folded_reference(out, m, zeros,
+                                            f"seed {seed}, {step} solve")
             statuses.add(out.status)
             for k, (terms, rhs) in enumerate(late):
                 m.add_eq(terms, rhs, f"late_{k}")
@@ -576,8 +670,7 @@ def test_solve_matches_reference_on_difference_models():
         for kind, count in made.items():
             kinds[kind] += count
         out = solve(m, 30)
-        assert (out.status, out.assignment, out.nodes) == (
-            reference_solve(m)), f"seed {seed}"
+        assert_matches_folded_reference(out, m, (), f"seed {seed}")
         statuses.add(out.status)
         for k, (terms, sense, rhs) in enumerate(late):
             m.add_constraint(terms, sense, rhs, f"late_{k}")
@@ -585,8 +678,8 @@ def test_solve_matches_reference_on_difference_models():
             out = solve(m, 30, (), *previous)
             resumed += bool(previous)
             fresh = solve(parse_lp(export_lp(m)), 30)
-            assert (fresh.status, fresh.assignment, fresh.nodes) == (
-                reference_solve(m)), f"seed {seed}, row {k}"
+            assert_matches_folded_reference(fresh, m, (),
+                                            f"seed {seed}, row {k}")
             assert (out.status, out.assignment) == (
                 fresh.status, fresh.assignment), f"seed {seed}, row {k}"
     assert statuses == {Status.FEASIBLE, Status.INFEASIBLE}
@@ -618,7 +711,8 @@ DOUBLETON_CASES = {
     "x - y = 1": ([([(1, 0), (-1, 1)], EQ, 1)], (), "feasible", [1, 0, 1, 1, 2]),
     "binary and general": ([([(1, 0), (1, 4)], EQ, 1)], (), "feasible",
                            [1, 1, 1, 1, 0]),
-    # summed coefficients would fix x_0 = 0 at the root: 3 nodes, not 5
+    # summed coefficients fix x_0 = 0 at the root: 3 nodes, where one
+    # bound per term takes 5
     "both flips in one row": (
         [([(1, 2), (1, 3)], EQ, 1), ([(1, 0), (1, 2), (1, 3)], LE, 1)],
         (), "feasible", [0, 1, 1, 0, 2]),
@@ -643,7 +737,7 @@ def test_doubleton_cases_match_reference(case):
         m.add_constraint(terms, sense, rhs, f"r_{k}")
     out = solve(m, 10, zeros)
     assert (out.status.value, out.assignment) == (status, assignment)
-    assert (out.status, out.assignment, out.nodes) == reference_solve(m, zeros)
+    assert_matches_folded_reference(out, m, zeros)
 
 
 def test_doubleton_joining_classes_after_a_solve_rebuilds_the_index():
@@ -658,12 +752,47 @@ def test_doubleton_joining_classes_after_a_solve_rebuilds_the_index():
     m.add_eq([(1, xs[1]), (-1, xs[2])], 0, "d_12")
     m.add_le([(1, xs[0]), (1, xs[3])], 1, "cap")
     out = solve(m, 10)
-    assert (out.status, out.assignment, out.nodes) == reference_solve(m)
+    assert_matches_folded_reference(out, m)
     assert out.assignment == [1, 0, 0, 0]
     fresh = solve(parse_lp(export_lp(m)), 10)
     assert (fresh.status, fresh.assignment, fresh.nodes, fresh.pops) == (
         out.status, out.assignment, out.nodes, out.pops
     )
+
+
+# rows that fold over the classes: (binaries, generals as (name, lo, hi),
+# rows, status, assignment, nodes, pops); a row is (terms, sense, rhs)
+FOLDED_CASES = {
+    # x + y = 1 makes y = 1 - x, so x + y + z <= 1 folds to z <= 0: the
+    # root fixes z = 0; one bound per term leaves z open, 4 nodes
+    "a class cancels": (
+        "zxy", (), [([(1, 1), (1, 2)], EQ, 1),
+                    ([(1, 1), (1, 2), (1, 0)], LE, 1)],
+        Status.FEASIBLE, [0, 1, 0], 2, 1),
+    # with y = 1 - x, x + y <= 0 folds to no terms: 1 <= 0
+    "no terms left": (
+        "xy", (), [([(1, 0), (1, 1)], EQ, 1), ([(1, 0), (1, 1)], LE, 0)],
+        Status.INFEASIBLE, None, 1, 1),
+    # 2u - u <= 3 is u <= 3; one bound per term takes 6 pops
+    "a general twice": (
+        "", [("u", 0, 9)], [([(2, 0), (-1, 0)], LE, 3)],
+        Status.FEASIBLE, [3], 3, 3),
+}
+
+
+@pytest.mark.parametrize("case", FOLDED_CASES)
+def test_folded_rows_prune_and_cancel(case):
+    binaries, generals, rows, *expected = FOLDED_CASES[case]
+    m = IlpModel()
+    for name in binaries:
+        m.add_binary(name)
+    for name, lo, hi in generals:
+        m.add_int(name, lo, hi)
+    for k, (terms, sense, rhs) in enumerate(rows):
+        m.add_constraint(terms, sense, rhs, f"r_{k}")
+    out = solve(m, 10)
+    assert [out.status, out.assignment, out.nodes, out.pops] == expected
+    assert_matches_folded_reference(out, m)
 
 
 def test_check_rejects_wrong_lengths_and_values_outside_domains():
@@ -683,15 +812,16 @@ def test_check_rejects_wrong_lengths_and_values_outside_domains():
 
 # sha256 of repr([(status, nodes, assignment), ...]) over search_corpus():
 # the search tree, which joining doubleton equalities into classes keeps
+# and folding each row per class prunes
 PINNED_SEARCH_TREE_SHA256 = (
-    "2f96640ea42167dbd944e423b4d75be20b2e3b6c2d7026d7210de6b5d97a5913"
+    "6ed7cf06dd7914d5d912d1590da25afd929ad7f81bb22c501a502022639149e2"
 )
 # sha256 of repr([(status, nodes, pops, assignment), ...]) over
 # search_corpus(); a change to the engine that keeps verdicts but moves
 # the search (its branching, its propagation order, which halves it
 # queues, how it relaxes difference arcs) changes this digest
 PINNED_SEARCH_SHA256 = (
-    "75190fff94225947948bcff27efd874f54869acd95ab1d9427c4b033a81197e3"
+    "2fc98f27cd10b6fd3c4d1355f0bb49ba61ed631c7e5b8333513eb75e475bb731"
 )
 
 
@@ -731,8 +861,11 @@ def test_search_is_pinned_node_for_node():
 # build_dfj_base on rp dir n=64, seeds 7000-7009, each solved once with
 # its higher parallel copies fixed to 0, when every row was indexed over
 # the model's own variables: each degree row popped once per arc of its
-# alternating cycle
+# alternating cycle.  One bound per term, also over the classes, took
+# the same 57 nodes
 UNJOINED_POPS, UNJOINED_NODES = 2847, 57
+# the same solves with every row folded per class representative
+FOLDED_NODES = 37
 
 
 def test_directed_degree_rows_leave_the_queue():
@@ -744,7 +877,7 @@ def test_directed_degree_rows_leave_the_queue():
         out = solve(m, 60, higher_copy_terms(g, z_terms))
         pops += out.pops
         nodes += out.nodes
-    assert nodes == UNJOINED_NODES
+    assert nodes == FOLDED_NODES < UNJOINED_NODES
     assert pops <= UNJOINED_POPS // 10
 
 
@@ -992,6 +1125,13 @@ SMALL_LP = (
 )
 
 
+def with_general(lo, hi):
+    """(old, new) that declares a general u in lo..hi after SMALL_LP's
+    binaries."""
+    return ("Binaries\n z_0 z_1\n", f"Bounds\n {lo} <= u <= {hi}\n"
+            "Binaries\n z_0 z_1\nGenerals\n u\n")
+
+
 def test_small_lp_is_what_export_writes():
     m = IlpModel()
     m.add_le([(1, m.add_binary("z_0")), (1, m.add_binary("z_1"))], 1, "c")
@@ -1010,11 +1150,29 @@ def test_small_lp_is_what_export_writes():
     ("Minimize\n", "\\ a comment\nMinimize\n"),
     (" c: ", " c : "),
     ("Minimize", "Maximize"),
+    # numbers that int() reads as 10, 0 and 3
+    (" <= 1\n", " <= 1_0\n"),
+    (" <= 1\n", " <= +0\n"),
+    (" <= 1\n", " <= \u0663\n"),
+    (" z_1 ", " \u0663 z_1 "),
+    (" z_1 ", " 03 z_1 "),
+    with_general(0, "1_0"),
+    with_general("+0", 9),
+    with_general("\u0663", 9),
 ])
 def test_parse_rejects_constructs_export_never_writes(old, new):
     assert old in SMALL_LP
     with pytest.raises(ValueError):
         parse_lp(SMALL_LP.replace(old, new, 1))
+
+
+def test_general_variant_of_small_lp_reads_back():
+    # the cases above with numbers that export_lp writes
+    text = SMALL_LP.replace(" <= 1", " <= -10").replace(*with_general(-3, 10))
+    m = parse_lp(text)
+    assert (m.names, m.lo, m.hi, m.constraints[0].rhs) == (
+        ["z_0", "z_1", "u"], [0, 0, -3], [1, 1, 10], -10)
+    assert export_lp(m) == text
 
 
 @pytest.mark.parametrize("lhs", [

@@ -421,7 +421,7 @@ PINNED_HEURISTIC_RUNS = [
 # work, emitted cuts, trace sequences, witness orders).  A change that
 # alters a heuristic random stream on purpose updates it.
 PINNED_HEURISTIC_SHA256 = (
-    "87b09a81827c047082c70c577149f4ab9e2452b6b4f5d48829416e9a4a4d7585"
+    "a426743ff30226d8c9e65a7dc9ad98c7606579eeaa8a2a699972ed21481d82c9"
 )
 
 
@@ -457,7 +457,7 @@ def test_heuristic_runs_match_pinned_digest():
 # iterations, work, emitted cuts, witness orders, accepted totals in
 # order): the moves alone, not how the trace groups them into sequences.
 PINNED_MOVES_SHA256 = (
-    "ecb2d08e05594d14c982875f2d519f444196209c90f765eea8934ae717db9cbd"
+    "c3f202fe427087e627766d6842afbd9e633ae18bbc03303749f759d089dbe1e0"
 )
 
 
@@ -521,7 +521,7 @@ PINNED_EXACT_RUNS = (
 # cuts_added).  A change to the search order or to propagation strength
 # alters it; a pure speed-up of the exact engine must not.
 PINNED_EXACT_SHA256 = (
-    "ce6407527cefd644149b91e6e0fcb8d358346cf1910922a562feb138648f2e5f"
+    "f7c1f7cfe5ddce008e85921c0d8b66da8612d387bf17a12017a81cb93b245d14"
 )
 
 
