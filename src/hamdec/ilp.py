@@ -19,10 +19,11 @@ indexed (the aggregation step of the same presolve): a flipped term
 c*(1 - r) moves c to the rhs and adds -c to r, so the row holds one
 summed coefficient per representative, and one whose sum is 0 drops
 out.  A row left with no terms is still indexed, so 0 <= rhs is checked
-at the root.  A folded row's least activity is at least the sum of its
-terms' least activities, so propagation is at least as strong as over
-the full model: the tree can only shrink, and the returned point, the
-lexicographically greatest feasible one, stays.
+at the root; a doubleton inside one class stays a row, and folds to
+0 = 0 or to a conflict.  A folded row's least activity is at least the
+sum of its terms' least activities, so propagation is at least as
+strong as over the full model: the tree can only shrink, and the
+returned point, the lexicographically greatest feasible one, stays.
 
 Every bound is a lower bound (the bound literals of lazy clause
 generation, Ohrimenko, Stuckey & Codish, 2009): bound 2v is lo(v) and
@@ -37,13 +38,14 @@ after Aggoun & Beldiceanu, 1990).
 
 Every row but a joined doubleton is kept as one or two `<=` halves,
 sum(c*x) <= rhs: the row itself unless it is >=, and its negation
-unless it is <=, so an = row is two (the normal form of MIP presolve).  Each half has a reach:
-the largest coefficient-times-initial-width of its terms.  A half whose
-slack is at least its reach can neither conflict nor tighten a bound,
-so the root queues only the halves whose least activity is past
-rhs - reach, and a bound change queues a half only when it takes the
-half's least activity past that threshold.  A queued half stays past
-it: activities only rise until a backtrack empties the queue.
+unless it is <=, so an = row is two (the normal form of MIP presolve).
+Each half has a reach: the largest coefficient-times-declared-width of
+its terms (widths at a leaf would not hold after a backtrack).  A half
+whose slack is at least its reach can neither conflict nor tighten a
+bound, so a half is queued when admitted only if its least activity is
+past rhs - reach, and a bound change queues a half only when it takes
+its least activity past that threshold.  A queued half stays past it:
+activities only rise until a backtrack empties the queue.
 
 A difference row (two general integers with coefficients +-1, at most
 one binary: MTZ's order rows a_i - a_j + n*z <= n - 1) has no bound
@@ -61,28 +63,32 @@ one unit per lap: a conflict at once.  A pop takes one half off the
 queue or one bound off a heap; propagation checks the deadline every
 1024 pops, so a budget holds even when a fixpoint is long.
 
-Each solve first adds the rows that arrived since the last one to the
-half index, inside its budget; a doubleton that joins two classes
-after a solve clears it.  A half holds its folded terms (a, k), one per
-representative r, with a = |c| for the summed coefficient c and k the
-bound at which the term is least (2r if c > 0, else 2r+1), its rhs,
-least activity at the declared domains and threshold.  Bound k lists
-(half, a) once for each half with a term at k.  A fresh solve copies
-the activity list instead of rescanning every term.
+Each search owns its classes and half index; the model keeps only its
+rows, so no solve changes it.  One step admits the rows added since the
+last, at the root and at each resume: it joins the binary doubletons
+among them, in row order, the smaller class into the larger; folds and
+indexes the others, in row order; and queues the new halves past their
+threshold, in half order (at the root, before the zero fixes).  A half
+holds its folded terms (a, k), one per representative r, with a = |c|
+for the summed coefficient c and k the bound at which the term is least
+(2r if c > 0, else 2r+1), its rhs, its least activity at the search's
+bounds and its threshold.  Bound k lists (half, a) once for each half
+with a term at k.
 
 A solve may instead go on with the search of the last FEASIBLE outcome
 (lazy constraints, Ohrimenko, Stuckey & Codish): new rows only cut
 points off, so every point above that search's point L stays
 infeasible, and the search keeps its state and returns what a fresh
-solve of the grown model returns.  (1) New halves get their least
-activity at L; those past their threshold propagate at L.  (2) Least
-activity only falls towards the root, so only those can be past it at
-an ancestor: a re-wake list holds them, each frame records its length,
-and a backtrack re-queues those listed since that are past it there
-(a difference half, always, has the arcs out of its tails relaxed).
-(3) Only a search's last outcome resumes, if FEASIBLE, on its model and
-zeros with no variable added or doubleton joined since; else ValueError.
-`nodes` and `pops` count one call's work.
+solve of the grown model returns.  (1) New halves are admitted at L;
+those past their threshold propagate at L.  (2) Least activity only
+falls towards the root, so only those can be past it at an ancestor: a
+re-wake list holds them, each frame records its length, and a backtrack
+re-queues those listed since that are past it there (a difference
+half keeps the least activity it was admitted with, so each backtrack
+relaxes the arcs out of its tails).  (3) Only a search's last outcome
+resumes, if FEASIBLE, on its model and zeros with no variable added and
+no new doubleton joining two of its classes; else ValueError.  `nodes`
+and `pops` count one call's work.
 """
 
 from __future__ import annotations
@@ -125,8 +131,9 @@ class SolveOutcome:
 class IlpModel:
     """Variables with finite integer domains, and linear rows over them.
 
-    A variable's `lo`/`hi` are fixed once it is declared: the row index
-    below holds activities at the declared domains.
+    A variable's `lo`/`hi` are fixed once it is declared.  The model
+    keeps only what it is given: each search builds its own doubleton
+    classes and half index from it (see the module docstring).
     """
 
     def __init__(self):
@@ -135,25 +142,6 @@ class IlpModel:
         self.binary: list[bool] = []
         self.constraints: list[LinearConstraint] = []
         self._bound: list[int] = []  # lo(v) at 2v, -hi(v) at 2v+1
-        # doubleton classes (see the module docstring): per variable its
-        # literal 2r + f, and per representative r its class's members
-        self._lit: list[int] = []
-        self._members: list[list[int]] = []
-        self._rows: list[LinearConstraint] = []  # rows not joined away
-        self._clear_index()
-
-    def _clear_index(self):
-        # half index (see the module docstring): per half its (terms,
-        # rhs), least activity and threshold; per bound the halves it moves
-        self._indexed = 0  # rows of _rows in the index
-        self._halves: list[tuple[list[tuple[int, int]], int]] = []
-        self._minact: list[int] = []
-        self._le_at: list[int] = []
-        self._bound_terms: list[list[tuple[int, int]]] = []
-        # per half its arcs if a difference half; per bound its out-arcs,
-        # or for a binary the halves whose arcs it weighs
-        self._pairs: list = []
-        self._arcs: dict[int, list] = {}
 
     @property
     def lo(self) -> list[int]:
@@ -179,8 +167,6 @@ class IlpModel:
         if lo > hi:
             raise ValueError(f"empty domain for {name}")
         self.var_of[name] = len(self.names)
-        self._lit.append(2 * len(self.names))
-        self._members.append([len(self.names)])
         self.names.append(name)
         self._bound += (lo, -hi)
         self.binary.append(False)
@@ -201,6 +187,7 @@ class IlpModel:
     def add_constraint(self, terms, sense: str, rhs: int, name: str) -> None:
         if sense not in (LE, GE, EQ):
             raise ValueError(f"unknown sense {sense!r}")
+        terms = list(terms)  # read an iterator once, not once per field
         try:  # int() would truncate 1.5 to 1
             coefs = tuple([index(c) for c, _ in terms])
             vars_ = tuple([index(v) for _, v in terms])
@@ -214,120 +201,8 @@ class IlpModel:
                 raise ValueError(f"constraint {name} uses unknown var {v}")
         if 0 in coefs:
             raise ValueError(f"constraint {name} has a zero coefficient")
-        row = LinearConstraint(coefs, vars_, sense, rhs, name)
-        self.constraints.append(row)
-        joined = self._join(row) if len(vars_) == 2 and sense == EQ else None
-        if joined is None:
-            self._rows.append(row)
-        elif joined and self._bound_terms:  # a solve indexed the old classes
-            self._clear_index()  # so no search resumes either
-
-    def _join(self, row) -> bool | None:
-        """None if `row` stays a row (a doubleton that closes a class with
-        the wrong parity does), else whether it joined two classes."""
-        (c, d), (x, y) = row.coefs, row.vars  # an = row with two terms
-        if x == y or not (self.binary[x] and self.binary[y]):
-            return None
-        if not (c == d == row.rhs or c == -d and row.rhs == 0):
-            return None
-        odd = c == d  # y = 1 - x, else y = x
-        lit, members = self._lit, self._members
-        f = (lit[x] ^ lit[y] ^ odd) & 1  # flip from one class to the other
-        r, s = lit[x] >> 1, lit[y] >> 1
-        if r == s:
-            return False if not f else None
-        if len(members[r]) < len(members[s]):
-            r, s = s, r
-        for v in members[s]:
-            lit[v] = 2 * r + ((lit[v] ^ f) & 1)
-        members[r] += members[s]
-        members[s] = []
-        return True
-
-    def _index(self) -> None:
-        """Add the halves of every row added since the last call."""
-        bound, lit, binary = self._bound, self._lit, self.binary
-        bound_terms, halves = self._bound_terms, self._halves
-        bound_terms += [[] for _ in range(len(bound) - len(bound_terms))]
-        for coefs, vars_, sense, rhs, _ in self._rows[self._indexed:]:
-            if (len(vars_) <= 3  # two general integers and 0 or 1 binary
-                    and len(vars_) - sum(map(binary.__getitem__, vars_)) == 2
-                    and self._add_arcs(coefs, vars_, sense, rhs)):
-                continue
-            folded = {}  # 2r -> the row's summed coefficient on r
-            for c, v in zip(coefs, vars_):
-                k = lit[v]
-                if k & 1:  # c * (1 - r): c moves to the rhs, -c onto r
-                    rhs -= c
-                    c, k = -c, k ^ 1
-                if k in folded:
-                    folded[k] += c
-                else:
-                    folded[k] = c
-            own, negated = sense != GE, sense != LE  # which halves it has
-            h = len(halves)  # the own half; the negated one is h + own
-            terms = []  # (a, k): one per representative, a * y_k
-            least = neg_least = reach = 0
-            for k, c in folded.items():
-                if c < 0:
-                    c, k = -c, k ^ 1
-                elif not c:  # the representative cancels out
-                    continue
-                terms.append((c, k))
-                width = c * -(bound[k] + bound[k ^ 1])
-                if width > reach:
-                    reach = width
-                if own:
-                    least += c * bound[k]
-                    bound_terms[k].append((h, c))
-                if negated:
-                    neg_least += c * bound[k ^ 1]
-                    bound_terms[k ^ 1].append((h + own, c))
-            if own:
-                self._add_half(terms, rhs, least, reach)
-            if negated:
-                self._add_half([(a, k ^ 1) for a, k in terms], -rhs,
-                               neg_least, reach)
-        self._indexed = len(self._rows)
-
-    def _add_arcs(self, coefs, vars_, sense, rhs) -> bool:
-        """Index a difference row (see the module docstring), unless its
-        general integers are one, or one's coefficient is not +-1."""
-        bound, ks = self._bound, []
-        a = kb = 0
-        for c, v in zip(coefs, vars_):
-            if self.binary[v]:
-                kb = self._lit[v]
-                rhs -= c if kb & 1 else 0
-                a, kb = (c, kb) if c > 0 else (-c, kb ^ 1)
-            elif c * c != 1:
-                return False
-            else:
-                ks.append(2 * v + (c < 0))  # a general's literal is 2v
-        k1, k2 = ks
-        if k1 >> 1 == k2 >> 1:
-            return False
-        reach = max(-bound[k1] - bound[k1 ^ 1], -bound[k2] - bound[k2 ^ 1],
-                    a * -(bound[kb] + bound[kb ^ 1]))
-        for f in (0, 1)[sense == GE:1 + (sense != LE)]:  # own, negated
-            h, r = len(self._halves), -rhs if f else rhs
-            u1, u2, b = k1 ^ f, k2 ^ f, kb ^ f
-            # arcs (head, a, kb, rhs, tail); kb lists the half, and no
-            # bound its terms: propagate never pops it
-            pair = (u2 ^ 1, a, b, r, u1), (u1 ^ 1, a, b, r, u2)
-            for arc in pair:
-                self._arcs.setdefault(arc[4], []).append(arc)
-            if a:
-                self._arcs.setdefault(b, []).append(h)
-            self._add_half((), r, bound[u1] + bound[u2] + a * bound[b],
-                           reach, pair)
-        return True
-
-    def _add_half(self, terms, rhs, least, reach, pair=None):
-        self._halves.append((terms, rhs))
-        self._minact.append(least)
-        self._le_at.append(rhs - reach)
-        self._pairs.append(pair)
+        self.constraints.append(
+            LinearConstraint(coefs, vars_, sense, rhs, name))
 
     def add_le(self, terms, rhs, name):
         self.add_constraint(terms, LE, rhs, name)
@@ -357,6 +232,139 @@ class IlpModel:
         return True
 
 
+class _Presolve:
+    """One search's doubleton classes and half index over its model's
+    rows (see the module docstring); `admit` grows both."""
+
+    def __init__(self, model):
+        self.model = model
+        self.rows = 0  # rows of model.constraints admitted
+        # per variable its literal 2r + f, per representative its members
+        self.lit = list(range(0, len(model._bound), 2))
+        self.members = [[v] for v in range(len(model.names))]
+        # per half its (terms, rhs), least activity, threshold, and arcs
+        # if a difference half; per bound the halves it moves, and its
+        # out-arcs or, for a binary, the halves whose arcs it weighs
+        self.halves, self.minact, self.le_at, self.pairs = [], [], [], []
+        self.bound_terms = [[] for _ in model._bound]
+        self.arcs: dict[int, list] = {}
+
+    def admit(self, bound, resume: bool) -> int:
+        """Admit the rows added since the last call, with least
+        activities at `bound`; return the first new half.  A resume
+        refuses a doubleton that joins two classes."""
+        new = self.model.constraints[self.rows:]
+        self.rows += len(new)
+        rows = []
+        for row in new:  # step 1: join the binary doubletons
+            if len(row.vars) != 2 or row.sense != EQ or not self._join(row):
+                rows.append(row)
+            elif resume:
+                raise ValueError(f"a search resumes only with rows that "
+                                 f"join no classes, not {row.name}")
+        declared, binary, lit = self.model._bound, self.model.binary, self.lit
+        bound_terms, start = self.bound_terms, len(self.halves)
+        for coefs, vars_, sense, rhs, _ in rows:  # step 2: fold, index
+            if (len(vars_) <= 3  # two general integers and 0 or 1 binary
+                    and len(vars_) - sum(map(binary.__getitem__, vars_)) == 2
+                    and self._add_arcs(coefs, vars_, sense, rhs, bound)):
+                continue
+            folded = {}  # 2r -> the row's summed coefficient on r
+            for c, v in zip(coefs, vars_):
+                k = lit[v]
+                if k & 1:  # c * (1 - r): c moves to the rhs, -c onto r
+                    rhs -= c
+                    c, k = -c, k ^ 1
+                if k in folded:
+                    folded[k] += c
+                else:
+                    folded[k] = c
+            own, negated = sense != GE, sense != LE  # which halves it has
+            h = len(self.halves)  # the own half; the negated one is h + own
+            terms = []  # (a, k): one per representative, a * y_k
+            least = neg_least = reach = 0
+            for k, c in folded.items():
+                if c < 0:
+                    c, k = -c, k ^ 1
+                elif not c:  # the representative cancels out
+                    continue
+                terms.append((c, k))
+                width = c * -(declared[k] + declared[k ^ 1])
+                if width > reach:
+                    reach = width
+                if own:
+                    least += c * bound[k]
+                    bound_terms[k].append((h, c))
+                if negated:
+                    neg_least += c * bound[k ^ 1]
+                    bound_terms[k ^ 1].append((h + own, c))
+            if own:
+                self._add_half(terms, rhs, least, reach)
+            if negated:
+                self._add_half([(a, k ^ 1) for a, k in terms], -rhs,
+                               neg_least, reach)
+        return start
+
+    def _join(self, row) -> bool:
+        """Whether `row`, an = row with two terms, joins two classes."""
+        (c, d), (x, y) = row.coefs, row.vars
+        binary, lit = self.model.binary, self.lit
+        r, s = lit[x] >> 1, lit[y] >> 1
+        if r == s or not (binary[x] and binary[y] and (
+                c == d == row.rhs or c == -d and row.rhs == 0)):
+            return False
+        # y = 1 - x if c == d, else y = x: the flip between the classes
+        f = (lit[x] ^ lit[y] ^ (c == d)) & 1
+        members = self.members
+        if len(members[r]) < len(members[s]):
+            r, s = s, r
+        for v in members[s]:
+            lit[v] = 2 * r + ((lit[v] ^ f) & 1)
+        members[r] += members[s]
+        members[s] = []
+        return True
+
+    def _add_arcs(self, coefs, vars_, sense, rhs, bound) -> bool:
+        """Index a difference row (see the module docstring), unless its
+        general integers are one, or one's coefficient is not +-1."""
+        declared, ks = self.model._bound, []
+        a = kb = 0
+        for c, v in zip(coefs, vars_):
+            if self.model.binary[v]:
+                kb = self.lit[v]
+                rhs -= c if kb & 1 else 0
+                a, kb = (c, kb) if c > 0 else (-c, kb ^ 1)
+            elif c * c != 1:
+                return False
+            else:
+                ks.append(2 * v + (c < 0))  # a general's literal is 2v
+        k1, k2 = ks
+        if k1 >> 1 == k2 >> 1:
+            return False
+        reach = max(-declared[k1] - declared[k1 ^ 1],
+                    -declared[k2] - declared[k2 ^ 1],
+                    a * -(declared[kb] + declared[kb ^ 1]))
+        for f in (0, 1)[sense == GE:1 + (sense != LE)]:  # own, negated
+            h, r = len(self.halves), -rhs if f else rhs
+            u1, u2, b = k1 ^ f, k2 ^ f, kb ^ f
+            # arcs (head, a, kb, rhs, tail); kb lists the half, and no
+            # bound its terms: propagate never pops it
+            pair = (u2 ^ 1, a, b, r, u1), (u1 ^ 1, a, b, r, u2)
+            for arc in pair:
+                self.arcs.setdefault(arc[4], []).append(arc)
+            if a:
+                self.arcs.setdefault(b, []).append(h)
+            self._add_half((), r, bound[u1] + bound[u2] + a * bound[b],
+                           reach, pair)
+        return True
+
+    def _add_half(self, terms, rhs, least, reach, pair=None):
+        self.halves.append((terms, rhs))
+        self.minact.append(least)
+        self.le_at.append(rhs - reach)
+        self.pairs.append(pair)
+
+
 class _Deadline(Exception):
     """Raised inside propagation once the deadline has passed."""
 
@@ -368,6 +376,10 @@ def solve(model: IlpModel, budget_s: float, zeros=(),
     `previous`, the last outcome of a FEASIBLE search of `model` with
     the same `zeros`, resumes that search (see the module docstring)."""
     zeros = tuple(zeros)
+    binary = model.binary
+    for v in zeros:  # -1 would fix the last variable, a general cap hi at 0
+        if not (type(v) is int and 0 <= v < len(binary) and binary[v]):
+            raise ValueError(f"zeros holds {v!r}, not a binary of the model")
     if previous is not None:
         search, previous.search = previous.search, None
         if search is None:
@@ -386,27 +398,23 @@ def solve(model: IlpModel, budget_s: float, zeros=(),
 def _search(model, zeros, deadline):
     """The search of `solve`: yields one outcome per call, and after a
     FEASIBLE one is sent (model, zeros, deadline) to resume at its leaf."""
-    model._index()
     nvars = len(model.names)
-    lit = model._lit
     bound = list(model._bound)
-    halves = model._halves
-    nhalves = len(halves)
-    bound_terms = model._bound_terms
-    minact = list(model._minact)
-    le_at = model._le_at
-    arcs, pairs = model._arcs, model._pairs
+    index = _Presolve(model)
+    lit, halves, bound_terms = index.lit, index.halves, index.bound_terms
+    minact, le_at = index.minact, index.le_at
+    arcs, pairs = index.arcs, index.pairs
 
     # (bound, value before) flat: ints give the cyclic garbage collector
     # nothing to scan while a search waits between cut rounds
     trail: list[int] = []
     stamp = [-1] * len(bound)  # segment of each bound's last trail entry
     segment = 0
-    queued = [False] * nhalves
+    queued: list[bool] = []
     pending: deque[int] = deque()
     binary = model.binary
     push_back = pending.append
-    rewake: list[int] = []  # halves added at a leaf past their threshold
+    rewake: list[int] = []  # admitted halves past their threshold
     touched: list[int] = []  # bounds with arcs raised since the last settle
 
     def wake(h):  # queue a half; for a difference half, touch its tails
@@ -416,9 +424,18 @@ def _search(model, zeros, deadline):
             queued[h] = True
             push_back(h)
 
-    # the root queues only the halves already past their threshold
-    for h in [h for h in range(nhalves) if minact[h] > le_at[h]]:
-        wake(h)
+    # admit the rows added since the last call and queue the new halves
+    # past their threshold; those listed at the root sit below every
+    # frame's mark, so no backtrack re-wakes them
+    def admit(resume):
+        start = index.admit(bound, resume)
+        queued.extend([False] * (len(halves) - start))
+        for h in range(start, len(halves)):
+            if minact[h] > le_at[h]:
+                rewake.append(h)
+                wake(h)
+
+    admit(False)
 
     # a bound change queues a half once the least activity it raises
     # passes the half's threshold, i.e. once its slack falls below reach
@@ -582,21 +599,11 @@ def _search(model, zeros, deadline):
                         raise AssertionError("propagation accepted a bad leaf")
                     *sent, deadline = yield outcome(Status.FEASIBLE,
                                                     assignment)
-                    if (sent != [model, zeros] or len(lit) != nvars
-                            or model._halves is not halves):
+                    if sent != [model, zeros] or len(model.names) != nvars:
                         raise ValueError("a search resumes only on its model "
                                          "and zeros, with rows added")
-                    nodes, pops, start = 1, 0, len(minact)
-                    model._index()
-                    for h in range(start, len(halves)):  # rule 1
-                        # a difference half is always past it (see wake)
-                        act = le_at[h] + 1 if pairs[h] else sum(
-                            [a * bound[k] for a, k in halves[h][0]])
-                        minact.append(act)
-                        queued.append(False)
-                        if act > le_at[h]:
-                            rewake.append(h)
-                            wake(h)
+                    nodes, pops = 1, 0
+                    admit(True)  # rule 1
                     conflict = propagate()
                     continue
                 # split the domain of y = r (or -r = v - 1 if v is
@@ -624,10 +631,8 @@ def _format_terms(coefs, vars_, names):
     for i, (c, v) in enumerate(zip(coefs, vars_)):
         mag = abs(c)
         body = names[v] if mag == 1 else f"{mag} {names[v]}"
-        if i == 0:
-            parts.append(body if c > 0 else f"- {body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        sign = "-" if c < 0 else "+" if i else ""
+        parts.append(f"{sign} {body}" if sign else body)
     return parts
 
 
@@ -651,15 +656,11 @@ def export_lp(model: IlpModel) -> str:
         for v in generals:
             out.append(f" {lo[v]} <= {model.names[v]} <= {hi[v]}")
     binaries = [v for v in range(len(model.names)) if model.binary[v]]
-    if binaries:
-        out.append("Binaries")
-        for i in range(0, len(binaries), 10):
-            chunk = binaries[i : i + 10]
-            out.append(" " + " ".join(model.names[v] for v in chunk))
-    if generals:
-        out.append("Generals")
-        for i in range(0, len(generals), 10):
-            chunk = generals[i : i + 10]
+    for header, section in (("Binaries", binaries), ("Generals", generals)):
+        if section:
+            out.append(header)
+        for i in range(0, len(section), 10):
+            chunk = section[i : i + 10]
             out.append(" " + " ".join(model.names[v] for v in chunk))
     out.append("End")
     return "\n".join(out) + "\n"
@@ -723,9 +724,7 @@ def parse_lp(text: str) -> IlpModel:
     if bounds:
         raise ValueError(f"bounds for vars not in Generals: {sorted(bounds)}")
 
-    tokens: list[str] = []
-    for line in sections["Subject To"]:
-        tokens.extend(line.split())
+    tokens = " ".join(sections["Subject To"]).split()
     i = 0
     while i < len(tokens):
         name = tokens[i]

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import math
@@ -741,8 +742,9 @@ def test_doubleton_cases_match_reference(case):
 
 
 def test_doubleton_joining_classes_after_a_solve_rebuilds_the_index():
-    # the row over x_0 and x_2 is indexed by the first solve; the late
-    # doubleton makes x_2 = 1 - x_0, which the index must then express
+    # the row over x_0 and x_2 is indexed by the first search; the late
+    # doubleton makes x_2 = 1 - x_0, which the second search's own
+    # classes and index must then express
     m = IlpModel()
     xs = [m.add_binary(f"x_{i}") for i in range(4)]
     m.add_eq([(1, xs[0]), (1, xs[1])], 1, "d_01")
@@ -1015,6 +1017,71 @@ def test_resume_after_a_join_in_a_model_without_rows_is_refused():
     m.add_eq([(1, xs[0]), (1, xs[1])], 1, "join")
     with pytest.raises(ValueError, match="resume"):
         solve(m, 10, (), first)
+
+
+def test_resume_keeps_a_doubleton_inside_one_class_as_a_row():
+    # x_1 = 1 - x_0 joins at the root; at a resume the same doubleton
+    # folds to 0 = 0, and x_0 - x_1 = 0 folds to 2 x_0 = 1: a conflict
+    m = IlpModel()
+    xs = [m.add_binary(f"x_{i}") for i in range(3)]
+    m.add_eq([(1, xs[0]), (1, xs[1])], 1, "join")
+    first = solve(m, 10)
+    assert first.assignment == [1, 0, 1]
+    m.add_eq([(2, xs[1]), (2, xs[0])], 2, "again")
+    m.add_le([(1, xs[0]), (1, xs[2])], 1, "cut")
+    out = solve(m, 10, (), first)
+    assert (out.status, out.assignment) == (Status.FEASIBLE, [1, 0, 0])
+    m.add_eq([(1, xs[0]), (-1, xs[1])], 0, "odd")
+    assert solve(m, 10, (), out).status is Status.INFEASIBLE
+    assert solve(parse_lp(export_lp(m)), 10).status is Status.INFEASIBLE
+
+
+def test_model_holds_only_what_it_is_given():
+    assert sorted(vars(IlpModel())) == [
+        "_bound", "binary", "constraints", "names", "var_of"]
+
+
+def test_solve_leaves_its_model_as_it_found_it():
+    # a fresh solve and a resume, over a model with joined doubletons,
+    # a folded row, a difference row and a zero fix
+    m = IlpModel()
+    xs = [m.add_binary(f"x_{i}") for i in range(4)]
+    a, b = m.add_int("a", 0, 5), m.add_int("b", 0, 5)
+    m.add_eq([(1, xs[0]), (1, xs[1])], 1, "d_01")
+    m.add_le([(1, xs[0]), (1, xs[1]), (1, xs[2])], 1, "folds")
+    m.add_le([(1, a), (-1, b), (6, xs[3])], 5, "order")
+    before = copy.deepcopy(vars(m))
+    first = solve(m, 10, [xs[2]])
+    assert first.status is Status.FEASIBLE
+    assert vars(m) == before
+    m.add_ge([(1, b), (-1, a)], 1, "late")
+    before = copy.deepcopy(vars(m))
+    out = solve(m, 10, [xs[2]], first)
+    assert out.status is Status.FEASIBLE
+    assert vars(m) == before
+
+
+@pytest.mark.parametrize("zero", [-1, "u", 7, 1.0, None])
+def test_zeros_other_than_binaries_of_the_model_are_refused(zero):
+    # -1 would fix the last variable, u's hi would drop only to 0, and 7
+    # is no variable at all
+    m = IlpModel()
+    xs = [m.add_binary(f"x_{i}") for i in range(2)]
+    u = m.add_int("u", -3, 3)
+    m.add_le([(1, u)], -1, "neg")
+    zero = u if zero == "u" else zero
+    with pytest.raises(ValueError, match="not a binary"):
+        solve(m, 5, [xs[0], zero])
+    assert solve(m, 5, [xs[1]]).assignment == [1, 0, -1]
+
+
+def test_terms_may_be_an_iterator():
+    m = IlpModel()
+    xs = [m.add_binary(f"x_{i}") for i in range(3)]
+    m.add_le(((1, v) for v in xs), 1, "r")
+    assert m.constraints[0].vars == (0, 1, 2)
+    assert solve(m, 10).assignment == [1, 0, 0]
+    assert " r: x_0 + x_1 + x_2 <= 1" in export_lp(m).splitlines()
 
 
 def test_zero_coefficient_is_rejected_with_the_row_name():

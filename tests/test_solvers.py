@@ -606,3 +606,31 @@ def test_resumed_search_matches_a_fresh_solve_every_round(monkeypatch):
                                             HeuristicParams(seed=seed))
                 assert res.verdict is not Verdict.TIMED_OUT
     assert sum(resumed) > 150, sum(resumed)
+
+
+def test_each_cutting_run_solves_its_model_fresh_once(monkeypatch):
+    # every later round resumes the last search, so a search may build
+    # its classes and row index for itself without repeating the work
+    calls = []
+
+    def counted(model, budget_s, zeros=(), *previous):
+        calls.append((model, bool(previous)))
+        return ilp.solve(model, budget_s, zeros, *previous)
+
+    monkeypatch.setattr(solvers, "solve", counted)
+    rounds = 0
+    for algorithm, (_, needs) in solvers.ALGORITHMS.items():
+        for directed in (False, True) if needs is None else (needs,):
+            for seed in range(6):
+                spec = InstanceSpec(InstanceKind.RANDOM_PERMUTATION, 12,
+                                    directed, seed)
+                x, y, g = generate_instance(spec)
+                calls.clear()
+                res = solvers._cutting_loop(g, x, y, BUDGET, algorithm,
+                                            HeuristicParams(seed=seed))
+                assert res.verdict is not Verdict.TIMED_OUT
+                assert [resumed for _, resumed in calls] == [False] + [
+                    True] * (res.iterations - 1), (algorithm, directed, seed)
+                assert {id(model) for model, _ in calls} == {id(res.model)}
+                rounds += res.iterations
+    assert rounds > 60, rounds
