@@ -10,6 +10,21 @@ copy), degree equalities per vertex, a "not the original pair" cut per
 generating cycle over its unshared edges, and an exactly-one split of
 every parallel edge pair.
 
+A subtour row for a vertex set S, T = V - S, keeps Z from closing a
+cycle inside S; its complementary row does the same for W.  With the
+degree rows, three forms of each cut off the same integer points
+(Dantzig, Fulkerson & Johnson, 1954; Applegate, Bixby, Chvatal & Cook,
+2006), with k = 2 undirected and k = 1 directed, which is Z's degree:
+- inside: z(E(S)) <= |S| - 1, and W's z(E(S)) >= |E(S)| - |S| + 1;
+- outside, the inside form of T: z(E(T)) <= |T| - 1, and
+  z(E(T)) >= |E(T)| - |T| + 1;
+- cut, over the edges leaving S: z(delta(S)) >= k, and
+  z(delta(S)) <= |delta(S)| - k.
+Undirected, 2 z(E(S)) + z(delta(S)) = 2|S| at every degree-feasible
+point; directed, z(E(S)) + z(delta+(S)) = |S| = z(E(T)) +
+z(delta+(T)), and as many Z arcs leave S as enter it.  Both rows of a
+set take the form with the fewest terms (`subtour_form`).
+
 Every builder returns `(model, z_terms)`.  `z_terms[e]` is the tuple of
 binaries whose sum is 1 exactly when union edge `e` is in Z, and 0 when
 it is in W: `(z_e,)` in the cut-based and directed order models,
@@ -19,7 +34,9 @@ model.  Cuts and decoding read Z membership through it alone.
 
 from __future__ import annotations
 
-from .ilp import IlpModel
+from typing import NamedTuple
+
+from .ilp import GE, LE, IlpModel
 from .multigraph import (
     ORIGIN_X,
     ORIGIN_Y,
@@ -75,6 +92,63 @@ def build_dfj_base(g: UnionMultigraph) -> tuple[IlpModel, list]:
     return model, z_terms
 
 
+class SubtourForm(NamedTuple):
+    """Both rows of one cut set in one form: its edge ids in ascending
+    order, and per side (Z, W) the row's sense and rhs over the Z terms
+    of those edges."""
+
+    edges: list[int]
+    sides: tuple[tuple[str, int], tuple[str, int]]
+
+
+def subtour_form(g: UnionMultigraph, subtour) -> SubtourForm:
+    """The sparsest equal form of the two subtour rows of S = `subtour`.
+
+    One walk over the edges at S, its out-arcs when directed, finds E(S)
+    and the edges leaving S; the degree rows give |E(T)| for T = V - S.
+    The form with the fewest terms wins, in the tie order inside,
+    outside, cut.  Checking and walking S cost O(|S|); the outside form
+    scans every edge, but it wins only when |T| < |S|.
+    """
+    s = set(subtour)
+    n = g.n
+    if not s or len(s) >= n:
+        raise ValueError("subtour must be a nonempty proper vertex subset")
+    if not all(map(range(1, n + 1).__contains__, s)):
+        raise ValueError("subtour contains unknown vertices")
+    tail, head = g.tail, g.head
+    ports = g.out_arcs if g.directed else g.inc
+    inside, cut = [], []  # E(S), and the edges leaving S
+    for v in s:
+        for e in ports[v]:
+            if tail[e] != v:  # undirected: E(S) takes an edge at its tail
+                if tail[e] not in s:
+                    cut.append(e)
+            elif head[e] in s:
+                inside.append(e)
+            else:
+                cut.append(e)
+    k, cap = len(s), g.cap
+    # a directed cut set is left by as many arcs as enter it
+    outside = len(g.edges) - len(inside) - len(cut) * (2 if g.directed else 1)
+    # Fewest terms costs nodes where the cut form wins (on undirected
+    # pyramidal unions): once Z holds |S| - 1 edges of E(S), a path
+    # through S, the inside row fixes its closing edge to 0 at once,
+    # while the cut row waits until the degree rows close all but two
+    # edges leaving S.  Cheaper rows still make each run faster.
+    fewest = min(len(inside), outside, len(cut))
+    if len(inside) == fewest:
+        edges, sides = inside, ((LE, k - 1), (GE, len(inside) - k + 1))
+    elif outside == fewest:
+        edges = [e for e in range(len(g.edges))
+                 if tail[e] not in s and head[e] not in s]
+        sides = (LE, n - k - 1), (GE, outside - (n - k) + 1)
+    else:
+        edges, sides = cut, ((GE, cap), (LE, len(cut) - cap))
+    edges.sort()
+    return SubtourForm(edges, sides)
+
+
 def sec_for_subtour(
     model: IlpModel,
     z_terms: list,
@@ -82,26 +156,22 @@ def sec_for_subtour(
     subtour,
     side: int,
     name: str,
+    form: SubtourForm | None = None,
 ) -> None:
-    """Add one subtour elimination cut for vertex set `subtour`.
+    """Add the `side` subtour elimination row of vertex set `subtour`.
 
-    Z side: the edges inside the set cannot carry a full cycle of it.
-    W side: equivalently phrased on the complement, so the constraint
-    keeps Z variables only.
+    Z side: Z holds no cycle inside the set; W side: neither does W,
+    with w = 1 - z, so the row keeps Z terms only.  The row is written
+    in the form `subtour_form(g, subtour)` picks; pass that as `form` to
+    build both rows of a set from one walk.
     """
-    s = set(subtour)
-    if not s or len(s) >= g.n:
-        raise ValueError("subtour must be a nonempty proper vertex subset")
-    if not s <= set(range(1, g.n + 1)):
-        raise ValueError("subtour contains unknown vertices")
-    inside = [e.id for e in g.edges if e.tail in s and e.head in s]
-    terms = [(1, v) for e in inside for v in z_terms[e]]
-    if side == Z:
-        model.add_le(terms, len(s) - 1, name)
-    elif side == W:
-        model.add_ge(terms, len(inside) - len(s) + 1, name)
-    else:
+    if side not in (Z, W):
         raise ValueError(f"unknown side {side!r}")
+    if form is None:
+        form = subtour_form(g, subtour)
+    sense, rhs = form.sides[side]
+    model.add_constraint([(1, v) for e in form.edges for v in z_terms[e]],
+                         sense, rhs, name)
 
 
 def build_mtz_directed(g: UnionMultigraph) -> tuple[IlpModel, list]:

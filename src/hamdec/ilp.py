@@ -18,9 +18,10 @@ assignment.  Every other row is folded over the classes before it is
 indexed (the aggregation step of the same presolve): a flipped term
 c*(1 - r) moves c to the rhs and adds -c to r, so the row holds one
 summed coefficient per representative, and one whose sum is 0 drops
-out.  A row left with no terms is still indexed, so 0 <= rhs is checked
-at the root; a doubleton inside one class stays a row, and folds to
-0 = 0 or to a conflict.  A folded row's least activity is at least the
+out.  A half left with no terms, 0 <= rhs, always holds if rhs >= 0
+and is not indexed; if rhs < 0 it is indexed, a conflict at the root.
+A doubleton inside one class stays a row, and folds to 0 = 0, to a
+conflict or to 2r = 1.  A folded row's least activity is at least the
 sum of its terms' least activities, so propagation is at least as
 strong as over the full model: the tree can only shrink, and the
 returned point, the lexicographically greatest feasible one, stays.
@@ -298,9 +299,9 @@ class _Presolve:
                 if negated:
                     neg_least += c * bound[k ^ 1]
                     bound_terms[k ^ 1].append((h + own, c))
-            if own:
+            if own and (terms or rhs < 0):
                 self._add_half(terms, rhs, least, reach)
-            if negated:
+            if negated and (terms or rhs > 0):
                 self._add_half([(a, k ^ 1) for a, k in terms], -rhs,
                                neg_least, reach)
         return start

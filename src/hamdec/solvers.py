@@ -32,6 +32,7 @@ from .formulations import (
     decode,
     higher_copy_terms,
     sec_for_subtour,
+    subtour_form,
 )
 from .heuristics import (
     HeuristicParams,
@@ -94,12 +95,14 @@ class RunResult:
 
 
 class _CutPool:
-    """Subtour cuts keyed by vertex set; every set gets both halves.
+    """Subtour cuts keyed by vertex set; every set gets both rows.
 
-    The upper bound keeps one factor from closing a cycle inside the
-    set, the lower bound does the same for the complementary factor, so
-    any assignment with a short cycle on S violates one of the pair
-    while true decompositions satisfy both.
+    The Z row keeps Z from closing a cycle inside the set, the W row
+    does the same for W, so any assignment with a short cycle on S
+    violates one of the pair while true decompositions satisfy both.
+    One walk over the edges at S writes both rows in the same form,
+    whichever of inside S, inside its complement, or across the cut
+    has the fewest terms (see `formulations`).
     """
 
     def __init__(self, model, z_terms, g):
@@ -117,9 +120,10 @@ class _CutPool:
                 continue
             self.seen.add(key)
             tag = len(self.emitted) // 2
+            form = subtour_form(self.g, key)
             for side in (Z, W):
                 sec_for_subtour(self.model, self.z_terms, self.g, key, side,
-                                f"sec_{tag}_{'zw'[side]}")
+                                f"sec_{tag}_{'zw'[side]}", form)
                 self.emitted.append((key, side))
                 fresh += 1
         return fresh

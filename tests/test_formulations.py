@@ -9,8 +9,10 @@ from hamdec.formulations import (
     build_mtz_undirected,
     decode,
     sec_for_subtour,
+    subtour_form,
 )
-from hamdec.ilp import Status, solve
+from hamdec.ilp import GE, LE, Status, solve
+from hamdec.instances import InstanceKind, InstanceSpec, generate_instance
 from hamdec.multigraph import (
     W,
     Z,
@@ -162,6 +164,10 @@ def test_subtour_cut_input_validation(ring6):
     with pytest.raises(ValueError):
         sec_for_subtour(model, mapping, g, {1, 99}, Z, "bad")
     with pytest.raises(ValueError):
+        sec_for_subtour(model, mapping, g, {0, 1}, Z, "bad")
+    with pytest.raises(ValueError):
+        sec_for_subtour(model, mapping, g, {-1, 2}, W, "bad")
+    with pytest.raises(ValueError):
         sec_for_subtour(model, mapping, g, {1, 2}, 7, "bad")
 
 
@@ -254,18 +260,117 @@ def test_decode_rejects_degree_violations(ring6):
         decode([0] * 12, mapping, g)
 
 
+def reference_forms(g, s):
+    """Edge ids of the inside, outside and cut forms of set `s`, ascending,
+    in the tie order; the cut form keeps the arcs leaving s when directed."""
+    inside = [e.id for e in g.edges if e.tail in s and e.head in s]
+    outside = [e.id for e in g.edges if e.tail not in s and e.head not in s]
+    cut = [e.id for e in g.edges
+           if e.tail in s and e.head not in s
+           or not g.directed and e.head in s and e.tail not in s]
+    return [("inside", inside), ("outside", outside), ("cut", cut)]
+
+
 @pytest.mark.parametrize("directed", [False, True])
-def test_subtour_cut_rows_hold_the_inside_edges_in_id_order(directed):
+def test_subtour_rows_take_the_form_with_fewest_terms(directed):
     rng = random.Random(4)
-    for seed in range(12):
-        _, _, g = random_instance(rng.choice((7, 10, 13)), seed, directed)
+    ties = set()
+    for seed in range(400):
+        n = rng.choice((6, 7, 10, 13))
+        _, _, g = random_instance(n, seed, directed)
         model, mapping = build_dfj_base(g)
-        for k in range(6):
-            s = set(rng.sample(range(1, g.n + 1), rng.randrange(1, g.n)))
-            inside = [e.id for e in g.edges if e.tail in s and e.head in s]
+        k_deg = 1 if directed else 2
+        for k in range(12):
+            s = set(rng.sample(range(1, n + 1), rng.randrange(1, n)))
+            forms = reference_forms(g, s)
+            fewest = min(len(edges) for _, edges in forms)
+            tied = [(form, edges) for form, edges in forms
+                    if len(edges) == fewest]
+            if len(tied) > 1:
+                ties.add(tuple(form for form, _ in tied))
+            form, edges = tied[0]
+            if form == "cut":
+                expected = (GE, k_deg), (LE, len(edges) - k_deg)
+            else:
+                size = len(s) if form == "inside" else n - len(s)
+                expected = (LE, size - 1), (GE, len(edges) - size + 1)
+            assert subtour_form(g, list(s)) == (edges, expected)
             for side in (Z, W):
                 sec_for_subtour(model, mapping, g, list(s), side, f"c_{k}")
                 row = model.constraints[-1]
-                assert row.vars == tuple(mapping[e][0] for e in inside)
-                assert row.coefs == (1,) * len(inside)
+                assert row.vars == tuple(mapping[e][0] for e in edges)
+                assert row.coefs == (1,) * len(edges)
+                assert (row.sense, row.rhs) == expected[side]
+    # ties were met, and broke in the tie order
+    assert ties >= {("inside", "outside"), ("inside", "cut"),
+                    ("outside", "cut")}, ties
 
+
+def degree_feasible_points(g):
+    """Every Z edge set, as a bit mask over edge ids, that takes `cap`
+    edges of every slot: the 0/1 points that meet the degree rows."""
+    need = [g.cap] * len(g.slots)
+    left = [len(slot) for slot in g.slots]
+    points = []
+
+    def place(e, mask):
+        if e == len(g.edges):
+            points.append(mask)
+            return
+        a, b = g.slot_a[e], g.slot_b[e]
+        left[a] -= 1
+        left[b] -= 1
+        for take in (0, 1):
+            need[a] -= take
+            need[b] -= take
+            if 0 <= need[a] <= left[a] and 0 <= need[b] <= left[b]:
+                place(e + 1, mask | take << e)
+            need[a] += take
+            need[b] += take
+        left[a] += 1
+        left[b] += 1
+
+    place(0, 0)
+    return points
+
+
+EQUIVALENCE_UNIONS = [
+    (InstanceKind.RANDOM_PERMUTATION, 7, 1),
+    (InstanceKind.RANDOM_PERMUTATION, 9, 2),
+    (InstanceKind.PYRAMIDAL, 8, 3),
+    (InstanceKind.PYRAMIDAL, 9, 4),
+    (InstanceKind.FOUR_PEAK, 9, 5),
+    (InstanceKind.RANDOM_PERMUTATION, 8, 6),
+    (InstanceKind.RANDOM_PERMUTATION, 9, 7),
+]
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_every_emitted_row_holds_exactly_when_the_inside_row_holds(directed):
+    # the reference is the inside form, counted here from the edge list:
+    # Z holds at most |S| - 1 edges of E(S), and so does W
+    forms = set()
+    for kind, n, seed in EQUIVALENCE_UNIONS:
+        _, _, g = generate_instance(InstanceSpec(kind, n, directed, seed))
+        points = degree_feasible_points(g)
+        assert len(points) >= 2
+        model, mapping = build_dfj_base(g)
+        assert [v for (v,) in mapping] == list(range(len(g.edges)))
+        for bits in range(1, (1 << n) - 1):
+            s = {v for v in range(1, n + 1) if bits >> (v - 1) & 1}
+            inside = sum(1 << e.id for e in g.edges
+                          if e.tail in s and e.head in s)
+            edges = subtour_form(g, s).edges
+            forms.add(next(form for form, same in reference_forms(g, s)
+                           if same == edges))
+            for side in (Z, W):
+                sec_for_subtour(model, mapping, g, s, side, "row")
+                _, vars_, sense, rhs, _ = model.constraints.pop()
+                terms = sum(1 << v for v in vars_)
+                for z in points:
+                    factor = z if side == Z else ~z
+                    holds = (factor & inside).bit_count() <= len(s) - 1
+                    act = (z & terms).bit_count()
+                    assert (act <= rhs if sense == LE else act >= rhs) \
+                        == holds, (kind, n, sorted(s), side, bin(z))
+    assert forms == {"inside", "outside", "cut"}

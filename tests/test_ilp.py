@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from hamdec import ilp
 from hamdec.formulations import (
     build_dfj_base,
     build_mtz_directed,
@@ -1034,6 +1035,41 @@ def test_resume_keeps_a_doubleton_inside_one_class_as_a_row():
     m.add_eq([(1, xs[0]), (-1, xs[1])], 0, "odd")
     assert solve(m, 10, (), out).status is Status.INFEASIBLE
     assert solve(parse_lp(export_lp(m)), 10).status is Status.INFEASIBLE
+
+
+def test_termless_halves_that_always_hold_are_not_indexed():
+    # a directed union's degree rows join each alternating cycle into one
+    # class; the doubleton that closes it folds to 0 = 0, whose two
+    # halves always hold and are never queued, so no pop or node changes
+    halves = nodes = pops = 0
+    for seed in range(7000, 7060):
+        spec = InstanceSpec(InstanceKind.RANDOM_PERMUTATION, 64, True, seed)
+        _, _, g = generate_instance(spec)
+        model, z_terms = build_dfj_base(g)
+        index = ilp._Presolve(model)
+        index.admit(list(model._bound), False)
+        assert all(terms for terms, _ in index.halves)
+        halves += len(index.halves)
+        out = solve(model, 60, higher_copy_terms(g, z_terms))
+        nodes, pops = nodes + out.nodes, pops + out.pops
+    assert (halves, nodes, pops) == (120, 241, 148)
+
+
+def test_termless_halves_that_fail_stay_conflicts():
+    # x_1 = 1 - x_0 joins; x_0 + x_1 = 2 folds to 0 = 1, one termless half
+    # with rhs < 0, and x_0 - x_1 = 0 folds to 2 x_0 = 1
+    for again, rhs, kept in (((1, 1), 2, 1), ((1, -1), 0, 2),
+                             ((1, 1), 1, 0)):
+        m = IlpModel()
+        xs = [m.add_binary(f"x_{i}") for i in range(2)]
+        m.add_eq([(1, xs[0]), (1, xs[1])], 1, "join")
+        m.add_eq(list(zip(again, xs)), rhs, "again")
+        index = ilp._Presolve(m)
+        index.admit(list(m._bound), False)
+        assert len(index.halves) == kept
+        status = Status.FEASIBLE if rhs == 1 else Status.INFEASIBLE
+        assert solve(m, 10).status is status
+        assert solve(parse_lp(export_lp(m)), 10).status is status
 
 
 def test_model_holds_only_what_it_is_given():

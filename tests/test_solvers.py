@@ -397,6 +397,39 @@ def test_copy_fixes_leave_no_row_in_the_model(solver, directed):
     assert ilp.export_lp(res.model) == ilp.export_lp(model)
 
 
+ROUND_TRIP_RUNS = [
+    (algorithm, directed)
+    for algorithm, (_, needs) in solvers.ALGORITHMS.items()
+    for directed in ((False, True) if needs is None else (needs,))
+]
+
+
+@pytest.mark.parametrize("algorithm, directed", ROUND_TRIP_RUNS)
+def test_final_models_with_every_row_form_read_back_from_lp_text(
+        algorithm, directed):
+    forms = set()  # (side, sense) of every subtour row met
+    for kind in (InstanceKind.PYRAMIDAL, InstanceKind.RANDOM_PERMUTATION):
+        for seed in range(100, 106):
+            x, y, g = generate_instance(InstanceSpec(kind, 20, directed, seed))
+            res = solvers._cutting_loop(g, x, y, BUDGET, algorithm,
+                                        HeuristicParams(seed=seed))
+            assert res.verdict is not Verdict.TIMED_OUT
+            text = ilp.export_lp(res.model)
+            again = ilp.parse_lp(text)
+            assert again.constraints == res.model.constraints
+            assert (again.names, again.binary, again.lo, again.hi) == (
+                res.model.names, res.model.binary, res.model.lo,
+                res.model.hi)
+            assert ilp.export_lp(again) == text
+            forms.update((row.name[-1], row.sense)
+                         for row in res.model.constraints
+                         if row.name.startswith("sec_"))
+    # both sides in an inside form and in the cut form: Z rows z <= |S| - 1
+    # and z >= k, W rows z >= |E(S)| - |S| + 1 and z <= |delta(S)| - k
+    assert algorithm == "mtz" or forms == {
+        ("z", ilp.LE), ("z", ilp.GE), ("w", ilp.GE), ("w", ilp.LE)}, forms
+
+
 @pytest.mark.parametrize("n", [64, 96, 128])
 def test_dfj_settles_large_undirected_pyramidal_unions(n):
     # without the copy fixes the search proves an infeasible subtree once
@@ -487,7 +520,7 @@ PINNED_PYRAMIDAL_HEURISTIC_RUNS = [
 ]
 # SHA-256 over the fields of `PINNED_HEURISTIC_SHA256`, n=20.
 PINNED_PYRAMIDAL_HEURISTIC_SHA256 = (
-    "b1791f003c2d2a674f84c5ce9aeee93a46833980541d79902305480b4dc3cf1f"
+    "a81cb488e5d8803e08c4e63b2dc5e5dfe405c04f9c4de9d03c884ece0ad700ae"
 )
 
 
@@ -521,7 +554,7 @@ PINNED_EXACT_RUNS = (
 # cuts_added).  A change to the search order or to propagation strength
 # alters it; a pure speed-up of the exact engine must not.
 PINNED_EXACT_SHA256 = (
-    "f7c1f7cfe5ddce008e85921c0d8b66da8612d387bf17a12017a81cb93b245d14"
+    "8b410d29274211dd75e446c5da7e7e55573a4724294d9d40487998b0ad791555"
 )
 
 
