@@ -22,7 +22,7 @@ from .heuristics import HeuristicParams
 from .ilp import export_lp
 from .instances import InstanceKind, InstanceSpec, generate_instance
 from .multigraph import HamCycle, build_union
-from .oracle import MAX_ORACLE_N, enumerate_decompositions, other_decomposition
+from .oracle import enumerate_decompositions, other_decomposition
 from .solvers import ALGORITHMS, Verdict, check_directedness
 from .solvers import solve_dfj, solve_dfj_heuristic, solve_mtz
 
@@ -107,20 +107,10 @@ def instance_basename(spec: InstanceSpec, index: int) -> str:
 
 
 def _generator_for(path: Path, override: str | None) -> str:
+    """`override`, else the kind that starts a generated file's stem
+    (`instance_basename`), else "unknown"."""
     if override:
         return override
-    manifest = path.parent / "manifest.json"
-    doc = None
-    if manifest.exists():
-        try:
-            doc = json.loads(manifest.read_text())
-        except (OSError, json.JSONDecodeError):
-            pass
-    # a manifest of any other shape is ignored, like an unreadable one
-    if isinstance(doc, dict) and isinstance(doc.get("files"), list):
-        for entry in doc["files"]:
-            if isinstance(entry, dict) and entry.get("file") == path.name:
-                return doc.get("kind", "unknown")
     stem_kind = path.stem.split("_")[0]
     if stem_kind in {k.value for k in InstanceKind}:
         return stem_kind
@@ -366,11 +356,7 @@ def cmd_experiment(args) -> int:
 
 def cmd_oracle(args) -> int:
     x, y, g = read_instance(Path(args.instance))
-    if g.n > MAX_ORACLE_N:
-        raise ValueError(
-            f"oracle enumeration is capped at n <= {MAX_ORACLE_N}"
-        )
-    decs = enumerate_decompositions(g)
+    decs = enumerate_decompositions(g)  # ValueError above its size cap
     witness = other_decomposition(decs, x, y)
     noun = "decomposition" if len(decs) == 1 else "decompositions"
     verdictish = "does not exist" if witness is None else "exists"
@@ -403,8 +389,10 @@ def build_parser() -> _Parser:
     slv.add_argument("--algorithm", required=True, choices=list(ALGORITHMS))
     slv.add_argument("--time-limit-ms", type=float, default=60000.0)
     slv.add_argument("--seed", type=int, default=0)
-    slv.add_argument("--attempt-limit", type=int, default=10)
-    slv.add_argument("--depth-limit", type=int, default=5)
+    slv.add_argument("--attempt-limit", type=int,
+                     default=HeuristicParams.attempt_limit)
+    slv.add_argument("--depth-limit", type=int,
+                     default=HeuristicParams.depth_limit)
     slv.add_argument("--export-lp", default=None)
     slv.add_argument("--generator", default=None)
     slv.add_argument("--time-mode", choices=("wall", "deterministic"),

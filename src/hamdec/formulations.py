@@ -150,25 +150,17 @@ def subtour_form(g: UnionMultigraph, subtour) -> SubtourForm:
 
 
 def sec_for_subtour(
-    model: IlpModel,
-    z_terms: list,
-    g: UnionMultigraph,
-    subtour,
-    side: int,
-    name: str,
-    form: SubtourForm | None = None,
+    model: IlpModel, z_terms: list, form: SubtourForm, side: int, name: str
 ) -> None:
-    """Add the `side` subtour elimination row of vertex set `subtour`.
+    """Add the `side` subtour elimination row of a vertex set, written
+    in the `form` that `subtour_form` returned for it.
 
     Z side: Z holds no cycle inside the set; W side: neither does W,
-    with w = 1 - z, so the row keeps Z terms only.  The row is written
-    in the form `subtour_form(g, subtour)` picks; pass that as `form` to
-    build both rows of a set from one walk.
+    with w = 1 - z, so the row keeps Z terms only.  One form gives both
+    rows of a set.
     """
     if side not in (Z, W):
         raise ValueError(f"unknown side {side!r}")
-    if form is None:
-        form = subtour_form(g, subtour)
     sense, rhs = form.sides[side]
     model.add_constraint([(1, v) for e in form.edges for v in z_terms[e]],
                          sense, rhs, name)

@@ -1,12 +1,12 @@
 """Integer feasibility engine and LP-format text round trip.
 
 All variables carry finite integer domains.  There is no objective:
-the solver answers Feasible (with a verified assignment), Infeasible,
-or TimedOut.  The search is depth-first domain splitting with bounds
-propagation to a fixpoint at every node; binaries branch high value
-first, in declaration order, so a search returns the lexicographically
-greatest feasible point.  A caller may fix binaries to 0 at the root of
-one search without adding rows to the model.
+the solver answers a `Verdict`, FEASIBLE (with a verified assignment),
+INFEASIBLE or TIMED_OUT.  The search is depth-first domain splitting
+with bounds propagation to a fixpoint at every node; binaries branch
+high value first, in declaration order, so a search returns the
+lexicographically greatest feasible point.  A caller may fix binaries
+to 0 at the root of one search without adding rows to the model.
 
 A binary doubleton equality, c*x + c*y = c or c*x - c*y = 0, puts x and
 y in one class, y = 1 - x or y = x (doubleton equations, Achterberg,
@@ -113,15 +113,17 @@ class LinearConstraint(NamedTuple):
     name: str
 
 
-class Status(enum.Enum):
+class Verdict(enum.Enum):
+    """The answer of a search, and of a whole solver run."""
+
     FEASIBLE = "feasible"
     INFEASIBLE = "infeasible"
-    TIMED_OUT = "timed-out"
+    TIMED_OUT = "timeout"
 
 
 @dataclass
 class SolveOutcome:
-    status: Status
+    status: Verdict
     assignment: list[int] | None
     nodes: int
     pops: int  # halves off the queue, bounds off a wave's heap: see above
@@ -133,24 +135,17 @@ class IlpModel:
     """Variables with finite integer domains, and linear rows over them.
 
     A variable's `lo`/`hi` are fixed once it is declared.  The model
-    keeps only what it is given: each search builds its own doubleton
-    classes and half index from it (see the module docstring).
+    keeps only what it is given: each search builds its own bounds,
+    doubleton classes and half index from it (see the module docstring).
     """
 
     def __init__(self):
         self.names: list[str] = []
         self.var_of: dict[str, int] = {}  # name -> variable id
         self.binary: list[bool] = []
+        self.lo: list[int] = []
+        self.hi: list[int] = []
         self.constraints: list[LinearConstraint] = []
-        self._bound: list[int] = []  # lo(v) at 2v, -hi(v) at 2v+1
-
-    @property
-    def lo(self) -> list[int]:
-        return self._bound[::2]
-
-    @property
-    def hi(self) -> list[int]:
-        return [-b for b in self._bound[1::2]]
 
     def add_int(self, name: str, lo: int, hi: int) -> int:
         # the name must read back from export_lp text as one new token
@@ -169,7 +164,8 @@ class IlpModel:
             raise ValueError(f"empty domain for {name}")
         self.var_of[name] = len(self.names)
         self.names.append(name)
-        self._bound += (lo, -hi)
+        self.lo.append(lo)
+        self.hi.append(hi)
         self.binary.append(False)
         return len(self.names) - 1
 
@@ -234,20 +230,26 @@ class IlpModel:
 
 
 class _Presolve:
-    """One search's doubleton classes and half index over its model's
-    rows (see the module docstring); `admit` grows both."""
+    """One search's declared bounds, doubleton classes and half index
+    over its model's rows (see the module docstring); `admit` grows the
+    classes and the index."""
 
     def __init__(self, model):
         self.model = model
         self.rows = 0  # rows of model.constraints admitted
+        nvars = len(model.names)
+        # the declared domains as bounds: lo(v) at 2v, -hi(v) at 2v+1
+        self.declared = declared = [0] * (2 * nvars)
+        declared[::2] = model.lo
+        declared[1::2] = [-hi for hi in model.hi]
         # per variable its literal 2r + f, per representative its members
-        self.lit = list(range(0, len(model._bound), 2))
-        self.members = [[v] for v in range(len(model.names))]
+        self.lit = list(range(0, 2 * nvars, 2))
+        self.members = [[v] for v in range(nvars)]
         # per half its (terms, rhs), least activity, threshold, and arcs
         # if a difference half; per bound the halves it moves, and its
         # out-arcs or, for a binary, the halves whose arcs it weighs
         self.halves, self.minact, self.le_at, self.pairs = [], [], [], []
-        self.bound_terms = [[] for _ in model._bound]
+        self.bound_terms = [[] for _ in declared]
         self.arcs: dict[int, list] = {}
 
     def admit(self, bound, resume: bool) -> int:
@@ -263,7 +265,7 @@ class _Presolve:
             elif resume:
                 raise ValueError(f"a search resumes only with rows that "
                                  f"join no classes, not {row.name}")
-        declared, binary, lit = self.model._bound, self.model.binary, self.lit
+        declared, binary, lit = self.declared, self.model.binary, self.lit
         bound_terms, start = self.bound_terms, len(self.halves)
         for coefs, vars_, sense, rhs, _ in rows:  # step 2: fold, index
             if (len(vars_) <= 3  # two general integers and 0 or 1 binary
@@ -328,7 +330,7 @@ class _Presolve:
     def _add_arcs(self, coefs, vars_, sense, rhs, bound) -> bool:
         """Index a difference row (see the module docstring), unless its
         general integers are one, or one's coefficient is not +-1."""
-        declared, ks = self.model._bound, []
+        declared, ks = self.declared, []
         a = kb = 0
         for c, v in zip(coefs, vars_):
             if self.model.binary[v]:
@@ -387,11 +389,11 @@ def solve(model: IlpModel, budget_s: float, zeros=(),
             raise ValueError("only a search's last FEASIBLE outcome resumes")
     deadline = time.monotonic() + budget_s
     if not budget_s > 0:  # a NaN budget counts as spent too
-        return SolveOutcome(Status.TIMED_OUT, None, 0, 0)
+        return SolveOutcome(Verdict.TIMED_OUT, None, 0, 0)
     if previous is None:
         search = _search(model, zeros, deadline)
     out = search.send(None if previous is None else (model, zeros, deadline))
-    if out.status is Status.FEASIBLE:
+    if out.status is Verdict.FEASIBLE:
         out.search = search
     return out
 
@@ -400,8 +402,8 @@ def _search(model, zeros, deadline):
     """The search of `solve`: yields one outcome per call, and after a
     FEASIBLE one is sent (model, zeros, deadline) to resume at its leaf."""
     nvars = len(model.names)
-    bound = list(model._bound)
     index = _Presolve(model)
+    bound = list(index.declared)
     lit, halves, bound_terms = index.lit, index.halves, index.bound_terms
     minact, le_at = index.minact, index.le_at
     arcs, pairs = index.arcs, index.pairs
@@ -584,7 +586,7 @@ def _search(model, zeros, deadline):
         while True:
             if conflict:
                 if not frames:
-                    yield outcome(Status.INFEASIBLE)
+                    yield outcome(Verdict.INFEASIBLE)
                     return
                 k, val, mark, v, woken = frames.pop()
                 undo_to(mark)
@@ -598,7 +600,7 @@ def _search(model, zeros, deadline):
                     assignment = [bound[k] + (k & 1) for k in lit]
                     if not model.check(assignment):
                         raise AssertionError("propagation accepted a bad leaf")
-                    *sent, deadline = yield outcome(Status.FEASIBLE,
+                    *sent, deadline = yield outcome(Verdict.FEASIBLE,
                                                     assignment)
                     if sent != [model, zeros] or len(model.names) != nvars:
                         raise ValueError("a search resumes only on its model "
@@ -620,7 +622,7 @@ def _search(model, zeros, deadline):
             if nodes % 256 == 0 and time.monotonic() > deadline:
                 raise _Deadline
     except _Deadline:
-        yield outcome(Status.TIMED_OUT)
+        yield outcome(Verdict.TIMED_OUT)
 
 
 # ------------------------------------------------------------- LP text

@@ -359,18 +359,16 @@ def cycle_from_factor(pair: TwoFactorPair, side: int) -> HamCycle:
     return HamCycle.from_order(cycles[0], pair.graph.directed)
 
 
-def is_second_decomposition(
-    pair: TwoFactorPair, x: HamCycle, y: HamCycle
-) -> bool:
-    """True when the pair is a decomposition different from {x, y}.
+def is_second_decomposition(pair: TwoFactorPair) -> bool:
+    """True when the pair is a decomposition different from {x, y}, the
+    generating pair of `pair.graph = build_union(x, y)`.
 
-    `pair.graph` must be `build_union(x, y)`.  Only the edges' `origin`
-    and `partner` are read, never x or y themselves, so x and y may come
-    in either order and nothing here checks that precondition.  A
-    Hamiltonian Z takes one copy of every parallel pair, so the copies
-    never tell {Z, W} from {x, y}.  The pair is {x, y} exactly when every
-    unshared edge sits on its origin's side (Z = x), or every one sits on
-    the other (Z = y), so one pass over the unshared edges answers it.
+    The union's edges carry the pair: only their `origin` and `partner`
+    are read.  A Hamiltonian Z takes one copy of every parallel pair, so
+    the copies never tell {Z, W} from {x, y}.  The pair is {x, y} exactly
+    when every unshared edge sits on its origin's side (Z = x), or every
+    one sits on the other (Z = y), so one pass over the unshared edges
+    answers it.
     """
     if pair.broken or components(pair, below=3) is None:
         return False

@@ -20,7 +20,6 @@ witnesses.
 
 from __future__ import annotations
 
-import enum
 import random
 import time
 from dataclasses import dataclass, field
@@ -40,7 +39,7 @@ from .heuristics import (
     local_search_directed,
     vnd_undirected,
 )
-from .ilp import Status, solve
+from .ilp import Verdict, solve
 from .multigraph import (
     W,
     Z,
@@ -69,12 +68,6 @@ def check_directedness(algorithm: str, directed: bool) -> None:
     if needs is not None and needs != directed:
         kind = "a directed" if needs else "an undirected"
         raise ValueError(f"{algorithm} requires {kind} instance")
-
-
-class Verdict(enum.Enum):
-    FEASIBLE = "feasible"
-    INFEASIBLE = "infeasible"
-    TIMED_OUT = "timeout"
 
 
 @dataclass
@@ -122,8 +115,8 @@ class _CutPool:
             tag = len(self.emitted) // 2
             form = subtour_form(self.g, key)
             for side in (Z, W):
-                sec_for_subtour(self.model, self.z_terms, self.g, key, side,
-                                f"sec_{tag}_{'zw'[side]}", form)
+                sec_for_subtour(self.model, self.z_terms, form, side,
+                                f"sec_{tag}_{'zw'[side]}")
                 self.emitted.append((key, side))
                 fresh += 1
         return fresh
@@ -135,16 +128,13 @@ def _witness(pair):
 
 def _cutting_loop(
     g: UnionMultigraph,
-    x: HamCycle,
-    y: HamCycle,
     budget_s: float,
     algorithm: str,
     params: HeuristicParams | None = None,
 ) -> RunResult:
     """Build the model for `algorithm`; solve, decode and cut until settled.
 
-    `g` must be `build_union(x, y)`: the final witness check reads only
-    `g`'s edge origins, not x and y.
+    The generating pair is read from `g`'s edge origins alone.
     """
     started = time.monotonic()
     deadline = started + budget_s
@@ -183,15 +173,13 @@ def _cutting_loop(
         resume = (out,)
         iterations += 1
         nodes += out.nodes
-        if out.status is Status.INFEASIBLE:
-            return done(Verdict.INFEASIBLE)
-        if out.status is Status.TIMED_OUT:
-            return done(Verdict.TIMED_OUT)
+        if out.status is not Verdict.FEASIBLE:  # the search's is the run's
+            return done(out.status)
         pair = decode(out.assignment, z_terms, g)
         report = components(pair)
         if report.total == 2:
             # the model's forbid rows keep {x, y} out of its feasible set
-            if not is_second_decomposition(pair, x, y):
+            if not is_second_decomposition(pair):
                 raise RuntimeError("solver returned the original decomposition")
             return done(Verdict.FEASIBLE, _witness(pair))
         if algorithm == "mtz":
@@ -210,7 +198,7 @@ def _cutting_loop(
                                recursive=variant == "vnd-fix", **search)
             # the search may slide back into {x, y}; only a genuinely
             # different decomposition settles the question
-            if is_second_decomposition(pair, x, y):
+            if is_second_decomposition(pair):
                 return done(Verdict.FEASIBLE, _witness(pair))
         if time.monotonic() > deadline:
             return done(Verdict.TIMED_OUT)
@@ -223,7 +211,7 @@ def solve_dfj(
 
     `g` must be `build_union(x, y)`.
     """
-    return _cutting_loop(g, x, y, budget_s, "dfj")
+    return _cutting_loop(g, budget_s, "dfj")
 
 
 def solve_dfj_heuristic(
@@ -250,7 +238,7 @@ def solve_dfj_heuristic(
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown variant {variant!r}")
     check_directedness(algorithm, g.directed)
-    return _cutting_loop(g, x, y, budget_s, algorithm, params)
+    return _cutting_loop(g, budget_s, algorithm, params)
 
 
 def solve_mtz(
@@ -260,4 +248,4 @@ def solve_mtz(
 
     `g` must be `build_union(x, y)`.
     """
-    return _cutting_loop(g, x, y, budget_s, "mtz")
+    return _cutting_loop(g, budget_s, "mtz")

@@ -329,7 +329,7 @@ def test_generator_column_comes_from_manifest(tmp_path):
     inst = next(out.glob("*_0000.json"))
     renamed = out / "mystery.json"
     inst.rename(renamed)
-    # manifest still names the original file; fall back fails, flag wins
+    # the stem no longer starts with a kind; the flag wins
     csv_path = tmp_path / "r.csv"
     main(["solve", str(renamed), "--algorithm", "dfj",
           "--out-csv", str(csv_path)])

@@ -11,7 +11,7 @@ from hamdec.formulations import (
     sec_for_subtour,
     subtour_form,
 )
-from hamdec.ilp import GE, LE, Status, solve
+from hamdec.ilp import GE, LE, Verdict, solve
 from hamdec.instances import InstanceKind, InstanceSpec, generate_instance
 from hamdec.multigraph import (
     W,
@@ -93,7 +93,7 @@ def test_identical_cycles_make_core_model_infeasible():
     x = make_cycle([1, 2, 3, 4])
     g = build_union(x, make_cycle([1, 2, 3, 4]))
     model, _ = build_dfj_base(g)
-    assert solve(model, 10).status is Status.INFEASIBLE
+    assert solve(model, 10).status is Verdict.INFEASIBLE
     empty = [c for c in model.constraints if not c.vars]
     assert {c.rhs for c in empty} == {-1}
 
@@ -107,7 +107,7 @@ def test_subtour_cut_kills_triangle_split(twin_triangles):
     sides = sides_for_cycles(g, [[1, 2, 6], [3, 4, 5]])
     bits = [1 if s == Z else 0 for s in sides]
     assert model.check(bits)
-    sec_for_subtour(model, mapping, g, {1, 2, 6}, Z, "cut_z_0")
+    sec_for_subtour(model, mapping, subtour_form(g, {1, 2, 6}), Z, "cut_z_0")
     assert not model.check(bits)
 
 
@@ -117,7 +117,7 @@ def test_complement_side_cut_kills_w_subtour(twin_triangles):
     model, mapping = build_dfj_base(g)
     sides = sides_for_cycles(g, [[1, 2, 6], [3, 4, 5]])
     bits = [1 if s == Z else 0 for s in sides]
-    sec_for_subtour(model, mapping, g, {1, 2, 3}, W, "cut_w_0")
+    sec_for_subtour(model, mapping, subtour_form(g, {1, 2, 3}), W, "cut_w_0")
     assert not model.check(bits)
 
 
@@ -128,8 +128,9 @@ def test_cuts_never_exclude_true_decompositions(twin_triangles):
     k = 0
     for size in (2, 3, 4):
         for s in itertools.combinations(range(1, 7), size):
-            sec_for_subtour(model, mapping, g, set(s), Z, f"cut_z_{k}")
-            sec_for_subtour(model, mapping, g, set(s), W, f"cut_w_{k}")
+            form = subtour_form(g, set(s))
+            sec_for_subtour(model, mapping, form, Z, f"cut_z_{k}")
+            sec_for_subtour(model, mapping, form, W, f"cut_w_{k}")
             k += 1
     for z, w in enumerate_decompositions(g):
         for first, second in ((z, w), (w, z)):
@@ -148,7 +149,7 @@ def test_singleton_cut_is_vacuous(ring6):
     x, y = ring6
     g = build_union(x, y)
     model, mapping = build_dfj_base(g)
-    sec_for_subtour(model, mapping, g, {4}, Z, "cut_z_0")
+    sec_for_subtour(model, mapping, subtour_form(g, {4}), Z, "cut_z_0")
     con = model.constraints[-1]
     assert con.vars == () and con.rhs == 0
 
@@ -157,18 +158,11 @@ def test_subtour_cut_input_validation(ring6):
     x, y = ring6
     g = build_union(x, y)
     model, mapping = build_dfj_base(g)
+    for bad in (set(), set(range(1, 7)), {1, 99}, {0, 1}, {-1, 2}):
+        with pytest.raises(ValueError):
+            subtour_form(g, bad)
     with pytest.raises(ValueError):
-        sec_for_subtour(model, mapping, g, set(), Z, "bad")
-    with pytest.raises(ValueError):
-        sec_for_subtour(model, mapping, g, set(range(1, 7)), Z, "bad")
-    with pytest.raises(ValueError):
-        sec_for_subtour(model, mapping, g, {1, 99}, Z, "bad")
-    with pytest.raises(ValueError):
-        sec_for_subtour(model, mapping, g, {0, 1}, Z, "bad")
-    with pytest.raises(ValueError):
-        sec_for_subtour(model, mapping, g, {-1, 2}, W, "bad")
-    with pytest.raises(ValueError):
-        sec_for_subtour(model, mapping, g, {1, 2}, 7, "bad")
+        sec_for_subtour(model, mapping, subtour_form(g, {1, 2}), 7, "bad")
 
 
 # ------------------------------------------------------------ mtz models
@@ -178,7 +172,7 @@ def test_mtz_directed_rejects_identical_cycles():
         x = make_cycle(range(1, n + 1), directed=True)
         g = build_union(x, make_cycle(range(1, n + 1), directed=True))
         model, _ = build_mtz_directed(g)
-        assert solve(model, 30).status is Status.INFEASIBLE
+        assert solve(model, 30).status is Verdict.INFEASIBLE
 
 
 def test_mtz_directed_feasible_run_orders_alpha_along_z():
@@ -188,12 +182,12 @@ def test_mtz_directed_feasible_run_orders_alpha_along_z():
         truth, _ = has_second_decomposition(g, x, y)
         model, mapping = build_mtz_directed(g)
         out = solve(model, 60)
-        assert (out.status is Status.FEASIBLE) == truth, f"seed {seed}"
+        assert (out.status is Verdict.FEASIBLE) == truth, f"seed {seed}"
         if not truth:
             continue
         hit = True
         pair = decode(out.assignment, mapping, g)
-        assert is_second_decomposition(pair, x, y)
+        assert is_second_decomposition(pair)
         for e in g.edges:
             if e.tail == 1 or e.head == 1:
                 continue
@@ -217,9 +211,9 @@ def test_mtz_undirected_shape_and_witness(ring6):
     assert sum(model.binary) == 48  # four oriented copies per edge
     assert sum(not b for b in model.binary) == 10
     out = solve(model, 60)
-    assert out.status is Status.FEASIBLE
+    assert out.status is Verdict.FEASIBLE
     pair = decode(out.assignment, mapping, g)
-    assert is_second_decomposition(pair, x, y)
+    assert is_second_decomposition(pair)
 
 
 def test_mtz_undirected_rejects_identical_cycles():
@@ -227,7 +221,7 @@ def test_mtz_undirected_rejects_identical_cycles():
         x = make_cycle(range(1, n + 1))
         g = build_union(x, make_cycle(range(1, n + 1)))
         model, _ = build_mtz_undirected(g)
-        assert solve(model, 30).status is Status.INFEASIBLE
+        assert solve(model, 30).status is Verdict.INFEASIBLE
 
 
 def test_mtz_undirected_matches_oracle_on_randoms():
@@ -236,10 +230,10 @@ def test_mtz_undirected_matches_oracle_on_randoms():
         truth, _ = has_second_decomposition(g, x, y)
         model, mapping = build_mtz_undirected(g)
         out = solve(model, 60)
-        assert (out.status is Status.FEASIBLE) == truth, f"seed {seed}"
+        assert (out.status is Verdict.FEASIBLE) == truth, f"seed {seed}"
         if truth:
             pair = decode(out.assignment, mapping, g)
-            assert is_second_decomposition(pair, x, y)
+            assert is_second_decomposition(pair)
 
 
 def test_formulation_direction_guards(ring6):
@@ -294,9 +288,10 @@ def test_subtour_rows_take_the_form_with_fewest_terms(directed):
             else:
                 size = len(s) if form == "inside" else n - len(s)
                 expected = (LE, size - 1), (GE, len(edges) - size + 1)
-            assert subtour_form(g, list(s)) == (edges, expected)
+            got = subtour_form(g, list(s))
+            assert got == (edges, expected)
             for side in (Z, W):
-                sec_for_subtour(model, mapping, g, list(s), side, f"c_{k}")
+                sec_for_subtour(model, mapping, got, side, f"c_{k}")
                 row = model.constraints[-1]
                 assert row.vars == tuple(mapping[e][0] for e in edges)
                 assert row.coefs == (1,) * len(edges)
@@ -360,11 +355,11 @@ def test_every_emitted_row_holds_exactly_when_the_inside_row_holds(directed):
             s = {v for v in range(1, n + 1) if bits >> (v - 1) & 1}
             inside = sum(1 << e.id for e in g.edges
                           if e.tail in s and e.head in s)
-            edges = subtour_form(g, s).edges
-            forms.add(next(form for form, same in reference_forms(g, s)
-                           if same == edges))
+            form = subtour_form(g, s)
+            forms.add(next(name for name, same in reference_forms(g, s)
+                           if same == form.edges))
             for side in (Z, W):
-                sec_for_subtour(model, mapping, g, s, side, "row")
+                sec_for_subtour(model, mapping, form, side, "row")
                 _, vars_, sense, rhs, _ = model.constraints.pop()
                 terms = sum(1 << v for v in vars_)
                 for z in points:

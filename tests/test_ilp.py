@@ -18,7 +18,7 @@ from hamdec.ilp import (
     GE,
     LE,
     IlpModel,
-    Status,
+    Verdict,
     export_lp,
     parse_lp,
     solve,
@@ -161,7 +161,7 @@ def reference_solve(model, zeros=()):
     for v in zeros:
         hi[v] = 0
     found = search(list(model.lo), hi)
-    status = Status.INFEASIBLE if found is None else Status.FEASIBLE
+    status = Verdict.INFEASIBLE if found is None else Verdict.FEASIBLE
     return status, found, nodes
 
 
@@ -251,7 +251,7 @@ def folded_reference_solve(model, zeros=()):
         else:
             hi[r] = 0
     found = search(lo, hi)
-    status = Status.INFEASIBLE if found is None else Status.FEASIBLE
+    status = Verdict.INFEASIBLE if found is None else Verdict.FEASIBLE
     return status, found, nodes
 
 
@@ -281,7 +281,7 @@ def pigeonhole(m):
 
 def test_empty_model_is_feasible():
     out = solve(IlpModel(), 10)
-    assert out.status is Status.FEASIBLE
+    assert out.status is Verdict.FEASIBLE
     assert out.assignment == []
 
 
@@ -290,7 +290,7 @@ def test_empty_sum_constraint_is_infeasible():
     m.add_binary("x_0")
     m.add_le([], -1, "impossible")
     out = solve(m, 10)
-    assert out.status is Status.INFEASIBLE
+    assert out.status is Verdict.INFEASIBLE
 
 
 def test_binaries_branch_one_first_in_declaration_order():
@@ -298,7 +298,7 @@ def test_binaries_branch_one_first_in_declaration_order():
     for i in range(5):
         m.add_binary(f"x_{i}")
     out = solve(m, 10)
-    assert out.status is Status.FEASIBLE
+    assert out.status is Verdict.FEASIBLE
     assert out.assignment == [1, 1, 1, 1, 1]
 
 
@@ -307,7 +307,7 @@ def test_integer_domains_split_toward_upper_half():
     x = m.add_int("y_0", 2, 9)
     m.add_le([(1, x)], 5, "cap")
     out = solve(m, 10)
-    assert out.status is Status.FEASIBLE
+    assert out.status is Verdict.FEASIBLE
     assert out.assignment == [5]
 
 
@@ -316,7 +316,7 @@ def test_equalities_propagate_to_fixpoint():
     xs = [m.add_binary(f"x_{i}") for i in range(4)]
     m.add_eq([(1, v) for v in xs], 4, "all")
     out = solve(m, 10)
-    assert out.status is Status.FEASIBLE
+    assert out.status is Verdict.FEASIBLE
     assert out.assignment == [1, 1, 1, 1]
     assert out.nodes == 1  # no branching needed
 
@@ -334,7 +334,7 @@ def test_root_propagation_tightens_wide_general_integer(sense):
     else:
         m.add_ge([(-1, y), (-1, x)], -5, "cap")
     out = solve(m, 10)
-    assert out.status is Status.FEASIBLE
+    assert out.status is Verdict.FEASIBLE
     assert out.assignment == [1, 4]
     assert out.nodes == 4
 
@@ -345,7 +345,7 @@ def test_infeasible_by_conflicting_equalities():
     y = m.add_binary("x_1")
     m.add_eq([(1, x), (1, y)], 2, "both")
     m.add_le([(1, x), (1, y)], 1, "not-both")
-    assert solve(m, 10).status is Status.INFEASIBLE
+    assert solve(m, 10).status is Verdict.INFEASIBLE
 
 
 def test_status_matches_brute_force_on_random_models():
@@ -353,33 +353,33 @@ def test_status_matches_brute_force_on_random_models():
     for seed in range(300):
         m = random_model(seed)
         out = solve(m, 30)
-        assert out.status in (Status.FEASIBLE, Status.INFEASIBLE)
+        assert out.status in (Verdict.FEASIBLE, Verdict.INFEASIBLE)
         expected = brute_force_feasible(m)
-        assert (out.status is Status.FEASIBLE) == expected, f"seed {seed}"
-        if out.status is Status.FEASIBLE:
+        assert (out.status is Verdict.FEASIBLE) == expected, f"seed {seed}"
+        if out.status is Verdict.FEASIBLE:
             assert m.check(out.assignment)
             for v, val in enumerate(out.assignment):
                 assert m.lo[v] <= val <= m.hi[v]
         statuses.add(out.status)
-    assert statuses == {Status.FEASIBLE, Status.INFEASIBLE}
+    assert statuses == {Verdict.FEASIBLE, Verdict.INFEASIBLE}
 
 
 def test_pigeonhole_proved_infeasible():
-    assert solve(pigeonhole(5), 60).status is Status.INFEASIBLE
+    assert solve(pigeonhole(5), 60).status is Verdict.INFEASIBLE
 
 
 def test_zero_budget_times_out():
     for budget in (0, math.nan):
-        assert solve(pigeonhole(4), budget).status is Status.TIMED_OUT
+        assert solve(pigeonhole(4), budget).status is Verdict.TIMED_OUT
     # a feasible one-binary model: a NaN budget must not search unbounded
     m = IlpModel()
     m.add_binary("b")
-    assert solve(m, math.nan).status is Status.TIMED_OUT
+    assert solve(m, math.nan).status is Verdict.TIMED_OUT
 
 
 def test_tight_budget_times_out_not_infeasible():
     out = solve(pigeonhole(10), 0.02)
-    assert out.status is Status.TIMED_OUT
+    assert out.status is Verdict.TIMED_OUT
     assert out.nodes > 0
 
 
@@ -392,9 +392,9 @@ def test_deadline_is_checked_inside_root_propagation():
     for i in range(2000):
         m.add_le([(1, xs[i]), (-1, xs[i + 1])], 0, f"chain_{i}")
     full = solve(m, 10)
-    assert (full.status, full.nodes, full.pops) == (Status.FEASIBLE, 1, 2001)
+    assert (full.status, full.nodes, full.pops) == (Verdict.FEASIBLE, 1, 2001)
     out = solve(m, 1e-9)
-    assert out.status is Status.TIMED_OUT
+    assert out.status is Verdict.TIMED_OUT
     assert out.nodes == 1
 
 
@@ -409,13 +409,13 @@ def test_deadline_is_checked_inside_arc_propagation():
     for i in range(1999):
         m.add_le([(1, a[i]), (-1, a[i + 1]), (2000, z)], 1999, f"chain_{i}")
     full = solve(m, 10)
-    assert (full.status, full.nodes) == (Status.FEASIBLE, 1)
+    assert (full.status, full.nodes) == (Verdict.FEASIBLE, 1)
     assert full.assignment == [1] + list(range(2000))
     # the row "on", then each lower bound up the chain and each upper
     # bound down it, once
     assert full.pops == 1 + 2 * 1999
     out = solve(m, 1e-9)
-    assert out.status is Status.TIMED_OUT
+    assert out.status is Verdict.TIMED_OUT
     assert out.nodes == 1
 
 
@@ -438,7 +438,7 @@ def test_positive_cycle_is_refuted_without_climbing():
     # lap of the cycle: 66,669 pops at width 10**5, growing with width
     outs = [solve(difference_cycle(width), 10) for width in (10**3, 10**6)]
     assert [(out.status, out.nodes) for out in outs] == [
-        (Status.INFEASIBLE, 1)] * 2
+        (Verdict.INFEASIBLE, 1)] * 2
     assert outs[0].pops == outs[1].pops
     m = difference_cycle(10)
     out = solve(m, 10)
@@ -451,7 +451,7 @@ def test_leaf_that_fails_the_exact_check_raises(monkeypatch):
     m = IlpModel()
     xs = [m.add_binary(f"x_{i}") for i in range(3)]
     m.add_le([(1, v) for v in xs], 2, "two")
-    assert solve(m, 10).status is Status.FEASIBLE
+    assert solve(m, 10).status is Verdict.FEASIBLE
     monkeypatch.setattr(IlpModel, "check", lambda self, assignment: False)
     with pytest.raises(AssertionError, match="bad leaf"):
         solve(m, 10)
@@ -470,7 +470,7 @@ def test_search_pops_no_row_whose_slack_stays_at_reach():
     m.add_ge([(-1, v) for v in xs], -11, "wide_ge")
     m.add_le([(1, xs[0]), (1, xs[1])], 1, "tight")
     out = solve(m, 10)
-    assert out.status is Status.FEASIBLE
+    assert out.status is Verdict.FEASIBLE
     assert out.assignment == [1, 0] + [1] * 8
     assert out.nodes == 10
     assert out.pops == 1
@@ -492,7 +492,7 @@ def test_solve_matches_sweeping_reference_on_random_models(make, seeds):
         ), f"seed {seed}"
         statuses.add(status)
         most_nodes = max(most_nodes, nodes)
-    assert statuses == {Status.FEASIBLE, Status.INFEASIBLE}
+    assert statuses == {Verdict.FEASIBLE, Verdict.INFEASIBLE}
     assert most_nodes > 10
 
 
@@ -587,7 +587,7 @@ def test_solve_matches_reference_on_doubleton_models():
             statuses.add(out.status)
             for k, (terms, rhs) in enumerate(late):
                 m.add_eq(terms, rhs, f"late_{k}")
-    assert statuses == {Status.FEASIBLE, Status.INFEASIBLE}
+    assert statuses == {Verdict.FEASIBLE, Verdict.INFEASIBLE}
 
 
 def test_bound_raised_twice_in_one_wave_closes_no_cycle():
@@ -605,7 +605,7 @@ def test_bound_raised_twice_in_one_wave_closes_no_cycle():
         m.add_le([(1, tail), (-1, head), (50, z)], 50 - gap, name)
     out = solve(m, 10)
     assert (out.status, out.assignment, out.nodes) == reference_solve(m)
-    assert out.status is Status.FEASIBLE
+    assert out.status is Verdict.FEASIBLE
 
 
 ROW_KINDS = ("arcs", "no binary", "twice", "coef 2", "two")
@@ -676,7 +676,7 @@ def test_solve_matches_reference_on_difference_models():
         statuses.add(out.status)
         for k, (terms, sense, rhs) in enumerate(late):
             m.add_constraint(terms, sense, rhs, f"late_{k}")
-            previous = [out] if out.status is Status.FEASIBLE else []
+            previous = [out] if out.status is Verdict.FEASIBLE else []
             out = solve(m, 30, (), *previous)
             resumed += bool(previous)
             fresh = solve(parse_lp(export_lp(m)), 30)
@@ -684,7 +684,7 @@ def test_solve_matches_reference_on_difference_models():
                                             f"seed {seed}, row {k}")
             assert (out.status, out.assignment) == (
                 fresh.status, fresh.assignment), f"seed {seed}, row {k}"
-    assert statuses == {Status.FEASIBLE, Status.INFEASIBLE}
+    assert statuses == {Verdict.FEASIBLE, Verdict.INFEASIBLE}
     assert resumed > 100, resumed
     assert min(kinds.values()) > 50, kinds
 
@@ -771,15 +771,15 @@ FOLDED_CASES = {
     "a class cancels": (
         "zxy", (), [([(1, 1), (1, 2)], EQ, 1),
                     ([(1, 1), (1, 2), (1, 0)], LE, 1)],
-        Status.FEASIBLE, [0, 1, 0], 2, 1),
+        Verdict.FEASIBLE, [0, 1, 0], 2, 1),
     # with y = 1 - x, x + y <= 0 folds to no terms: 1 <= 0
     "no terms left": (
         "xy", (), [([(1, 0), (1, 1)], EQ, 1), ([(1, 0), (1, 1)], LE, 0)],
-        Status.INFEASIBLE, None, 1, 1),
+        Verdict.INFEASIBLE, None, 1, 1),
     # 2u - u <= 3 is u <= 3; one bound per term takes 6 pops
     "a general twice": (
         "", [("u", 0, 9)], [([(2, 0), (-1, 0)], LE, 3)],
-        Status.FEASIBLE, [3], 3, 3),
+        Verdict.FEASIBLE, [3], 3, 3),
 }
 
 
@@ -850,7 +850,7 @@ def test_search_is_pinned_node_for_node():
     trees, outcomes = [], []
     for m, zeros in search_corpus():
         out = solve(m, 60, zeros)
-        assert out.status is not Status.TIMED_OUT
+        assert out.status is not Verdict.TIMED_OUT
         trees.append((out.status.value, out.nodes, out.assignment))
         outcomes.append((out.status.value, out.nodes, out.pops, out.assignment))
 
@@ -927,9 +927,9 @@ def test_resumed_search_rewakes_a_cut_fixed_above_its_frames():
     assert out.nodes == 6
     m.add_ge([(1, xs[1]), (1, xs[2])], 2, "both")
     again = solve(m, 10, (), out)
-    assert (again.status, again.assignment) == (Status.FEASIBLE, [0, 1, 1, 1])
+    assert (again.status, again.assignment) == (Verdict.FEASIBLE, [0, 1, 1, 1])
     m.add_le([(1, xs[2]), (1, xs[3])], 0, "neither")
-    assert solve(m, 10, (), again).status is Status.INFEASIBLE
+    assert solve(m, 10, (), again).status is Verdict.INFEASIBLE
 
 
 def test_resumed_search_matches_fresh_solves_on_random_models():
@@ -956,7 +956,7 @@ def test_resumed_search_matches_fresh_solves_on_random_models():
             assert (out.status, out.assignment) == (
                 fresh.status, fresh.assignment), f"seed {seed}"
             resumed += bool(previous)
-            if out.status is not Status.FEASIBLE:
+            if out.status is not Verdict.FEASIBLE:
                 break
     assert resumed > 1000, resumed
 
@@ -1005,7 +1005,7 @@ def test_resume_after_a_change_other_than_rows_is_refused(case):
     xs = [m.add_binary(f"x_{i}") for i in range(3)]
     m.add_le([(1, xs[0]), (1, xs[1])], 1, "pair")
     first = solve(m, 10, [2])
-    assert first.status is Status.FEASIBLE
+    assert first.status is Verdict.FEASIBLE
     with pytest.raises(ValueError, match="resume"):
         REFUSED_RESUMES[case](m, first)
 
@@ -1031,10 +1031,10 @@ def test_resume_keeps_a_doubleton_inside_one_class_as_a_row():
     m.add_eq([(2, xs[1]), (2, xs[0])], 2, "again")
     m.add_le([(1, xs[0]), (1, xs[2])], 1, "cut")
     out = solve(m, 10, (), first)
-    assert (out.status, out.assignment) == (Status.FEASIBLE, [1, 0, 0])
+    assert (out.status, out.assignment) == (Verdict.FEASIBLE, [1, 0, 0])
     m.add_eq([(1, xs[0]), (-1, xs[1])], 0, "odd")
-    assert solve(m, 10, (), out).status is Status.INFEASIBLE
-    assert solve(parse_lp(export_lp(m)), 10).status is Status.INFEASIBLE
+    assert solve(m, 10, (), out).status is Verdict.INFEASIBLE
+    assert solve(parse_lp(export_lp(m)), 10).status is Verdict.INFEASIBLE
 
 
 def test_termless_halves_that_always_hold_are_not_indexed():
@@ -1047,7 +1047,7 @@ def test_termless_halves_that_always_hold_are_not_indexed():
         _, _, g = generate_instance(spec)
         model, z_terms = build_dfj_base(g)
         index = ilp._Presolve(model)
-        index.admit(list(model._bound), False)
+        index.admit(index.declared, False)
         assert all(terms for terms, _ in index.halves)
         halves += len(index.halves)
         out = solve(model, 60, higher_copy_terms(g, z_terms))
@@ -1065,16 +1065,16 @@ def test_termless_halves_that_fail_stay_conflicts():
         m.add_eq([(1, xs[0]), (1, xs[1])], 1, "join")
         m.add_eq(list(zip(again, xs)), rhs, "again")
         index = ilp._Presolve(m)
-        index.admit(list(m._bound), False)
+        index.admit(index.declared, False)
         assert len(index.halves) == kept
-        status = Status.FEASIBLE if rhs == 1 else Status.INFEASIBLE
+        status = Verdict.FEASIBLE if rhs == 1 else Verdict.INFEASIBLE
         assert solve(m, 10).status is status
         assert solve(parse_lp(export_lp(m)), 10).status is status
 
 
 def test_model_holds_only_what_it_is_given():
     assert sorted(vars(IlpModel())) == [
-        "_bound", "binary", "constraints", "names", "var_of"]
+        "binary", "constraints", "hi", "lo", "names", "var_of"]
 
 
 def test_solve_leaves_its_model_as_it_found_it():
@@ -1088,12 +1088,12 @@ def test_solve_leaves_its_model_as_it_found_it():
     m.add_le([(1, a), (-1, b), (6, xs[3])], 5, "order")
     before = copy.deepcopy(vars(m))
     first = solve(m, 10, [xs[2]])
-    assert first.status is Status.FEASIBLE
+    assert first.status is Verdict.FEASIBLE
     assert vars(m) == before
     m.add_ge([(1, b), (-1, a)], 1, "late")
     before = copy.deepcopy(vars(m))
     out = solve(m, 10, [xs[2]], first)
-    assert out.status is Status.FEASIBLE
+    assert out.status is Verdict.FEASIBLE
     assert vars(m) == before
 
 
@@ -1140,7 +1140,7 @@ def test_non_integer_numbers_are_rejected_with_their_name():
     with pytest.raises(ValueError, match="'g'"):
         m.add_int("g", 0.5, 2.5)
     assert m.constraints == [] and m.names == ["x"]
-    assert solve(m, 10).status is Status.FEASIBLE
+    assert solve(m, 10).status is Verdict.FEASIBLE
     # integers of other types still pass, as Python ints
     g = m.add_int("g", np.int64(0), np.int32(2))
     m.add_le([(np.int64(2), x), (1, g)], np.int64(2), "r_np")

@@ -406,7 +406,7 @@ def test_known_witness_is_second_decomposition(ring6):
     sides = sides_for_cycles(g, [RING6_Z])
     pair = TwoFactorPair(g, sides)
     assert components(pair).total == 2
-    assert is_second_decomposition(pair, x, y)
+    assert is_second_decomposition(pair)
     z = cycle_from_factor(pair, Z)
     w = cycle_from_factor(pair, W)
     assert z.edge_multiset() == make_cycle(RING6_Z).edge_multiset()
@@ -418,19 +418,19 @@ def test_original_split_is_not_second_decomposition(ring6):
     g = build_union(x, y)
     pair = TwoFactorPair(g, [Z] * 6 + [W] * 6)
     assert components(pair).total == 2
-    assert not is_second_decomposition(pair, x, y)
+    assert not is_second_decomposition(pair)
     # swapping which copy of the repeated edge sits where changes nothing
     e = next(e for e in g.edges if e.partner is not None)
     pair.move(e.id)
     pair.move(e.partner)
-    assert not is_second_decomposition(pair, x, y)
+    assert not is_second_decomposition(pair)
 
 
 def test_split_factor_is_not_second_decomposition(twin_triangles):
     x, y = twin_triangles
     g = build_union(x, y)
     sides = sides_for_cycles(g, [[1, 2, 6], [3, 4, 5]])
-    assert not is_second_decomposition(TwoFactorPair(g, sides), x, y)
+    assert not is_second_decomposition(TwoFactorPair(g, sides))
 
 
 def reference_is_second(pair, x, y):
@@ -479,8 +479,7 @@ def test_second_decomposition_test_matches_multiset_reference():
                     for sides in second_decomposition_cases(g, rng):
                         pair = TwoFactorPair(g, sides)
                         want = reference_is_second(pair, a, b)
-                        assert is_second_decomposition(pair, a, b) is want
-                        assert is_second_decomposition(pair, b, a) is want
+                        assert is_second_decomposition(pair) is want
                         split = not pair.broken and components(pair).total > 2
                         answers.add((want, pair.broken != set(), split))
     # a second decomposition, {x, y} itself, a broken and a split state
