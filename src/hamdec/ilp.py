@@ -99,6 +99,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import zip_longest
 from operator import index, le, mul
 from typing import NamedTuple
 
@@ -184,6 +185,9 @@ class IlpModel:
     def add_constraint(self, terms, sense: str, rhs: int, name: str) -> None:
         if sense not in (LE, GE, EQ):
             raise ValueError(f"unknown sense {sense!r}")
+        # export_lp writes the name as one `name:` token
+        if name.split() != [name]:
+            raise ValueError(f"constraint name {name!r} is not one LP token")
         terms = list(terms)  # read an iterator once, not once per field
         try:  # int() would truncate 1.5 to 1
             coefs = tuple([index(c) for c, _ in terms])
@@ -554,8 +558,9 @@ def _search(model, zeros, deadline):
                 # odd) and may rise by slack, so -y >= -bound[k] - slack // a
                 for a, k in terms:
                     new = -bound[k] - slack // a
-                    if new > bound[k ^ 1] and raise_bound(k ^ 1, new):
-                        return True
+                    if new > bound[k ^ 1]:
+                        # no wipeout: new + bound[k] = -(slack // a) <= 0
+                        raise_bound(k ^ 1, new)
             if not touched:
                 return False
             if settle():
@@ -669,99 +674,62 @@ def export_lp(model: IlpModel) -> str:
     return "\n".join(out) + "\n"
 
 
-_HEADERS = ("Minimize", "Subject To", "Bounds", "Binaries", "Generals")
-
-
-def _number(tok: str, where: str) -> int:
-    """The int that export_lp writes as `tok`, which is its str(); int()
-    alone also reads `+0`, `03`, `1_0` and non-ASCII digits."""
-    try:
-        if str(int(tok)) == tok:
-            return int(tok)
-    except ValueError:
-        pass
-    raise ValueError(f"{where}: {tok!r} is not a number export_lp writes")
-
-
 def parse_lp(text: str) -> IlpModel:
-    """Re-read LP text produced by export_lp into a structurally equal model.
+    """Read back the text export_lp writes, and nothing else.
 
-    Only the dialect export_lp writes is accepted: its exact section
-    headers, `name:` labels, terms `[+|-] [coefficient] var` with a
-    nonzero coefficient, the relations `<=`, `>=` and `=`, `0` for an
-    empty left-hand side, and each number as str(int) writes it.
+    A plain reader takes the model from export_lp's layout; the text is
+    accepted only if export_lp writes that model as the same text, so
+    export_lp alone decides the dialect.  Else ValueError, naming the
+    first line that differs.
     """
-    sections: dict[str, list[str]] = {header: [] for header in _HEADERS}
-    current = None
-    for raw in text.splitlines():
-        if raw == "End":
-            break
-        if raw in sections:
-            current = raw
-            continue
-        if current is None:
-            raise ValueError(f"content before any section: {raw!r}")
-        sections[current].append(raw)
-    for line in sections["Minimize"]:
-        if line.split() != ["obj:", "0"]:
-            raise ValueError(f"unsupported objective line: {line!r}")
+    try:
+        model = _read_lp(text)
+    except (LookupError, StopIteration) as exc:
+        raise ValueError(
+            f"not the LP text export_lp writes: {exc!r}") from None
+    written = export_lp(model)
+    if written != text:
+        lines = zip_longest(text.split("\n"), written.split("\n"))
+        for i, (line, wanted) in enumerate(lines, 1):
+            if line != wanted:
+                raise ValueError(
+                    f"line {i} is {line!r}; export_lp writes {wanted!r}")
+    return model
 
+
+def _read_lp(text):
+    # an unindented line opens a section; the reader trusts the rest
+    sections: dict[str, list[str]] = {}
+    lines: list[str] = []
+    for line in text.split("\n"):
+        if line.startswith(" "):
+            lines.append(line)
+        else:
+            lines = sections[line] = []
     model = IlpModel()
-    for line in sections["Binaries"]:
+    for line in sections.get("Binaries", ()):
         for name in line.split():
             model.add_binary(name)
     bounds = {}
-    for line in sections["Bounds"]:
-        toks = line.split()
-        if len(toks) != 5 or toks[1] != "<=" or toks[3] != "<=":
-            raise ValueError(f"unsupported bounds line: {line!r}")
-        if toks[2] in bounds:
-            raise ValueError(f"second bounds line for {toks[2]!r}")
-        where = f"bounds line {line!r}"
-        bounds[toks[2]] = (_number(toks[0], where), _number(toks[4], where))
-    for line in sections["Generals"]:
+    for line in sections.get("Bounds", ()):
+        lo, _, name, _, hi = line.split()
+        bounds[name] = int(lo), int(hi)
+    for line in sections.get("Generals", ()):
         for name in line.split():
-            if name not in bounds:
-                raise ValueError(f"integer var without bounds: {name!r}")
-            model.add_int(name, *bounds.pop(name))
-    if bounds:
-        raise ValueError(f"bounds for vars not in Generals: {sorted(bounds)}")
-
-    tokens = " ".join(sections["Subject To"]).split()
-    i = 0
-    while i < len(tokens):
-        name = tokens[i]
-        if not name.endswith(":"):
-            raise ValueError(f"expected constraint name, got {name!r}")
-        name = name[:-1]
-        i += 1
-        terms = []
-        sign = coef = sense = None
-        while i < len(tokens) and sense is None:
-            tok = tokens[i]
-            i += 1
-            if tok in (LE, GE, EQ):
-                sense = tok
-            elif tok in ("+", "-") and sign is None and coef is None:
-                sign = 1 if tok == "+" else -1
-            elif tok.isdigit() and coef is None:
-                coef = _number(tok, f"constraint {name!r}")
-            elif tok in model.var_of and (sign is not None or not terms):
-                mag = 1 if coef is None else coef
-                terms.append(((sign or 1) * mag, model.var_of[tok]))
-                sign = coef = None
+            model.add_int(name, *bounds[name])
+    # each row is `name:` terms sense rhs, a term [+|-] [coefficient] var
+    tokens = iter(" ".join(sections.get("Subject To", ())).split())
+    for label in tokens:
+        terms, sign, coef = [], 1, 1
+        tok = next(tokens)
+        while tok not in (LE, GE, EQ):
+            if tok in ("+", "-"):
+                sign = -1 if tok == "-" else 1
+            elif tok.isdigit():  # a coefficient, or 0 for no terms
+                coef = int(tok)
             else:
-                raise ValueError(
-                    f"constraint {name!r}: undeclared var or bad token {tok!r}"
-                )
-        if sense is None:
-            raise ValueError(f"constraint {name!r} has no relation")
-        # a lone 0 is the empty left-hand side
-        if sign is not None or (coef is not None and (coef or terms)):
-            raise ValueError(f"dangling constant in constraint {name!r}")
-        if i >= len(tokens):
-            raise ValueError(f"constraint {name!r} has no right-hand side")
-        rhs = _number(tokens[i], f"constraint {name!r}")
-        i += 1
-        model.add_constraint(terms, sense, rhs, name)
+                terms.append((sign * coef, model.var_of[tok]))
+                sign = coef = 1
+            tok = next(tokens)
+        model.add_constraint(terms, tok, int(next(tokens)), label[:-1])
     return model

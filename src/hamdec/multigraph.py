@@ -240,21 +240,6 @@ class TwoFactorPair:
             v for v in range(1, n + 1) if not deg[v] == cap == deg[mate[v]]
         }
 
-    def move(self, edge_id: int) -> None:
-        """Flip one edge to the other factor; a pinned edge stays pinned."""
-        g, pinned = self.graph, self.fixed[edge_id]
-        self.pin(edge_id, False)
-        self.side[edge_id] = now = W if self.side[edge_id] == Z else Z
-        d = 1 if now == Z else -1
-        deg, cap, mate, owner = self.deg_z, g.cap, g.slot_mate, g.slot_vertex
-        for s in (g.slot_a[edge_id], g.slot_b[edge_id]):
-            deg[s] += d
-            if deg[s] == cap == deg[mate[s]]:
-                self.broken.discard(owner[s])
-            else:
-                self.broken.add(owner[s])
-        self.pin(edge_id, pinned)
-
     def pin(self, edge_id: int, on: bool) -> None:
         """Set one edge's fixed flag, keeping the pinned counts in step."""
         if self.fixed[edge_id] != on:

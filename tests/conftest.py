@@ -101,3 +101,21 @@ def witness_sides(g, z):
             sides[e.id] = Z
     assert sum(want.values()) == 0
     return sides
+
+
+def move(pair, edge_id):
+    """Flip one edge of `pair` to the other factor; a pinned edge stays
+    pinned.  The reference for the move `heuristics._chain` makes inline.
+    """
+    g, pinned = pair.graph, pair.fixed[edge_id]
+    pair.pin(edge_id, False)
+    pair.side[edge_id] = now = W if pair.side[edge_id] == Z else Z
+    d = 1 if now == Z else -1
+    deg, cap, mate, owner = pair.deg_z, g.cap, g.slot_mate, g.slot_vertex
+    for s in (g.slot_a[edge_id], g.slot_b[edge_id]):
+        deg[s] += d
+        if deg[s] == cap == deg[mate[s]]:
+            pair.broken.discard(owner[s])
+        else:
+            pair.broken.add(owner[s])
+    pair.pin(edge_id, pinned)

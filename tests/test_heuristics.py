@@ -25,7 +25,13 @@ from hamdec.multigraph import (
     components,
 )
 
-from conftest import RING6_Z, find_edge, random_instance, sides_for_cycles
+from conftest import (
+    RING6_Z,
+    find_edge,
+    move,
+    random_instance,
+    sides_for_cycles,
+)
 
 
 def origin_pair(g):
@@ -311,7 +317,7 @@ def test_parallel_pinning_requires_split_copies(ring6):
     g = build_union(x, y)
     pair = origin_pair(g)
     dup = next(e for e in g.edges if e.partner is not None)
-    pair.move(dup.id)  # both copies now in one factor
+    move(pair, dup.id)  # both copies now in one factor
     with pytest.raises(ValueError):
         fix_parallel_copies(pair)
 
@@ -890,7 +896,7 @@ def reference_fix_edge(pair, edge_id, side, recursive=True):
                 return False
             continue
         if sides[eid] != want:
-            pair.move(eid)
+            move(pair, eid)
         fixed[eid] = True
         if not recursive:
             return True
@@ -1008,7 +1014,7 @@ def test_pinned_counts_follow_every_change_of_fixed():
                 except ValueError:  # a chain put both copies in one factor
                     pass
             elif step == 3:
-                pair.move(rng.randrange(len(g.edges)))
+                move(pair, rng.randrange(len(g.edges)))
             else:
                 eid, side = rng.randrange(len(g.edges)), rng.choice((Z, W))
                 fix_edge(pair, eid, side, rng.random() < 0.7)

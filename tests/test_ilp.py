@@ -1262,6 +1262,13 @@ def test_small_lp_is_what_export_writes():
     with_general(0, "1_0"),
     with_general("+0", 9),
     with_general("\u0663", 9),
+    # layout that a reader of tokens alone would accept
+    ("End\n", "End\nmore\n"),
+    (" <= 1\n", " <= 1\n\n"),
+    (" obj: 0", " obj:  0"),
+    ("End\n", "End"),
+    (" z_0 + z_1", " z_0\n   + z_1"),
+    (" z_0 z_1\n", " z_0\n z_1\n"),
 ])
 def test_parse_rejects_constructs_export_never_writes(old, new):
     assert old in SMALL_LP
@@ -1309,6 +1316,25 @@ def test_name_that_is_not_one_lp_token_is_rejected(name):
     with pytest.raises(ValueError, match="one LP token"):
         m.add_int(name, 0, 1)
     assert m.names == [] and m.var_of == {}
+
+
+@pytest.mark.parametrize("name", ["", " ", "a b", "a\nb", " c", "c\t"])
+def test_row_name_that_is_not_one_lp_token_is_rejected(name):
+    # export_lp would write such a name as text that parse_lp refuses
+    m = IlpModel()
+    v = m.add_binary("x")
+    with pytest.raises(ValueError, match="one LP token"):
+        m.add_le([(1, v)], 1, name)
+    assert m.constraints == []
+
+
+def test_parse_names_the_first_line_that_differs():
+    with pytest.raises(ValueError, match="line 4 is ' c: z_0 \\+  z_1"):
+        parse_lp(SMALL_LP.replace("+ z_1", "+  z_1"))
+    with pytest.raises(ValueError, match="line 8 is None"):
+        parse_lp(SMALL_LP.removesuffix("\n"))
+    with pytest.raises(ValueError, match="not the LP text"):
+        parse_lp(SMALL_LP.replace("z_1 <=", "z_2 <="))
 
 
 def test_index_maps_every_name_to_its_variable():

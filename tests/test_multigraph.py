@@ -26,6 +26,7 @@ from conftest import (
     RING6_Z,
     factor_multiset,
     make_cycle,
+    move,
     random_cycle,
     random_instance,
     sides_for_cycles,
@@ -255,7 +256,7 @@ def test_alternating_cycle_labels_split_the_ports(n, seed):
     for arcs in members.values():
         pair = TwoFactorPair(g, origin)
         for a in arcs:
-            pair.move(a)
+            move(pair, a)
         assert not pair.broken
 
 
@@ -321,7 +322,7 @@ def test_components_rejects_broken_state(ring6):
     x, y = ring6
     g = build_union(x, y)
     pair = TwoFactorPair(g, [Z] * 6 + [W] * 6)
-    pair.move(0)
+    move(pair, 0)
     assert pair.broken == {1, 2}
     for below in (None, 1, 3, 13):
         with pytest.raises(ValueError):
@@ -368,7 +369,7 @@ def test_move_bookkeeping_matches_recount(ring6):
     pair = TwoFactorPair(g, [Z] * 6 + [W] * 6)
     rng = np.random.default_rng(7)
     for _ in range(200):
-        pair.move(int(rng.integers(0, 12)))
+        move(pair, int(rng.integers(0, 12)))
         recount = [0] * 7
         for e in g.edges:
             if pair.side[e.id] == Z:
@@ -383,7 +384,7 @@ def test_directed_move_bookkeeping():
     pair = TwoFactorPair(g, [Z] * 7 + [W] * 7)
     rng = np.random.default_rng(11)
     for _ in range(200):
-        pair.move(int(rng.integers(0, 14)))
+        move(pair, int(rng.integers(0, 14)))
         out = [0] * 8
         inn = [0] * 8
         for e in g.edges:
@@ -421,8 +422,8 @@ def test_original_split_is_not_second_decomposition(ring6):
     assert not is_second_decomposition(pair)
     # swapping which copy of the repeated edge sits where changes nothing
     e = next(e for e in g.edges if e.partner is not None)
-    pair.move(e.id)
-    pair.move(e.partner)
+    move(pair, e.id)
+    move(pair, e.partner)
     assert not is_second_decomposition(pair)
 
 

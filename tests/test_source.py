@@ -58,3 +58,53 @@ def test_every_traced_name_resolves():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert tracer.PATCHES and missing == []
+
+
+# entry points that only a user, a test or argparse calls
+ENTRY_POINTS = {
+    ("ilp", None, "parse_lp"),
+    ("ilp", "IlpModel", "add_ge"),
+    ("oracle", None, "has_second_decomposition"),
+    ("cli", "_Parser", "error"),
+}
+
+
+def _definitions(tree, module, owner=None):
+    """(module, class or None, name) of every def and class in `tree`."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield module, owner, node.name
+            inner = node.name if isinstance(node, ast.ClassDef) else owner
+            yield from _definitions(node, module, inner)
+        else:
+            yield from _definitions(node, module, owner)
+
+
+def _references(tree):
+    """Every name that `tree` loads, reads as an attribute, imports or
+    lists in `__all__`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1]
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            yield from (e.value for e in node.value.elts)
+
+
+def test_every_definition_is_referenced_in_the_package():
+    # no package code that only tests call: a def or class no other
+    # package code names is dead, or belongs in the tests
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p))
+             for p in SOURCES}
+    named = {ref for tree in trees.values() for ref in _references(tree)}
+    unnamed = {
+        d for module, tree in trees.items()
+        for d in _definitions(tree, module)
+        if d[2] not in named and not d[2].startswith("__")
+    }
+    assert unnamed == ENTRY_POINTS
