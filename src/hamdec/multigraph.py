@@ -41,7 +41,7 @@ class HamCycle:
 
     @staticmethod
     def from_order(seq, directed: bool) -> "HamCycle":
-        order = tuple(int(v) for v in seq)
+        order = tuple(map(int, seq))
         n = len(order)
         if n < 3:
             raise ValueError("a cycle needs at least 3 vertices")

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -732,3 +733,45 @@ def test_cli_round_trip_in_subprocess(tmp_path, ring6_file):
     assert proc.returncode == 0
     assert "feasible" in proc.stdout
     assert read_rows(out)[0]["verdict"] == "feasible"
+
+
+def test_cli_runs_where_numpy_cannot_be_imported(tmp_path):
+    # numpy is a test dependency only: with a numpy whose import fails
+    # first on the path, generate writes the pinned bytes and solve and
+    # experiment run
+    shim = tmp_path / "shim"
+    (shim / "numpy").mkdir(parents=True)
+    (shim / "numpy" / "__init__.py").write_text(
+        'raise ImportError("numpy is not a runtime dependency")\n')
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = [str(shim), str(src), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+    def run(*args):
+        return subprocess.run([sys.executable, *args], env=env, cwd=tmp_path,
+                              capture_output=True, text=True)
+
+    blocked = run("-c", "import numpy")
+    assert blocked.returncode != 0
+    assert "not a runtime dependency" in blocked.stderr
+    for kind, seed in sorted(GENERATE_SHA256):
+        out = tmp_path / f"{kind}{seed}"
+        proc = run("-m", "hamdec.cli", "generate", "--kind", kind, "--n", "12",
+                   "--count", "1", "--seed", str(seed), "--out-dir", str(out))
+        assert proc.returncode == 0, proc.stderr
+        data = (out / f"{kind}_n12_und_0000.json").read_bytes()
+        digest = hashlib.sha256(data).hexdigest()
+        assert digest == GENERATE_SHA256[(kind, seed)]
+    proc = run("-m", "hamdec.cli", "solve",
+               str(tmp_path / "four-peak0" / "four-peak_n12_und_0000.json"),
+               "--algorithm", "dfj-vnd-fix", "--out-csv", "solve.csv")
+    assert proc.returncode == 0, proc.stderr
+    cfg = write_config(tmp_path, [
+        {"kind": "pyramidal", "n": 8, "count": 2, "directed": True,
+         "algorithms": ["dfj", "dfj-ls", "mtz"],
+         "per_set_time_limit_ms": 60000, "seed": 0},
+    ])
+    proc = run("-m", "hamdec.cli", "experiment", str(cfg),
+               "--out-csv", "grid.csv")
+    assert proc.returncode == 0, proc.stderr
+    assert len(read_rows(tmp_path / "grid.csv")) == 6

@@ -3,6 +3,9 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -108,3 +111,27 @@ def test_every_definition_is_referenced_in_the_package():
         if d[2] not in named and not d[2].startswith("__")
     }
     assert unnamed == ENTRY_POINTS
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_numpy_import(path):
+    # numpy is a test dependency only; instances.py draws numpy's
+    # streams in pure Python
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    assert [m for m in modules if m.split(".")[0] == "numpy"] == []
+
+
+def test_importing_the_package_and_cli_loads_no_numpy():
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hamdec, hamdec.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
