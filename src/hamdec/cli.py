@@ -192,9 +192,8 @@ def run_instance(algorithm, x, y, g, instance_id, generator, params,
 def cmd_generate(args) -> int:
     if args.count < 0:
         raise ValueError("--count must be at least 0")
-    kind = InstanceKind(args.kind)
     # rejects an n below the kind's minimum, before any file is written
-    first = InstanceSpec(kind, args.n, args.directed, args.seed)
+    first = InstanceSpec(args.kind, args.n, args.directed, args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -205,7 +204,7 @@ def cmd_generate(args) -> int:
         write_instance(out_dir / f"{name}.json", x, y)
         entries.append({"file": f"{name}.json", "seed": spec.seed})
     manifest = {
-        "kind": kind.value,
+        "kind": first.kind.value,
         "n": args.n,
         "count": args.count,
         "directed": args.directed,
@@ -259,31 +258,26 @@ def _experiment_sets(config):
     sets = []
     for si, block in enumerate(config):
         try:
-            kind = InstanceKind(block["kind"])
-            n, count, seed = block["n"], block["count"], block["seed"]
-            directed = block["directed"]
-            algorithms = block["algorithms"]
+            count, algorithms = block["count"], block["algorithms"]
             limit_ms = _time_limit_ms(block["per_set_time_limit_ms"])
-            for key, value in (("n", n), ("count", count), ("seed", seed)):
-                if not _is_int(value):
-                    raise ValueError(f"{key!r} must be an integer")
+            if not _is_int(count):
+                raise ValueError("'count' must be an integer")
             if count < 0:
                 raise ValueError("'count' must be at least 0")
-            if not isinstance(directed, bool):
-                raise ValueError("'directed' must be true or false")
-            # rejects an n below the kind's minimum
-            spec = InstanceSpec(kind, n, directed, seed)
+            # checks the kind, n, directed and seed
+            spec = InstanceSpec(block["kind"], block["n"], block["directed"],
+                                block["seed"])
             if not isinstance(algorithms, list):
                 raise ValueError("'algorithms' must be a list")
             for alg in algorithms:
                 if not isinstance(alg, str) or alg not in ALGORITHMS:
                     raise ValueError(f"unknown algorithm {alg!r}")
-                check_directedness(alg, directed)
+                check_directedness(alg, spec.directed)
             # instance ids number a set's instances from 0: two such sets
             # would give different instances one id and one sidecar name
             for sj, (other, algs, other_count, _) in enumerate(sets):
-                if (count and other_count and other.seed != seed
-                        and replace(other, seed=seed) == spec
+                if (count and other_count and other.seed != spec.seed
+                        and replace(other, seed=spec.seed) == spec
                         and set(algorithms) & set(algs)):
                     raise ValueError(f"instance ids clash with set {sj}")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

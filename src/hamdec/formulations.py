@@ -49,23 +49,24 @@ from .multigraph import (
 
 def _add_parallel_split(model, g, z_terms):
     """Exactly one copy of each parallel pair belongs to Z."""
-    for e in g.edges:
-        if e.partner is None or e.partner < e.id:
-            continue
-        terms = [(1, v) for v in z_terms[e.id] + z_terms[e.partner]]
-        model.add_eq(terms, 1, f"par_{e.id}_{e.partner}")
+    for e, mate in enumerate(g.partner[:g.n]):  # x's copy is the lower id
+        if mate is not None:
+            terms = [(1, v) for v in z_terms[e] + z_terms[mate]]
+            model.add_eq(terms, 1, f"par_{e}_{mate}")
 
 
 def higher_copy_terms(g: UnionMultigraph, z_terms) -> list:
-    """Z terms of the higher-id copy of every parallel pair (see solvers)."""
-    return [v for e in g.edges if e.partner is not None and e.partner < e.id
-            for v in z_terms[e.id]]
+    """Z terms of the higher-id copy of every parallel pair, y's copy
+    (see solvers)."""
+    n, partner = g.n, g.partner
+    return [v for e in range(n, 2 * n) if partner[e] is not None
+            for v in z_terms[e]]
 
 
 def build_dfj_base(g: UnionMultigraph) -> tuple[IlpModel, list]:
     """Degree + forbidden-pair + parallel-split core; no subtour cuts yet."""
     model = IlpModel()
-    z_var = [model.add_binary(f"z_{e.id}") for e in g.edges]
+    z_var = [model.add_binary(f"z_{e}") for e in range(2 * g.n)]
 
     if g.directed:
         for v in range(1, g.n + 1):
@@ -130,7 +131,7 @@ def subtour_form(g: UnionMultigraph, subtour) -> SubtourForm:
                 cut.append(e)
     k, cap = len(s), g.cap
     # a directed cut set is left by as many arcs as enter it
-    outside = len(g.edges) - len(inside) - len(cut) * (2 if g.directed else 1)
+    outside = 2 * n - len(inside) - len(cut) * (2 if g.directed else 1)
     # Fewest terms costs nodes where the cut form wins (on undirected
     # pyramidal unions): once Z holds |S| - 1 edges of E(S), a path
     # through S, the inside row fixes its closing edge to 0 at once,
@@ -140,7 +141,7 @@ def subtour_form(g: UnionMultigraph, subtour) -> SubtourForm:
     if len(inside) == fewest:
         edges, sides = inside, ((LE, k - 1), (GE, len(inside) - k + 1))
     elif outside == fewest:
-        edges = [e for e in range(len(g.edges))
+        edges = [e for e in range(2 * n)
                  if tail[e] not in s and head[e] not in s]
         sides = (LE, n - k - 1), (GE, outside - (n - k) + 1)
     else:
@@ -174,17 +175,16 @@ def build_mtz_directed(g: UnionMultigraph) -> tuple[IlpModel, list]:
     n = g.n
     alpha = {i: model.add_int(f"a_{i}", 2, n) for i in range(2, n + 1)}
     beta = {i: model.add_int(f"b_{i}", 2, n) for i in range(2, n + 1)}
-    for e in g.edges:
-        i, j = e.tail, e.head
+    for e, (i, j) in enumerate(zip(g.tail, g.head)):
         if i == 1 or j == 1:
             continue
-        (z,) = z_terms[e.id]
+        (z,) = z_terms[e]
         model.add_le(
-            [(1, alpha[i]), (-1, alpha[j]), (n, z)], n - 1, f"ord_z_{e.id}"
+            [(1, alpha[i]), (-1, alpha[j]), (n, z)], n - 1, f"ord_z_{e}"
         )
         # order along W arcs: the same bound with z inverted
         model.add_le(
-            [(1, beta[i]), (-1, beta[j]), (-n, z)], -1, f"ord_w_{e.id}"
+            [(1, beta[i]), (-1, beta[j]), (-n, z)], -1, f"ord_w_{e}"
         )
     return model, z_terms
 
@@ -196,38 +196,25 @@ def build_mtz_undirected(g: UnionMultigraph) -> tuple[IlpModel, list]:
     model = IlpModel()
     n = g.n
     z_fwd, z_rev, w_fwd, w_rev = [], [], [], []
-    for e in g.edges:
-        t, h = e.tail, e.head
-        z_fwd.append(model.add_binary(f"z_{e.id}_{t}_{h}"))
-        z_rev.append(model.add_binary(f"z_{e.id}_{h}_{t}"))
-        w_fwd.append(model.add_binary(f"w_{e.id}_{t}_{h}"))
-        w_rev.append(model.add_binary(f"w_{e.id}_{h}_{t}"))
-    for e in g.edges:
+    ends = list(enumerate(zip(g.tail, g.head)))
+    for e, (t, h) in ends:
+        z_fwd.append(model.add_binary(f"z_{e}_{t}_{h}"))
+        z_rev.append(model.add_binary(f"z_{e}_{h}_{t}"))
+        w_fwd.append(model.add_binary(f"w_{e}_{t}_{h}"))
+        w_rev.append(model.add_binary(f"w_{e}_{h}_{t}"))
+    for e in range(2 * n):
         model.add_eq(
-            [
-                (1, z_fwd[e.id]),
-                (1, z_rev[e.id]),
-                (1, w_fwd[e.id]),
-                (1, w_rev[e.id]),
-            ],
+            [(1, z_fwd[e]), (1, z_rev[e]), (1, w_fwd[e]), (1, w_rev[e])],
             1,
-            f"pick_{e.id}",
+            f"pick_{e}",
         )
 
-    def oriented_away(v, e, fwd, rev):
-        return fwd[e.id] if e.tail == v else rev[e.id]
-
-    def oriented_into(v, e, fwd, rev):
-        return rev[e.id] if e.tail == v else fwd[e.id]
-
+    tail = g.tail
     for factor, fwd, rev in (("z", z_fwd, z_rev), ("w", w_fwd, w_rev)):
         for v in range(1, n + 1):
-            outs = [
-                (1, oriented_away(v, g.edges[e], fwd, rev)) for e in g.inc[v]
-            ]
-            ins = [
-                (1, oriented_into(v, g.edges[e], fwd, rev)) for e in g.inc[v]
-            ]
+            # the copy of each incident edge that leaves v, and enters it
+            outs = [(1, fwd[e] if tail[e] == v else rev[e]) for e in g.inc[v]]
+            ins = [(1, rev[e] if tail[e] == v else fwd[e]) for e in g.inc[v]]
             model.add_eq(outs, 1, f"{factor}_out_{v}")
             model.add_eq(ins, 1, f"{factor}_in_{v}")
 
@@ -235,17 +222,14 @@ def build_mtz_undirected(g: UnionMultigraph) -> tuple[IlpModel, list]:
     beta = {i: model.add_int(f"b_{i}", 2, n) for i in range(2, n + 1)}
     order = {"z": (alpha, z_fwd, z_rev), "w": (beta, w_fwd, w_rev)}
     for factor, (rank, fwd, rev) in order.items():
-        for e in g.edges:
-            for u, v, var in (
-                (e.tail, e.head, fwd[e.id]),
-                (e.head, e.tail, rev[e.id]),
-            ):
+        for e, (t, h) in ends:
+            for u, v, var in ((t, h, fwd[e]), (h, t, rev[e])):
                 if u == 1 or v == 1:
                     continue
                 model.add_le(
                     [(1, rank[u]), (-1, rank[v]), (n, var)],
                     n - 1,
-                    f"ord_{factor}_{e.id}_{u}_{v}",
+                    f"ord_{factor}_{e}_{u}_{v}",
                 )
 
     # both factors must differ from both generating cycles

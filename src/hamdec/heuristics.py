@@ -79,27 +79,28 @@ class TraceRecorder:
         if fresh.broken:
             raise RuntimeError(f"accepted state breaks {sorted(fresh.broken)}")
         side = pair.side
-        if any(e.partner is not None and side[e.id] == side[e.partner]
-               for e in pair.graph.edges):
+        if any(mate is not None and side[e] == side[mate]
+               for e, mate in enumerate(pair.graph.partner)):
             raise RuntimeError("accepted state joins parallel copies")
         self.sequences[-1].append(total)
 
 
 def fix_parallel_copies(pair: TwoFactorPair) -> None:
     """Pin both copies of every parallel pair, one per factor."""
-    for e in pair.graph.edges:
-        if e.partner is None or e.partner < e.id:
+    g = pair.graph
+    for e, mate in enumerate(g.partner[:g.n]):  # x's copy is the lower id
+        if mate is None:
             continue
-        if pair.side[e.id] == pair.side[e.partner]:
+        if pair.side[e] == pair.side[mate]:
             raise ValueError("parallel copies must start in different factors")
-        pair.pin(e.id, True)
-        pair.pin(e.partner, True)
+        pair.pin(e, True)
+        pair.pin(mate, True)
 
 
 def unfix_non_parallel(pair: TwoFactorPair) -> None:
-    for e in pair.graph.edges:
-        if e.partner is None:
-            pair.pin(e.id, False)
+    for e, mate in enumerate(pair.graph.partner):
+        if mate is None:
+            pair.pin(e, False)
 
 
 def fix_edge(

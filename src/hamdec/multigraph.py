@@ -2,8 +2,12 @@
 
 Vertices are labelled 1..n.  The union of two Hamiltonian cycles on the
 same vertex set is a 4-regular multigraph (2-in/2-out when directed).
-Parallel copies of an edge stay distinct objects linked through their
-``partner`` field, so a factor can hold one copy and not the other.
+The union keeps one list per edge fact, indexed by edge id.  Ids
+0..n-1 are x's edges in x's order and n..2n-1 are y's, so edge e comes
+from cycle `e // n` (`ORIGIN_X` or `ORIGIN_Y`).  Parallel copies of an
+edge keep distinct ids linked through `partner`, so a factor can hold
+one copy and not the other; the lower copy is always x's, the higher
+y's.
 
 A directed union splits into alternating cycles: link the two arcs of
 every out-port and of every in-port.  A 2-factor pair takes, in each
@@ -58,11 +62,17 @@ class HamCycle:
         return normalize_pairs(self.edge_pairs(), self.directed)
 
 
+def _edge_keys(pairs, directed: bool) -> list:
+    """Each edge as a key that its parallel copies share: the arc when
+    directed, the endpoints in ascending order when undirected."""
+    if directed:
+        return list(pairs)
+    return [(u, v) if u < v else (v, u) for (u, v) in pairs]
+
+
 def normalize_pairs(pairs, directed: bool) -> tuple:
     """Canonical sorted signature of an edge multiset."""
-    if directed:
-        return tuple(sorted(pairs))
-    return tuple(sorted((u, v) if u < v else (v, u) for (u, v) in pairs))
+    return tuple(sorted(_edge_keys(pairs, directed)))
 
 
 def peaks(cycle: HamCycle) -> set[int]:
@@ -76,32 +86,16 @@ def peaks(cycle: HamCycle) -> set[int]:
     return out
 
 
-@dataclass(slots=True)
-class Edge:
-    """One edge of the union multigraph.
-
-    ``tail``/``head`` record the traversal direction of the originating
-    cycle; for undirected graphs they are just the two endpoints.
-    ``partner`` is the id of the parallel copy, if any.
-    """
-
-    id: int
-    tail: int
-    head: int
-    origin: int
-    partner: int | None = None
-
-
 @dataclass
 class UnionMultigraph:
     n: int
     directed: bool
-    edges: list[Edge]
     inc: list[list[int]]          # incident edge ids per vertex (degree 4)
     out_arcs: list[list[int]]     # directed only: out-arc ids per vertex
     in_arcs: list[list[int]]      # directed only: in-arc ids per vertex
-    tail: list[int]               # tail[e.id] == e.tail, for hot loops
-    head: list[int]               # head[e.id] == e.head
+    tail: list[int]               # per edge id, its ends in the order
+    head: list[int]               # its cycle traverses them
+    partner: list[int | None]     # per edge id, its parallel copy or None
     cycle_of: list[int]           # directed only: alternating cycle per arc
     # slot table (module docstring), derived from the lists above
     slots: list[list[int]] = field(init=False)   # edge ids per slot
@@ -125,15 +119,12 @@ class UnionMultigraph:
 
     def multi_edge_count(self) -> int:
         """Number of edges that have a parallel copy (both copies count)."""
-        return sum(1 for e in self.edges if e.partner is not None)
+        return len(self.partner) - self.partner.count(None)
 
     def unique_edge_ids(self, cycle_origin: int) -> list[int]:
-        """Edges of one originating cycle that the other cycle lacks."""
-        return [
-            e.id
-            for e in self.edges
-            if e.origin == cycle_origin and e.partner is None
-        ]
+        """Edges of one generating cycle that the other cycle lacks."""
+        first, partner = cycle_origin * self.n, self.partner
+        return [e for e in range(first, first + self.n) if partner[e] is None]
 
 
 def build_union(x: HamCycle, y: HamCycle) -> UnionMultigraph:
@@ -143,66 +134,61 @@ def build_union(x: HamCycle, y: HamCycle) -> UnionMultigraph:
     if x.directed != y.directed:
         raise ValueError("cycles must agree on directedness")
     n, directed = x.n, x.directed
-
-    edges: list[Edge] = []
-    for cycle, origin in ((x, ORIGIN_X), (y, ORIGIN_Y)):
-        for u, v in cycle.edge_pairs():
-            edges.append(Edge(id=len(edges), tail=u, head=v, origin=origin))
+    xo, yo = x.order, y.order
+    tail = [*xo, *yo]
+    head = [*xo[1:], xo[0], *yo[1:], yo[0]]
 
     # Parallel copies: linked when the y-cycle repeats an x-edge.  Directed
     # copies are linked only when tail and head both coincide.
-    by_key: dict = {}
-    for e in edges[:n]:
-        key = (e.tail, e.head) if directed else frozenset((e.tail, e.head))
-        by_key[key] = e.id
-    for e in edges[n:]:
-        key = (e.tail, e.head) if directed else frozenset((e.tail, e.head))
-        mate = by_key.get(key)
+    keys = _edge_keys(zip(tail, head), directed)
+    x_edge = {key: e for e, key in enumerate(keys[:n])}
+    partner: list[int | None] = [None] * (2 * n)
+    for e in range(n, 2 * n):
+        mate = x_edge.get(keys[e])
         if mate is not None:
-            e.partner = mate
-            edges[mate].partner = e.id
+            partner[e], partner[mate] = mate, e
 
     inc: list[list[int]] = [[] for _ in range(n + 1)]
     out_arcs: list[list[int]] = [[] for _ in range(n + 1)]
     in_arcs: list[list[int]] = [[] for _ in range(n + 1)]
-    for e in edges:
-        inc[e.tail].append(e.id)
-        inc[e.head].append(e.id)
+    for e, (u, v) in enumerate(zip(tail, head)):
+        inc[u].append(e)
+        inc[v].append(e)
         if directed:
-            out_arcs[e.tail].append(e.id)
-            in_arcs[e.head].append(e.id)
+            out_arcs[u].append(e)
+            in_arcs[v].append(e)
 
     return UnionMultigraph(
         n,
         directed,
-        edges,
         inc,
         out_arcs,
         in_arcs,
-        [e.tail for e in edges],
-        [e.head for e in edges],
-        _alternating_cycles(edges, out_arcs, in_arcs) if directed else [],
+        tail,
+        head,
+        partner,
+        _alternating_cycles(tail, head, out_arcs, in_arcs) if directed else [],
     )
 
 
-def _alternating_cycles(edges, out_arcs, in_arcs) -> list[int]:
+def _alternating_cycles(tail, head, out_arcs, in_arcs) -> list[int]:
     """Alternating cycle id of every arc, numbered by their first arc.
 
     Every arc has one sibling in its tail's out-port and one in its
     head's in-port; the walk alternates between the two links.
     """
-    cycle_of = [-1] * len(edges)
+    cycle_of = [-1] * len(tail)
     label = 0
-    for start in range(len(edges)):
+    for start in range(len(tail)):
         if cycle_of[start] >= 0:
             continue
         a = start
         while cycle_of[a] < 0:
             cycle_of[a] = label
-            port = out_arcs[edges[a].tail]
+            port = out_arcs[tail[a]]
             a = port[1] if port[0] == a else port[0]
             cycle_of[a] = label
-            port = in_arcs[edges[a].head]
+            port = in_arcs[head[a]]
             a = port[1] if port[0] == a else port[0]
         label += 1
     return cycle_of
@@ -224,7 +210,7 @@ class TwoFactorPair:
     """
 
     def __init__(self, graph: UnionMultigraph, sides):
-        if len(sides) != len(graph.edges):
+        if len(sides) != 2 * graph.n:
             raise ValueError("one side per edge required")
         self.graph = graph
         self.side = [int(s) for s in sides]
@@ -329,7 +315,7 @@ def _factor_cycles(
             for e in slots[v]:
                 if e != entered and sides[e] == side:
                     break
-            # the far end of e, without an Edge lookup
+            # the far end of e
             v = tail[e] + head[e] - v
             entered = e
         cycles.append(comp)
@@ -348,16 +334,16 @@ def is_second_decomposition(pair: TwoFactorPair) -> bool:
     """True when the pair is a decomposition different from {x, y}, the
     generating pair of `pair.graph = build_union(x, y)`.
 
-    The union's edges carry the pair: only their `origin` and `partner`
-    are read.  A Hamiltonian Z takes one copy of every parallel pair, so
-    the copies never tell {Z, W} from {x, y}.  The pair is {x, y} exactly
-    when every unshared edge sits on its origin's side (Z = x), or every
-    one sits on the other (Z = y), so one pass over the unshared edges
-    answers it.
+    The union's edge ids carry the pair: edge e is x's when e < n and
+    y's otherwise, and only `partner` is read besides.  A Hamiltonian Z
+    takes one copy of every parallel pair, so the copies never tell
+    {Z, W} from {x, y}.  The pair is {x, y} exactly when every unshared
+    edge sits on its origin's side (Z = x), or every one sits on the
+    other (Z = y), so one pass over the unshared edges answers it.
     """
     if pair.broken or components(pair, below=3) is None:
         return False
-    sides = pair.side  # Z = ORIGIN_X and W = ORIGIN_Y
-    at_home = {sides[e.id] == e.origin for e in pair.graph.edges
-               if e.partner is None}
+    sides, n = pair.side, pair.graph.n  # Z = ORIGIN_X and W = ORIGIN_Y
+    at_home = {sides[e] == e // n
+               for e, mate in enumerate(pair.graph.partner) if mate is None}
     return len(at_home) == 2

@@ -34,7 +34,7 @@ def enumerate_decompositions(
             f"exhaustive enumeration capped at n <= {MAX_ORACLE_N}"
         )
     n = g.n
-    m = len(g.edges)
+    m = 2 * n
     side = [UNSET] * m
     # a port lists a factor's candidate edges at a vertex: out- and
     # in-arcs when directed (cap 1 each), all four edges otherwise (cap 2)
@@ -42,9 +42,9 @@ def enumerate_decompositions(
     cap = 1 if g.directed else 2
     counts = {s: [[0] * (n + 1) for _ in ports] for s in (Z, W)}
 
-    def ends(e):
+    def ends(eid):
         """The (port, vertex) pair at each end of an edge."""
-        return ((0, e.tail), (len(ports) - 1, e.head))
+        return ((0, g.tail[eid]), (len(ports) - 1, g.head[eid]))
 
     trail: list[int] = []
 
@@ -57,13 +57,13 @@ def enumerate_decompositions(
                 if side[eid] != want:
                     return False
                 continue
-            e = g.edges[eid]
-            if e.partner is not None and side[e.partner] == want:
+            mate = g.partner[eid]
+            if mate is not None and side[mate] == want:
                 return False
             side[eid] = want
             trail.append(eid)
             other = W if want == Z else Z
-            for port, v in ends(e):
+            for port, v in ends(eid):
                 c = counts[want][port]
                 c[v] += 1
                 if c[v] > cap:
@@ -73,14 +73,14 @@ def enumerate_decompositions(
                     for oid in ports[port][v]:
                         if side[oid] == UNSET:
                             stack.append((oid, other))
-            if e.partner is not None and side[e.partner] == UNSET:
-                stack.append((e.partner, other))
+            if mate is not None and side[mate] == UNSET:
+                stack.append((mate, other))
         return True
 
     def undo(mark):
         while len(trail) > mark:
             eid = trail.pop()
-            for port, v in ends(g.edges[eid]):
+            for port, v in ends(eid):
                 counts[side[eid]][port][v] -= 1
             side[eid] = UNSET
 

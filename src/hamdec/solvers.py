@@ -12,10 +12,10 @@ heuristic sweeps are free.
 
 The two copies of a parallel edge pair have identical columns, and
 their `par` row puts one of them in Z, so each run fixes the higher
-copy's Z terms to 0 at the root of its search.  The search returns the
-greatest feasible point in declaration order, which already has the
-lower copy in Z: only `work` changes, not the verdicts, cuts, traces or
-witnesses.
+copy's Z terms to 0 at the root of its search: y's copy, since x's edges
+take the lower ids.  The search returns the greatest feasible point in
+declaration order, which already has the lower copy in Z: only `work`
+changes, not the verdicts, cuts, traces or witnesses.
 """
 
 from __future__ import annotations

@@ -55,17 +55,17 @@ def double_squares():
 def find_edge(g, u, v, *, used=None):
     """Edge id in g with endpoints {u, v}, skipping ids in `used`."""
     used = used or set()
-    for e in g.edges:
-        if e.id in used:
+    for e in range(len(g.tail)):
+        if e in used:
             continue
-        if {e.tail, e.head} == {u, v}:
-            return e.id
+        if {g.tail[e], g.head[e]} == {u, v}:
+            return e
     raise KeyError((u, v))
 
 
 def sides_for_cycles(g, cycle_vertex_lists):
     """Side vector putting the listed cycles in Z and the rest in W."""
-    sides = [W] * len(g.edges)
+    sides = [W] * len(g.tail)
     used = set()
     for cyc in cycle_vertex_lists:
         for i in range(len(cyc)):
@@ -78,10 +78,11 @@ def sides_for_cycles(g, cycle_vertex_lists):
 def factor_multiset(pair, side):
     """Sorted edge multiset of one factor, comparable with
     `HamCycle.edge_multiset`."""
+    g = pair.graph
     pairs = [
-        (e.tail, e.head)
-        for e in pair.graph.edges
-        if pair.side[e.id] == side
+        (g.tail[e], g.head[e])
+        for e in range(len(g.tail))
+        if pair.side[e] == side
     ]
     return normalize_pairs(pairs, pair.graph.directed)
 
@@ -90,15 +91,15 @@ def witness_sides(g, z):
     """Side vector whose Z factor realizes cycle z, first copies first,
     or AssertionError."""
     want = Counter(z.edge_multiset())
-    sides = [W] * len(g.edges)
-    for e in g.edges:
+    sides = [W] * len(g.tail)
+    for e in range(len(g.tail)):
         if g.directed:
-            key = (e.tail, e.head)
+            key = (g.tail[e], g.head[e])
         else:
-            key = tuple(sorted((e.tail, e.head)))
+            key = tuple(sorted((g.tail[e], g.head[e])))
         if want[key] > 0:
             want[key] -= 1
-            sides[e.id] = Z
+            sides[e] = Z
     assert sum(want.values()) == 0
     return sides
 

@@ -50,15 +50,15 @@ def witness_sides(g, cycle):
     from collections import Counter
 
     want = Counter(cycle.edge_multiset())
-    sides = [W] * len(g.edges)
-    for e in g.edges:
+    sides = [W] * len(g.tail)
+    for e in range(len(g.tail)):
         if g.directed:
-            key = (e.tail, e.head)
+            key = (g.tail[e], g.head[e])
         else:
-            key = tuple(sorted((e.tail, e.head)))
+            key = tuple(sorted((g.tail[e], g.head[e])))
         if want[key] > 0:
             want[key] -= 1
-            sides[e.id] = Z
+            sides[e] = Z
     assert sum(want.values()) == 0
     return sides
 
@@ -255,15 +255,15 @@ def test_criterion_4_cuts_never_exclude_decompositions(batch3):
         e_inside = {}
         for s, side in cuts:
             e_s = e_inside.setdefault(
-                s, sum(1 for e in g.edges if e.tail in s and e.head in s)
+                s, sum(1 for t, h in zip(g.tail, g.head) if t in s and h in s)
             )
             for z, w in decs:
                 for factor in (z, w):
                     sides = witness_sides(g, factor)
                     z_inside = sum(
                         1
-                        for e in g.edges
-                        if sides[e.id] == Z and e.tail in s and e.head in s
+                        for e in range(len(g.tail))
+                        if sides[e] == Z and g.tail[e] in s and g.head[e] in s
                     )
                     checked += 1
                     if not cut_holds(s, side, z_inside, e_s):

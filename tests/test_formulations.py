@@ -42,8 +42,8 @@ def valid_pair_excluding_inputs(g, sides, x, y):
     pair = TwoFactorPair(g, [Z if s else W for s in sides])
     if pair.broken:
         return False
-    for e in g.edges:
-        if e.partner is not None and sides[e.id] == sides[e.partner]:
+    for e, mate in enumerate(g.partner):
+        if mate is not None and sides[e] == sides[mate]:
             return False
     z_ms = factor_multiset(pair, Z)
     return z_ms not in (x.edge_multiset(), y.edge_multiset())
@@ -188,18 +188,18 @@ def test_mtz_directed_feasible_run_orders_alpha_along_z():
         hit = True
         pair = decode(out.assignment, mapping, g)
         assert is_second_decomposition(pair)
-        for e in g.edges:
-            if e.tail == 1 or e.head == 1:
+        for e, (t, h) in enumerate(zip(g.tail, g.head)):
+            if t == 1 or h == 1:
                 continue
-            if pair.side[e.id] == Z:
+            if pair.side[e] == Z:
                 assert (
-                    out.assignment[model.var_of[f"a_{e.tail}"]]
-                    < out.assignment[model.var_of[f"a_{e.head}"]]
+                    out.assignment[model.var_of[f"a_{t}"]]
+                    < out.assignment[model.var_of[f"a_{h}"]]
                 )
             else:
                 assert (
-                    out.assignment[model.var_of[f"b_{e.tail}"]]
-                    < out.assignment[model.var_of[f"b_{e.head}"]]
+                    out.assignment[model.var_of[f"b_{t}"]]
+                    < out.assignment[model.var_of[f"b_{h}"]]
                 )
     assert hit
 
@@ -257,11 +257,12 @@ def test_decode_rejects_degree_violations(ring6):
 def reference_forms(g, s):
     """Edge ids of the inside, outside and cut forms of set `s`, ascending,
     in the tie order; the cut form keeps the arcs leaving s when directed."""
-    inside = [e.id for e in g.edges if e.tail in s and e.head in s]
-    outside = [e.id for e in g.edges if e.tail not in s and e.head not in s]
-    cut = [e.id for e in g.edges
-           if e.tail in s and e.head not in s
-           or not g.directed and e.head in s and e.tail not in s]
+    ends = list(enumerate(zip(g.tail, g.head)))
+    inside = [e for e, (t, h) in ends if t in s and h in s]
+    outside = [e for e, (t, h) in ends if t not in s and h not in s]
+    cut = [e for e, (t, h) in ends
+           if t in s and h not in s
+           or not g.directed and h in s and t not in s]
     return [("inside", inside), ("outside", outside), ("cut", cut)]
 
 
@@ -309,7 +310,7 @@ def degree_feasible_points(g):
     points = []
 
     def place(e, mask):
-        if e == len(g.edges):
+        if e == len(g.tail):
             points.append(mask)
             return
         a, b = g.slot_a[e], g.slot_b[e]
@@ -350,11 +351,11 @@ def test_every_emitted_row_holds_exactly_when_the_inside_row_holds(directed):
         points = degree_feasible_points(g)
         assert len(points) >= 2
         model, mapping = build_dfj_base(g)
-        assert [v for (v,) in mapping] == list(range(len(g.edges)))
+        assert [v for (v,) in mapping] == list(range(len(g.tail)))
         for bits in range(1, (1 << n) - 1):
             s = {v for v in range(1, n + 1) if bits >> (v - 1) & 1}
-            inside = sum(1 << e.id for e in g.edges
-                          if e.tail in s and e.head in s)
+            inside = sum(1 << e for e in range(len(g.tail))
+                          if g.tail[e] in s and g.head[e] in s)
             form = subtour_form(g, s)
             forms.add(next(name for name, same in reference_forms(g, s)
                            if same == form.edges))

@@ -36,7 +36,7 @@ from conftest import (
 
 def origin_pair(g):
     return TwoFactorPair(
-        g, [Z if e.origin == ORIGIN_X else W for e in g.edges]
+        g, [Z if e // g.n == ORIGIN_X else W for e in range(len(g.tail))]
     )
 
 
@@ -109,11 +109,11 @@ def twin_state(twin_triangles):
 def test_directed_fix_pins_sibling_arcs_opposite():
     x, y, g = random_instance(9, 71, directed=True)
     pair = origin_pair(g)
-    e = g.edges[3]
-    assert pair.side[e.id] == Z and not pair.fixed[e.id]
-    assert fix_edge(pair, e.id, Z)
-    out_sib = [a for a in g.out_arcs[e.tail] if a != e.id]
-    in_sib = [a for a in g.in_arcs[e.head] if a != e.id]
+    e = 3
+    assert pair.side[e] == Z and not pair.fixed[e]
+    assert fix_edge(pair, e, Z)
+    out_sib = [a for a in g.out_arcs[g.tail[e]] if a != e]
+    in_sib = [a for a in g.in_arcs[g.head[e]] if a != e]
     assert len(out_sib) == 1 and len(in_sib) == 1
     for sib in out_sib + in_sib:
         assert pair.fixed[sib]
@@ -193,7 +193,7 @@ def test_every_successful_directed_chain_leaves_no_broken_vertex():
             fix_parallel_copies(pair)
             assert not pair.broken
             pinned = pair.snapshot()
-            for eid in range(len(g.edges)):
+            for eid in range(len(g.tail)):
                 if pair.fixed[eid] or pair.side[eid] != Z:
                     continue
                 if fix_edge(pair, eid, W):
@@ -219,13 +219,13 @@ def test_broken_vertex_has_exactly_two_repair_edges(dsq_state):
     assert pair.deg_z[5] == 1
     want, pool = heur._repair_pool(pair, 5)
     assert want == Z
-    ends = {frozenset((g.edges[i].tail, g.edges[i].head)) for i in pool}
+    ends = {frozenset((g.tail[i], g.head[i])) for i in pool}
     assert ends == {frozenset((5, 4)), frozenset((5, 6))}
     # either choice restores vertex 5 and shifts the damage elsewhere
     moved = pair.snapshot()
     for eid in pool:
         assert fix_edge(pair, eid, Z)
-        other = ({g.edges[eid].tail, g.edges[eid].head} - {5}).pop()
+        other = ({g.tail[eid], g.head[eid]} - {5}).pop()
         assert 5 not in pair.broken
         assert pair.broken == {other, 8}
         pair.restore(moved)
@@ -262,7 +262,7 @@ def test_broken_set_equals_full_recount_after_random_cascades():
         pair = origin_pair(g)
         rng = np.random.default_rng(seed ^ 0xBEEF)
         for _ in range(6):
-            eid = int(rng.integers(0, len(g.edges)))
+            eid = int(rng.integers(0, len(g.tail)))
             side = Z if rng.integers(0, 2) else W
             naive = bool(rng.integers(0, 2))
             state = pair.snapshot()
@@ -287,7 +287,7 @@ def test_restore_is_bit_exact_and_repeatable():
         # of one move restore it
         for _ in range(2):
             for _ in range(8):
-                eid = int(rng.integers(0, len(g.edges)))
+                eid = int(rng.integers(0, len(g.tail)))
                 side = Z if rng.integers(0, 2) else W
                 fix_edge(pair, eid, side)
             assert pair.snapshot() != start
@@ -301,7 +301,7 @@ def test_restore_is_bit_exact_and_repeatable():
 def test_naive_mode_moves_exactly_one_edge():
     x, y, g = random_instance(9, 3, directed=False)
     pair = origin_pair(g)
-    eid = next(e.id for e in g.edges if pair.side[e.id] == Z)
+    eid = next(e for e in range(len(g.tail)) if pair.side[e] == Z)
     before = pair.snapshot()
     assert fix_edge(pair, eid, W, recursive=False)
     after = pair.snapshot()
@@ -316,8 +316,8 @@ def test_parallel_pinning_requires_split_copies(ring6):
     x, y = ring6
     g = build_union(x, y)
     pair = origin_pair(g)
-    dup = next(e for e in g.edges if e.partner is not None)
-    move(pair, dup.id)  # both copies now in one factor
+    dup = next(e for e, mate in enumerate(g.partner) if mate is not None)
+    move(pair, dup)  # both copies now in one factor
     with pytest.raises(ValueError):
         fix_parallel_copies(pair)
 
@@ -327,8 +327,8 @@ def test_parallel_pinning_marks_both_copies(ring6):
     g = build_union(x, y)
     pair = origin_pair(g)
     fix_parallel_copies(pair)
-    for e in g.edges:
-        assert pair.fixed[e.id] == (e.partner is not None)
+    for e, mate in enumerate(g.partner):
+        assert pair.fixed[e] == (mate is not None)
 
 
 # ------------------------------------------------------ directed search
@@ -414,7 +414,7 @@ def test_directed_search_is_seed_deterministic():
 
 def alternating_labels(g):
     """Alternating cycle of every arc: union-find over the ports."""
-    parent = list(range(len(g.edges)))
+    parent = list(range(len(g.tail)))
 
     def find(a):
         while parent[a] != a:
@@ -424,7 +424,7 @@ def alternating_labels(g):
     for ports in (g.out_arcs, g.in_arcs):
         for a, b in ports[1:]:
             parent[find(a)] = find(b)
-    return [find(e) for e in range(len(g.edges))]
+    return [find(e) for e in range(len(g.tail))]
 
 
 def random_cycle_choice(g, seed):
@@ -432,7 +432,8 @@ def random_cycle_choice(g, seed):
     labels = alternating_labels(g)
     rng = np.random.default_rng(seed)
     to_z = {label: int(rng.integers(2)) for label in sorted(set(labels))}
-    sides = [Z if e.origin == to_z[labels[e.id]] else W for e in g.edges]
+    sides = [Z if e // g.n == to_z[labels[e]] else W
+             for e in range(len(g.tail))]
     return TwoFactorPair(g, sides)
 
 
@@ -459,7 +460,7 @@ def test_directed_sweep_tries_each_alternating_cycle_once(kind, monkeypatch):
     for n, seed in ((48, 0), (48, 1), (56, 2), (64, 3), (64, 4)):
         _, _, g = generate_instance(InstanceSpec(kind, n, True, seed))
         labels = alternating_labels(g)
-        free = {labels[e.id] for e in g.edges if e.partner is None}
+        free = {labels[e] for e, mate in enumerate(g.partner) if mate is None}
         for start_seed in range(3):
             pair = random_cycle_choice(g, start_seed)
             if components(pair).total == 2:
@@ -535,7 +536,7 @@ def test_trace_raises_on_accepting_a_state_that_is_not_clean(ring6):
     trace = TraceRecorder()
     trace.open_run(4)
     trace.accept(TwoFactorPair(g, sides_for_cycles(g, [RING6_Z])), 2)
-    broken = TwoFactorPair(g, [Z] * len(g.edges))
+    broken = TwoFactorPair(g, [Z] * len(g.tail))
     with pytest.raises(RuntimeError, match="breaks"):
         trace.accept(broken, 3)
     # both copies of the parallel edge {2, 3} in Z: every degree is right
@@ -559,8 +560,8 @@ def test_attempt_limit_one_gives_single_rollout_per_edge(twin_state,
     monkeypatch.setattr(heur, "_repair_all", counting)
     start_unfixed = sum(
         1
-        for e in g.edges
-        if pair.side[e.id] == Z and e.partner is None
+        for e, mate in enumerate(g.partner)
+        if pair.side[e] == Z and mate is None
     )
     one_sweep(pair, HeuristicParams(attempt_limit=1),
               np.random.default_rng(0), heur._replays)
@@ -681,7 +682,7 @@ def test_failed_dive_leaves_no_trace(fixture, depth_limit, request,
     base = components(start).total
     dives = 0
     for seed in range(4):
-        for eid in range(len(g.edges)):
+        for eid in range(len(g.tail)):
             if start.fixed[eid] or start.side[eid] != Z:
                 continue
             pair = pinned_copy(start)
@@ -816,9 +817,9 @@ def test_vnd_never_worsens_on_random_states():
             )
             assert components(pair).total <= base
             assert pair.broken == set()
-            for e in g.edges:
-                if e.partner is not None:
-                    assert pair.side[e.id] != pair.side[e.partner]
+            for e, mate in enumerate(g.partner):
+                if mate is not None:
+                    assert pair.side[e] != pair.side[mate]
 
 
 def test_vnd_is_seed_deterministic(dsq_state):
@@ -917,7 +918,7 @@ def reference_repair_all(pair, rng, recursive):
     out-port, or its in-port if the out-port is whole.
     """
     g = pair.graph
-    guard = 4 * len(g.edges)
+    guard = 4 * len(g.tail)
     while pair.broken:
         guard -= 1
         if guard < 0:
@@ -963,7 +964,7 @@ def random_start(g, rng):
     pair = pinned_copy(pair)
     fix_parallel_copies(pair)
     for _ in range(rng.randrange(4)):
-        eid = rng.randrange(len(g.edges))
+        eid = rng.randrange(len(g.tail))
         fix_edge(pair, eid, rng.choice((Z, W)), recursive=False)
     return pair
 
@@ -980,7 +981,7 @@ def test_chain_loop_matches_per_pick_reference(directed, recursive):
         _, _, g = random_instance(n or rng.choice((9, 12, 16)), seed, directed)
         mine = random_start(g, rng)
         ref = pinned_copy(mine)
-        eid, side = rng.randrange(len(g.edges)), rng.choice((Z, W))
+        eid, side = rng.randrange(len(g.tail)), rng.choice((Z, W))
         rng_mine, rng_ref = random.Random(seed), random.Random(seed)
         ok_mine = fix_edge(mine, eid, side, recursive)
         ok_ref = reference_fix_edge(ref, eid, side, recursive)
@@ -1014,9 +1015,9 @@ def test_pinned_counts_follow_every_change_of_fixed():
                 except ValueError:  # a chain put both copies in one factor
                     pass
             elif step == 3:
-                move(pair, rng.randrange(len(g.edges)))
+                move(pair, rng.randrange(len(g.tail)))
             else:
-                eid, side = rng.randrange(len(g.edges)), rng.choice((Z, W))
+                eid, side = rng.randrange(len(g.tail)), rng.choice((Z, W))
                 fix_edge(pair, eid, side, rng.random() < 0.7)
             states.append(pair.snapshot())
             assert pair.pinned == recount_pins(pair)

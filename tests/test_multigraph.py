@@ -54,17 +54,18 @@ def uf_component_count(n, vertex_pairs):
 
 
 def factor_pairs(pair, side):
+    g = pair.graph
     return [
-        (e.tail, e.head)
-        for e in pair.graph.edges
-        if pair.side[e.id] == side
+        (g.tail[e], g.head[e])
+        for e in range(len(g.tail))
+        if pair.side[e] == side
     ]
 
 
 def euler_sides(g, rng):
     """Sides alternating along a random Euler circuit of an undirected
     union, so each pass through a vertex takes one edge of each factor."""
-    used = [False] * len(g.edges)
+    used = [False] * len(g.tail)
     stack, circuit = [(1, None)], []
     while stack:
         v, entered = stack[-1]
@@ -77,7 +78,7 @@ def euler_sides(g, rng):
             stack.pop()
             if entered is not None:
                 circuit.append(entered)
-    sides = [Z] * len(g.edges)
+    sides = [Z] * len(g.tail)
     for i, e in enumerate(circuit):
         sides[e] = i % 2
     return sides
@@ -89,7 +90,7 @@ def random_valid_sides(g, rng):
     if not g.directed:
         return euler_sides(g, rng)
     flip = rng.integers(0, 2, max(g.cycle_of) + 1)
-    return [e.origin ^ int(flip[g.cycle_of[e.id]]) for e in g.edges]
+    return [e // g.n ^ int(flip[g.cycle_of[e]]) for e in range(len(g.tail))]
 
 
 def assert_bounded_counts_match(pair):
@@ -168,12 +169,13 @@ def test_peaks_matches_scan_on_all_cycles_n5():
 def test_union_links_single_shared_edge(ring6):
     x, y = ring6
     g = build_union(x, y)
-    assert len(g.edges) == 12
-    linked = [e for e in g.edges if e.partner is not None]
+    assert len(g.tail) == 12
+    linked = [e for e, mate in enumerate(g.partner) if mate is not None]
     assert len(linked) == 2
-    assert {frozenset((e.tail, e.head)) for e in linked} == {frozenset((2, 3))}
+    assert {frozenset((g.tail[e], g.head[e])) for e in linked} == {
+        frozenset((2, 3))}
     for e in linked:
-        assert g.edges[e.partner].partner == e.id
+        assert g.partner[g.partner[e]] == e
     assert g.multi_edge_count() == 2
     assert sorted(len(g.inc[v]) for v in range(1, 7)) == [4] * 6
 
@@ -181,7 +183,7 @@ def test_union_links_single_shared_edge(ring6):
 def test_union_identical_cycles_every_edge_doubled():
     x = make_cycle([1, 2, 3])
     g = build_union(x, make_cycle([1, 2, 3]))
-    assert all(e.partner is not None for e in g.edges)
+    assert all(mate is not None for mate in g.partner)
     assert g.multi_edge_count() == 6
 
 
@@ -190,7 +192,7 @@ def test_union_directed_links_need_matching_direction():
     y = make_cycle([1, 4, 3, 2], directed=True)  # reverse traversal
     g = build_union(x, y)
     # arc (u,v) vs (v,u) never pair up
-    assert all(e.partner is None for e in g.edges)
+    assert all(mate is None for mate in g.partner)
     assert all(len(g.out_arcs[v]) == 2 for v in range(1, 5))
     assert all(len(g.in_arcs[v]) == 2 for v in range(1, 5))
 
@@ -213,21 +215,20 @@ def test_union_degree_invariants_hold_for_random_cycles(n, directed, seed):
     x = random_cycle(n, rng, directed)
     y = random_cycle(n, rng, directed)
     g = build_union(x, y)
-    assert len(g.edges) == 2 * n
+    assert len(g.tail) == 2 * n
     for v in range(1, n + 1):
         assert len(g.inc[v]) == 4
         if directed:
             assert len(g.out_arcs[v]) == 2
             assert len(g.in_arcs[v]) == 2
     # partner linking is an involution and preserves endpoints
-    for e in g.edges:
-        if e.partner is not None:
-            mate = g.edges[e.partner]
-            assert mate.partner == e.id
+    for e, mate in enumerate(g.partner):
+        if mate is not None:
+            assert g.partner[mate] == e
             if directed:
-                assert (mate.tail, mate.head) == (e.tail, e.head)
+                assert (g.tail[mate], g.head[mate]) == (g.tail[e], g.head[e])
             else:
-                assert {mate.tail, mate.head} == {e.tail, e.head}
+                assert {g.tail[mate], g.head[mate]} == {g.tail[e], g.head[e]}
 
 
 @settings(max_examples=60, deadline=None)
@@ -242,17 +243,17 @@ def test_alternating_cycle_labels_split_the_ports(n, seed):
     )
     assert undirected.cycle_of == []
     labels = g.cycle_of
-    assert len(labels) == len(g.edges)
+    assert len(labels) == len(g.tail)
     for v in range(1, n + 1):
         for a, b in (g.out_arcs[v], g.in_arcs[v]):
             assert labels[a] == labels[b]
     members = {}
-    for e in g.edges:
-        members.setdefault(labels[e.id], []).append(e.id)
-    for e in g.edges:
-        if e.partner is not None:
-            assert sorted(members[labels[e.id]]) == sorted((e.id, e.partner))
-    origin = [Z if e.origin == ORIGIN_X else W for e in g.edges]
+    for e in range(len(g.tail)):
+        members.setdefault(labels[e], []).append(e)
+    for e, mate in enumerate(g.partner):
+        if mate is not None:
+            assert sorted(members[labels[e]]) == sorted((e, mate))
+    origin = [Z if e // g.n == ORIGIN_X else W for e in range(len(g.tail))]
     for arcs in members.values():
         pair = TwoFactorPair(g, origin)
         for a in arcs:
@@ -266,19 +267,78 @@ def test_alternating_cycle_counts_of_random_permutation_n64():
         spec = InstanceSpec(InstanceKind.RANDOM_PERMUTATION, 64, True, seed)
         _, _, g = generate_instance(spec)
         counts.append(
-            len({g.cycle_of[e.id] for e in g.edges if e.partner is None})
+            len({g.cycle_of[e] for e, mate in enumerate(g.partner)
+                 if mate is None})
         )
     assert counts == [4, 4, 4, 4, 1, 3, 4, 3, 2, 4]
 
 
+def assert_union_layout(g, x, y):
+    """The union's edge lists against a reference built from x and y.
+
+    Edge e < n runs from x.order[e] to the next vertex of x, and edge
+    e >= n likewise along y.  `partner` links, both ways, exactly the
+    x/y edge pairs with equal endpoints (the equal arc when directed),
+    so the lower copy of every pair is x's.
+    """
+    n = x.n
+    ends = [(c.order[i], c.order[(i + 1) % n]) for c in (x, y)
+            for i in range(n)]
+    assert g.tail == [t for t, _ in ends]
+    assert g.head == [h for _, h in ends]
+
+    def same(a, b):
+        if x.directed:
+            return ends[a] == ends[b]
+        return sorted(ends[a]) == sorted(ends[b])
+
+    want = [None] * (2 * n)
+    for a in range(n):
+        for b in range(n, 2 * n):
+            if same(a, b):
+                assert want[a] is None and want[b] is None
+                want[a], want[b] = b, a
+    assert g.partner == want
+    for e, mate in enumerate(g.partner):
+        if mate is not None:
+            assert g.partner[mate] == e
+            assert min(e, mate) < n <= max(e, mate)  # x's copy is the lower
+
+
 @pytest.mark.parametrize("kind", list(InstanceKind))
 @pytest.mark.parametrize("directed", [False, True])
-def test_flat_endpoint_lists_mirror_edges(kind, directed):
+def test_union_layout_follows_the_generated_orders(kind, directed):
     for seed in range(3):
-        spec = InstanceSpec(kind, 12, directed, seed)
-        _, _, g = generate_instance(spec)
-        assert g.tail == [e.tail for e in g.edges]
-        assert g.head == [e.head for e in g.edges]
+        x, y, g = generate_instance(InstanceSpec(kind, 12, directed, seed))
+        assert_union_layout(g, x, y)
+
+
+@pytest.mark.parametrize("x_order, y_order, directed, linked", [
+    ([1, 2, 3], [1, 2, 3], False, 6),  # identical: every edge doubled
+    ([1, 2, 3], [1, 3, 2], False, 6),  # the same edges, walked backwards
+    ([1, 2, 3], [1, 2, 3], True, 6),
+    ([1, 2, 3, 4], [1, 4, 3, 2], True, 0),  # reversed arcs never pair up
+    ([1, 2, 3, 4, 5, 6], [1, 3, 2, 4, 6, 5], False, 4),
+])
+def test_union_layout_of_hand_made_cycles(x_order, y_order, directed, linked):
+    x = make_cycle(x_order, directed)
+    y = make_cycle(y_order, directed)
+    g = build_union(x, y)
+    assert_union_layout(g, x, y)
+    assert g.multi_edge_count() == linked
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 12),
+    directed=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_union_layout_of_random_cycles(n, directed, seed):
+    rng = np.random.default_rng(seed)
+    x = random_cycle(n, rng, directed)
+    y = random_cycle(n, rng, directed)
+    assert_union_layout(build_union(x, y), x, y)
 
 
 # ---------------------------------------------------------------- factors
@@ -371,10 +431,10 @@ def test_move_bookkeeping_matches_recount(ring6):
     for _ in range(200):
         move(pair, int(rng.integers(0, 12)))
         recount = [0] * 7
-        for e in g.edges:
-            if pair.side[e.id] == Z:
-                recount[e.tail] += 1
-                recount[e.head] += 1
+        for e in range(len(g.tail)):
+            if pair.side[e] == Z:
+                recount[g.tail[e]] += 1
+                recount[g.head[e]] += 1
         assert recount[1:] == pair.deg_z[1:]
         assert pair.broken == {v for v in range(1, 7) if recount[v] != 2}
 
@@ -387,10 +447,10 @@ def test_directed_move_bookkeeping():
         move(pair, int(rng.integers(0, 14)))
         out = [0] * 8
         inn = [0] * 8
-        for e in g.edges:
-            if pair.side[e.id] == Z:
-                out[e.tail] += 1
-                inn[e.head] += 1
+        for e in range(len(g.tail)):
+            if pair.side[e] == Z:
+                out[g.tail[e]] += 1
+                inn[g.head[e]] += 1
         # deg_z holds the out-port slots 0..7, then the in-port slots
         assert out[1:] == pair.deg_z[1:8]
         assert inn[1:] == pair.deg_z[9:]
@@ -421,9 +481,9 @@ def test_original_split_is_not_second_decomposition(ring6):
     assert components(pair).total == 2
     assert not is_second_decomposition(pair)
     # swapping which copy of the repeated edge sits where changes nothing
-    e = next(e for e in g.edges if e.partner is not None)
-    move(pair, e.id)
-    move(pair, e.partner)
+    e = next(e for e, mate in enumerate(g.partner) if mate is not None)
+    move(pair, e)
+    move(pair, g.partner[e])
     assert not is_second_decomposition(pair)
 
 
@@ -451,11 +511,11 @@ def second_decomposition_cases(g, rng):
             sides = witness_sides(g, cycle)
             yield sides
             swapped = list(sides)
-            for e in g.edges:
-                if e.partner is not None:
-                    swapped[e.id] = sides[e.partner]
+            for e, mate in enumerate(g.partner):
+                if mate is not None:
+                    swapped[e] = sides[mate]
             yield swapped
-    m = len(g.edges)
+    m = len(g.tail)
     if m <= 12:
         for bits in range(1 << m):
             yield [(bits >> i) & 1 for i in range(m)]

@@ -17,7 +17,8 @@ def cycle_pair_decompositions(g):
     """Second opinion: scan all vertex orders instead of edge choices."""
     n = g.n
     avail = Counter(
-        normalize_pairs([(e.tail, e.head)], g.directed)[0] for e in g.edges
+        normalize_pairs([(t, h)], g.directed)[0]
+        for t, h in zip(g.tail, g.head)
     )
     keys = set()
     for rest in itertools.permutations(range(2, n + 1)):
@@ -126,7 +127,8 @@ def test_every_result_is_a_decomposition(double_squares):
     x, y = double_squares
     g = build_union(x, y)
     union_ms = Counter(
-        normalize_pairs([(e.tail, e.head)], g.directed)[0] for e in g.edges
+        normalize_pairs([(t, h)], g.directed)[0]
+        for t, h in zip(g.tail, g.head)
     )
     for z, w in enumerate_decompositions(g):
         assert Counter(z.edge_multiset()) + Counter(w.edge_multiset()) == (

@@ -234,14 +234,14 @@ def test_emitted_cuts_never_exclude_true_decompositions():
             continue
         decs = enumerate_decompositions(g)
         for s, side in res.emitted_cuts:
-            e_s = sum(1 for e in g.edges if e.tail in s and e.head in s)
+            e_s = sum(1 for t, h in zip(g.tail, g.head) if t in s and h in s)
             for z, w in decs:
                 for factor in (z, w):
                     sides = witness_sides(g, factor)
                     z_inside = sum(
                         1
-                        for e in g.edges
-                        if sides[e.id] == Z and e.tail in s and e.head in s
+                        for e in range(len(g.tail))
+                        if sides[e] == Z and g.tail[e] in s and g.head[e] in s
                     )
                     assert cut_holds(g, z_inside, s, side, e_s), (spec, s)
 
@@ -669,3 +669,31 @@ def test_each_cutting_run_solves_its_model_fresh_once(monkeypatch):
                 assert {id(model) for model, _ in calls} == {id(res.model)}
                 rounds += res.iterations
     assert rounds > 60, rounds
+
+
+# SHA-256 of the concatenated LP text of every final model below: each
+# instance of three kinds, n = 12 and 16, both directednesses and seeds
+# 0-2, run by every applicable algorithm in ALGORITHMS order.  It pins
+# the rows, names and order of every builder and of the subtour rows.
+PINNED_LP_TEXT_SHA256 = (
+    "10d5bf6a6d7132ce0344fa6291f2f7bcae8f0a6eba7bb441f1e2c7d497be15c0"
+)
+
+
+def test_final_models_match_pinned_lp_text():
+    digest, runs = hashlib.sha256(), 0
+    for kind in InstanceKind:
+        for n in (12, 16):
+            for directed in (False, True):
+                for seed in range(3):
+                    spec = InstanceSpec(kind, n, directed, seed)
+                    _, _, g = generate_instance(spec)
+                    for algorithm, (_, needs) in solvers.ALGORITHMS.items():
+                        if needs is not None and needs != directed:
+                            continue
+                        res = solvers._cutting_loop(
+                            g, BUDGET, algorithm, HeuristicParams(seed=seed))
+                        digest.update(ilp.export_lp(res.model).encode())
+                        runs += 1
+    assert runs == 126
+    assert digest.hexdigest() == PINNED_LP_TEXT_SHA256
