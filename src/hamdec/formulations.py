@@ -68,19 +68,12 @@ def build_dfj_base(g: UnionMultigraph) -> tuple[IlpModel, list]:
     model = IlpModel()
     z_var = [model.add_binary(f"z_{e}") for e in range(2 * g.n)]
 
-    if g.directed:
-        for v in range(1, g.n + 1):
-            model.add_eq(
-                [(1, z_var[e]) for e in g.out_arcs[v]], 1, f"outdeg_{v}"
-            )
-            model.add_eq(
-                [(1, z_var[e]) for e in g.in_arcs[v]], 1, f"indeg_{v}"
-            )
-    else:
-        for v in range(1, g.n + 1):
-            model.add_eq(
-                [(1, z_var[e]) for e in g.inc[v]], 2, f"deg_{v}"
-            )
+    # per vertex, Z takes `cap` edges of each of its slots
+    slots, mate, cap = g.slots, g.slot_mate, g.cap
+    names = ("outdeg", "indeg") if g.directed else ("deg",)
+    for v in range(1, g.n + 1):
+        for name, s in zip(names, (v, mate[v])):
+            model.add_eq([(1, z_var[e]) for e in slots[s]], cap, f"{name}_{v}")
 
     for origin, tag in ((ORIGIN_X, "x"), (ORIGIN_Y, "y")):
         unique = g.unique_edge_ids(origin)
@@ -105,11 +98,12 @@ class SubtourForm(NamedTuple):
 def subtour_form(g: UnionMultigraph, subtour) -> SubtourForm:
     """The sparsest equal form of the two subtour rows of S = `subtour`.
 
-    One walk over the edges at S, its out-arcs when directed, finds E(S)
-    and the edges leaving S; the degree rows give |E(T)| for T = V - S.
-    The form with the fewest terms wins, in the tie order inside,
-    outside, cut.  Checking and walking S cost O(|S|); the outside form
-    scans every edge, but it wins only when |T| < |S|.
+    One walk over slot v of every v in S, its incidence list or, when
+    directed, its out-port, finds E(S) and the edges leaving S; the
+    degree rows give |E(T)| for T = V - S.  The form with the fewest
+    terms wins, in the tie order inside, outside, cut.  Checking and
+    walking S cost O(|S|); the outside form scans every edge, but it
+    wins only when |T| < |S|.
     """
     s = set(subtour)
     n = g.n
@@ -117,11 +111,10 @@ def subtour_form(g: UnionMultigraph, subtour) -> SubtourForm:
         raise ValueError("subtour must be a nonempty proper vertex subset")
     if not all(map(range(1, n + 1).__contains__, s)):
         raise ValueError("subtour contains unknown vertices")
-    tail, head = g.tail, g.head
-    ports = g.out_arcs if g.directed else g.inc
+    tail, head, slots = g.tail, g.head, g.slots
     inside, cut = [], []  # E(S), and the edges leaving S
     for v in s:
-        for e in ports[v]:
+        for e in slots[v]:
             if tail[e] != v:  # undirected: E(S) takes an edge at its tail
                 if tail[e] not in s:
                     cut.append(e)
@@ -209,12 +202,12 @@ def build_mtz_undirected(g: UnionMultigraph) -> tuple[IlpModel, list]:
             f"pick_{e}",
         )
 
-    tail = g.tail
+    tail, slots = g.tail, g.slots
     for factor, fwd, rev in (("z", z_fwd, z_rev), ("w", w_fwd, w_rev)):
         for v in range(1, n + 1):
             # the copy of each incident edge that leaves v, and enters it
-            outs = [(1, fwd[e] if tail[e] == v else rev[e]) for e in g.inc[v]]
-            ins = [(1, rev[e] if tail[e] == v else fwd[e]) for e in g.inc[v]]
+            outs = [(1, fwd[e] if tail[e] == v else rev[e]) for e in slots[v]]
+            ins = [(1, rev[e] if tail[e] == v else fwd[e]) for e in slots[v]]
             model.add_eq(outs, 1, f"{factor}_out_{v}")
             model.add_eq(ins, 1, f"{factor}_in_{v}")
 

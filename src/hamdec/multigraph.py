@@ -15,18 +15,21 @@ cycle, either all its x-arcs or all its y-arcs into Z, so flipping a
 whole cycle maps one valid pair to another.  Parallel pairs are cycles
 of two arcs.
 
-The union carries a slot table, so the local search runs one code path
-for both directednesses.  A slot is a group of edges of which each factor
-takes exactly `cap`: the incidence list `inc[v]` with cap 2 when
-undirected, and the out-port `out_arcs[v]` (slot v) or in-port
-`in_arcs[v]` (slot n+1+v) with cap 1 when directed.  Every edge has two
-slot ends, and every vertex one or two slots.  `TwoFactorPair` keeps per
-slot its Z-edge count and, per factor, the count of its pinned edges.
+The union's one adjacency is its slot table, so the models, the local
+search and the oracle run one code path for both directednesses.  A
+slot is a group of edges of which each factor takes exactly `cap`.
+Undirected, slot v is v's incidence list, with cap 2.  Directed, slot v
+is v's out-port and slot n+1+v its in-port, with cap 1.  Slot 0, and
+slot n+1 when directed, is empty, and each slot lists its edges in id
+order.  Every edge has two slot ends, and every vertex one or two
+slots.  `TwoFactorPair` keeps per slot its Z-edge count and, per
+factor, the count of its pinned edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import index
 
 Z = 0
 W = 1
@@ -45,7 +48,13 @@ class HamCycle:
 
     @staticmethod
     def from_order(seq, directed: bool) -> "HamCycle":
-        order = tuple(map(int, seq))
+        seq = tuple(seq)
+        try:  # not int(): that would truncate 2.9 to 2 and read "3"
+            if bool in set(map(type, seq)):  # index(True) is 1
+                raise TypeError
+            order = tuple(map(index, seq))
+        except TypeError:
+            raise ValueError("order must list integer vertices") from None
         n = len(order)
         if n < 3:
             raise ValueError("a cycle needs at least 3 vertices")
@@ -90,15 +99,12 @@ def peaks(cycle: HamCycle) -> set[int]:
 class UnionMultigraph:
     n: int
     directed: bool
-    inc: list[list[int]]          # incident edge ids per vertex (degree 4)
-    out_arcs: list[list[int]]     # directed only: out-arc ids per vertex
-    in_arcs: list[list[int]]      # directed only: in-arc ids per vertex
+    slots: list[list[int]]        # edge ids per slot (module docstring)
     tail: list[int]               # per edge id, its ends in the order
     head: list[int]               # its cycle traverses them
     partner: list[int | None]     # per edge id, its parallel copy or None
     cycle_of: list[int]           # directed only: alternating cycle per arc
-    # slot table (module docstring), derived from the lists above
-    slots: list[list[int]] = field(init=False)   # edge ids per slot
+    # where each edge and slot sits in the slot table
     slot_a: list[int] = field(init=False)        # slot at each edge's tail
     slot_b: list[int] = field(init=False)        # slot at each edge's head
     slot_vertex: list[int] = field(init=False)   # the vertex of each slot
@@ -109,12 +115,11 @@ class UnionMultigraph:
         n, ids = self.n, list(range(self.n + 1))
         self.slot_a, self.cap = self.tail, 1 if self.directed else 2
         if self.directed:
-            self.slots = self.out_arcs + self.in_arcs
             self.slot_b = [n + 1 + v for v in self.head]
             self.slot_vertex = ids + ids
             self.slot_mate = [n + 1 + v for v in ids] + ids
         else:  # one slot per vertex, which is its own mate
-            self.slots, self.slot_b = self.inc, self.head
+            self.slot_b = self.head
             self.slot_vertex = self.slot_mate = ids
 
     def multi_edge_count(self) -> int:
@@ -148,35 +153,32 @@ def build_union(x: HamCycle, y: HamCycle) -> UnionMultigraph:
         if mate is not None:
             partner[e], partner[mate] = mate, e
 
-    inc: list[list[int]] = [[] for _ in range(n + 1)]
-    out_arcs: list[list[int]] = [[] for _ in range(n + 1)]
-    in_arcs: list[list[int]] = [[] for _ in range(n + 1)]
+    # a directed arc enters its head through the head's in-port
+    shift = n + 1 if directed else 0
+    slots: list[list[int]] = [[] for _ in range(n + 1 + shift)]
     for e, (u, v) in enumerate(zip(tail, head)):
-        inc[u].append(e)
-        inc[v].append(e)
-        if directed:
-            out_arcs[u].append(e)
-            in_arcs[v].append(e)
+        slots[u].append(e)
+        slots[shift + v].append(e)
 
     return UnionMultigraph(
         n,
         directed,
-        inc,
-        out_arcs,
-        in_arcs,
+        slots,
         tail,
         head,
         partner,
-        _alternating_cycles(tail, head, out_arcs, in_arcs) if directed else [],
+        _alternating_cycles(slots, tail, head) if directed else [],
     )
 
 
-def _alternating_cycles(tail, head, out_arcs, in_arcs) -> list[int]:
+def _alternating_cycles(slots, tail, head) -> list[int]:
     """Alternating cycle id of every arc, numbered by their first arc.
 
-    Every arc has one sibling in its tail's out-port and one in its
-    head's in-port; the walk alternates between the two links.
+    Every arc has one sibling in its tail's out-port (slot tail) and one
+    in its head's in-port (slot n+1+head); the walk alternates between
+    the two links.
     """
+    shift = len(slots) // 2  # n + 1
     cycle_of = [-1] * len(tail)
     label = 0
     for start in range(len(tail)):
@@ -185,10 +187,10 @@ def _alternating_cycles(tail, head, out_arcs, in_arcs) -> list[int]:
         a = start
         while cycle_of[a] < 0:
             cycle_of[a] = label
-            port = out_arcs[tail[a]]
+            port = slots[tail[a]]
             a = port[1] if port[0] == a else port[0]
             cycle_of[a] = label
-            port = in_arcs[head[a]]
+            port = slots[shift + head[a]]
             a = port[1] if port[0] == a else port[0]
         label += 1
     return cycle_of
@@ -286,7 +288,8 @@ def components(
 def _factor_cycles(
     pair: TwoFactorPair, side: int, below: int | None = None
 ) -> list[list[int]] | None:
-    """Cycles of one factor, walked through slot v (`inc[v]` or out-port).
+    """Cycles of one factor, walked through slot v (incidence list or
+    out-port).
 
     The walk takes at each vertex the first factor edge it did not come
     in by, so it needs the degree contract to hold everywhere.  With

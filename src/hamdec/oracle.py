@@ -36,16 +36,10 @@ def enumerate_decompositions(
     n = g.n
     m = 2 * n
     side = [UNSET] * m
-    # a port lists a factor's candidate edges at a vertex: out- and
-    # in-arcs when directed (cap 1 each), all four edges otherwise (cap 2)
-    ports = [g.out_arcs, g.in_arcs] if g.directed else [g.inc]
-    cap = 1 if g.directed else 2
-    counts = {s: [[0] * (n + 1) for _ in ports] for s in (Z, W)}
-
-    def ends(eid):
-        """The (port, vertex) pair at each end of an edge."""
-        return ((0, g.tail[eid]), (len(ports) - 1, g.head[eid]))
-
+    # each factor takes `cap` edges of every slot of the union's slot
+    # table: counts[s][slot] is how many factor s holds so far
+    slots, slot_a, slot_b, cap = g.slots, g.slot_a, g.slot_b, g.cap
+    counts = {s: [0] * len(slots) for s in (Z, W)}
     trail: list[int] = []
 
     def place(edge_id, s) -> bool:
@@ -63,14 +57,15 @@ def enumerate_decompositions(
             side[eid] = want
             trail.append(eid)
             other = W if want == Z else Z
-            for port, v in ends(eid):
-                c = counts[want][port]
-                c[v] += 1
-                if c[v] > cap:
+            a, b, c = slot_a[eid], slot_b[eid], counts[want]
+            c[a] += 1  # both ends before any check: undo takes back both
+            c[b] += 1
+            for slot in (a, b):
+                if c[slot] > cap:
                     return False
-                if c[v] == cap:
-                    # saturated: remaining incident edges go the other way
-                    for oid in ports[port][v]:
+                if c[slot] == cap:
+                    # saturated: the slot's other edges go the other way
+                    for oid in slots[slot]:
                         if side[oid] == UNSET:
                             stack.append((oid, other))
             if mate is not None and side[mate] == UNSET:
@@ -80,16 +75,18 @@ def enumerate_decompositions(
     def undo(mark):
         while len(trail) > mark:
             eid = trail.pop()
-            for port, v in ends(eid):
-                counts[side[eid]][port][v] -= 1
+            c = counts[side[eid]]
+            c[slot_a[eid]] -= 1
+            c[slot_b[eid]] -= 1
             side[eid] = UNSET
 
     found: dict = {}
 
     def record():
+        # no slot holds more than `cap` edges of a factor, so every
+        # complete assignment meets the degree contract: components()
+        # raises if one does not
         pair = TwoFactorPair(g, side)
-        if pair.broken:
-            return
         report = components(pair)
         if report.total != 2:
             return

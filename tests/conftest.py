@@ -1,4 +1,5 @@
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -61,6 +62,24 @@ def find_edge(g, u, v, *, used=None):
         if {g.tail[e], g.head[e]} == {u, v}:
             return e
     raise KeyError((u, v))
+
+
+class Adjacency(NamedTuple):
+    inc: list       # incident edge ids per vertex
+    out_arcs: list  # ids of the edges each vertex is the tail of
+    in_arcs: list   # ids of the edges each vertex is the head of
+
+
+def adjacency(g):
+    """Per-vertex edge lists in edge-id order, rebuilt from `g.tail` and
+    `g.head` alone: a reference independent of the union's slot table."""
+    inc, out_arcs, in_arcs = ([[] for _ in range(g.n + 1)] for _ in range(3))
+    for e, (u, v) in enumerate(zip(g.tail, g.head)):
+        inc[u].append(e)
+        inc[v].append(e)
+        out_arcs[u].append(e)
+        in_arcs[v].append(e)
+    return Adjacency(inc, out_arcs, in_arcs)
 
 
 def sides_for_cycles(g, cycle_vertex_lists):

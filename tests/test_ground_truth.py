@@ -81,22 +81,39 @@ def test_directed_decider_matches_oracle(kind):
     assert answers == {False, True}
 
 
-def test_directed_decider_matches_every_algorithm_at_n64():
-    choices, answers = 0, set()
-    for seed in range(7000, 7060):
-        spec = InstanceSpec(InstanceKind.RANDOM_PERMUTATION, 64, True, seed)
+def check_every_algorithm(n, seeds):
+    """`dfj`, `dfj-ls` and `mtz` against the decider on rp dir n over
+    `seeds`; returns the choices tried and the feasible instance count."""
+    choices = feasible = 0
+    for seed in seeds:
+        spec = InstanceSpec(InstanceKind.RANDOM_PERMUTATION, n, True, seed)
         x, y, g = generate_instance(spec)
         choices += sum(1 for _ in directed_choices(x, y))
-        want = Verdict.FEASIBLE if directed_has_second(x, y) else (
-            Verdict.INFEASIBLE)
-        answers.add(want)
+        has_second = directed_has_second(x, y)
+        feasible += has_second
+        want = Verdict.FEASIBLE if has_second else Verdict.INFEASIBLE
         runs = (solve_dfj(g, x, y, BUDGET),
                 solve_dfj_heuristic(g, x, y, HeuristicParams(seed=seed),
                                     BUDGET, variant="ls"),
                 solve_mtz(g, x, y, BUDGET))
         for res in runs:
-            assert res.verdict is want, (seed, res.algorithm)
+            assert res.verdict is want, (n, seed, res.algorithm)
+    return choices, feasible
+
+
+def test_directed_decider_matches_every_algorithm_at_n64():
+    choices, feasible = check_every_algorithm(64, range(7000, 7060))
     # 2^(k-1) - 1 choices for k alternating cycles besides the parallel
     # pairs, k at most 8 here: 880 halves less the 60 that give {x, y}
     assert choices == 820
-    assert answers == {Verdict.FEASIBLE, Verdict.INFEASIBLE}
+    assert 0 < feasible < 60
+
+
+@pytest.mark.parametrize("n, count, choices, feasible", [
+    (200, 20, 450, 4),
+    (1000, 5, 799, 0),
+])
+def test_directed_decider_matches_every_algorithm_at_scale(
+        n, count, choices, feasible):
+    # seeds 0..count-1; k is at most 8 at n=200 and 10 at n=1000
+    assert check_every_algorithm(n, range(count)) == (choices, feasible)

@@ -27,6 +27,7 @@ from hamdec.multigraph import (
 
 from conftest import (
     RING6_Z,
+    adjacency,
     find_edge,
     move,
     random_instance,
@@ -53,17 +54,18 @@ def observed(pair):
 def recount_broken(pair):
     """Broken set recomputed from nothing but the side vector."""
     g = pair.graph
+    adj = adjacency(g)
     bad = set()
     for v in range(1, g.n + 1):
         if g.directed:
             outd = sum(
-                1 for eid in g.out_arcs[v] if pair.side[eid] == Z
+                1 for eid in adj.out_arcs[v] if pair.side[eid] == Z
             )
-            ind = sum(1 for eid in g.in_arcs[v] if pair.side[eid] == Z)
+            ind = sum(1 for eid in adj.in_arcs[v] if pair.side[eid] == Z)
             if outd != 1 or ind != 1:
                 bad.add(v)
         else:
-            d = sum(1 for eid in g.inc[v] if pair.side[eid] == Z)
+            d = sum(1 for eid in adj.inc[v] if pair.side[eid] == Z)
             if d != 2:
                 bad.add(v)
     return bad
@@ -112,8 +114,9 @@ def test_directed_fix_pins_sibling_arcs_opposite():
     e = 3
     assert pair.side[e] == Z and not pair.fixed[e]
     assert fix_edge(pair, e, Z)
-    out_sib = [a for a in g.out_arcs[g.tail[e]] if a != e]
-    in_sib = [a for a in g.in_arcs[g.head[e]] if a != e]
+    adj = adjacency(g)
+    out_sib = [a for a in adj.out_arcs[g.tail[e]] if a != e]
+    in_sib = [a for a in adj.in_arcs[g.head[e]] if a != e]
     assert len(out_sib) == 1 and len(in_sib) == 1
     for sib in out_sib + in_sib:
         assert pair.fixed[sib]
@@ -148,16 +151,17 @@ def test_directed_cascade_keeps_fixed_degrees_within_bound():
         eids = heur._unfixed_z_edges(pair, rng)
         if not fix_edge(pair, eids[0], W):
             continue
+        adj = adjacency(g)
         for side in (Z, W):
             for v in range(1, g.n + 1):
                 outd = sum(
                     1
-                    for a in g.out_arcs[v]
+                    for a in adj.out_arcs[v]
                     if pair.fixed[a] and pair.side[a] == side
                 )
                 ind = sum(
                     1
-                    for a in g.in_arcs[v]
+                    for a in adj.in_arcs[v]
                     if pair.fixed[a] and pair.side[a] == side
                 )
                 assert outd <= 1 and ind <= 1
@@ -244,11 +248,12 @@ def test_move_then_rollback_restores_empty_broken(dsq_state):
 
 def test_undirected_third_pin_in_one_factor_conflicts(twin_state):
     g, pair = twin_state
-    z_at_3 = [eid for eid in g.inc[3] if pair.side[eid] == Z]
+    at_3 = adjacency(g).inc[3]
+    z_at_3 = [eid for eid in at_3 if pair.side[eid] == Z]
     assert len(z_at_3) == 2
     for eid in z_at_3:
         assert fix_edge(pair, eid, Z, recursive=False)
-    w_at_3 = [eid for eid in g.inc[3] if pair.side[eid] == W]
+    w_at_3 = [eid for eid in at_3 if pair.side[eid] == W]
     state = pair.snapshot()
     assert not fix_edge(pair, w_at_3[0], Z)
     pair.restore(state)
@@ -421,7 +426,7 @@ def alternating_labels(g):
             a = parent[a]
         return a
 
-    for ports in (g.out_arcs, g.in_arcs):
+    for ports in adjacency(g)[1:]:  # out-arcs, then in-arcs
         for a, b in ports[1:]:
             parent[find(a)] = find(b)
     return [find(e) for e in range(len(g.tail))]
@@ -884,10 +889,11 @@ def test_params_validate_limits():
 def reference_fix_edge(pair, edge_id, side, recursive=True):
     """Chain fixing that rescans each slot, one `fix_edge` call at a time."""
     g = pair.graph
+    adj = adjacency(g)
     if g.directed:
-        at_tail, at_head, cap = g.out_arcs, g.in_arcs, 1
+        at_tail, at_head, cap = adj.out_arcs, adj.in_arcs, 1
     else:
-        at_tail, at_head, cap = g.inc, g.inc, 2
+        at_tail, at_head, cap = adj.inc, adj.inc, 2
     sides, fixed = pair.side, pair.fixed
     stack = [(edge_id, side)]
     while stack:
@@ -918,6 +924,7 @@ def reference_repair_all(pair, rng, recursive):
     out-port, or its in-port if the out-port is whole.
     """
     g = pair.graph
+    adj = adjacency(g)
     guard = 4 * len(g.tail)
     while pair.broken:
         guard -= 1
@@ -925,9 +932,9 @@ def reference_repair_all(pair, rng, recursive):
             return False
         broken = sorted(pair.broken)
         v = broken[int(rng.random() * len(broken))]
-        port, cap = (g.out_arcs[v], 1) if g.directed else (g.inc[v], 2)
+        port, cap = (adj.out_arcs[v], 1) if g.directed else (adj.inc[v], 2)
         if g.directed and sum(pair.side[o] == Z for o in port) == 1:
-            port = g.in_arcs[v]
+            port = adj.in_arcs[v]
         want = Z if sum(pair.side[o] == Z for o in port) < cap else W
         pool = [o for o in port if not pair.fixed[o] and pair.side[o] != want]
         if not pool:

@@ -24,6 +24,7 @@ from hamdec.oracle import enumerate_decompositions
 from conftest import (
     RING6_W,
     RING6_Z,
+    adjacency,
     factor_multiset,
     make_cycle,
     move,
@@ -65,11 +66,11 @@ def factor_pairs(pair, side):
 def euler_sides(g, rng):
     """Sides alternating along a random Euler circuit of an undirected
     union, so each pass through a vertex takes one edge of each factor."""
-    used = [False] * len(g.tail)
+    inc, used = adjacency(g).inc, [False] * len(g.tail)
     stack, circuit = [(1, None)], []
     while stack:
         v, entered = stack[-1]
-        live = [e for e in g.inc[v] if not used[e]]
+        live = [e for e in inc[v] if not used[e]]
         if live:
             e = live[rng.integers(len(live))]
             used[e] = True
@@ -136,6 +137,16 @@ def test_cycle_rejects_bad_input():
         make_cycle([2, 3, 4])
 
 
+def test_cycle_rejects_non_integer_vertices():
+    # int() would truncate 2.9 to 2 and read "3" as 3; index(True) is 1
+    for order in ([1, 2.9, 3.2], ["1", "3", "2"], [True, 2, 3]):
+        with pytest.raises(ValueError, match="integer vertices"):
+            make_cycle(order)
+    c = HamCycle.from_order(np.array([3, 1, 2], dtype=np.int64), True)
+    assert c.order == (1, 2, 3)
+    assert all(type(v) is int for v in c.order)
+
+
 def test_edge_multiset_ignores_orientation_only_when_undirected():
     fwd = make_cycle([1, 2, 3, 4, 5])
     rev = make_cycle([1, 5, 4, 3, 2])
@@ -177,7 +188,8 @@ def test_union_links_single_shared_edge(ring6):
     for e in linked:
         assert g.partner[g.partner[e]] == e
     assert g.multi_edge_count() == 2
-    assert sorted(len(g.inc[v]) for v in range(1, 7)) == [4] * 6
+    inc = adjacency(g).inc
+    assert sorted(len(inc[v]) for v in range(1, 7)) == [4] * 6
 
 
 def test_union_identical_cycles_every_edge_doubled():
@@ -193,8 +205,9 @@ def test_union_directed_links_need_matching_direction():
     g = build_union(x, y)
     # arc (u,v) vs (v,u) never pair up
     assert all(mate is None for mate in g.partner)
-    assert all(len(g.out_arcs[v]) == 2 for v in range(1, 5))
-    assert all(len(g.in_arcs[v]) == 2 for v in range(1, 5))
+    adj = adjacency(g)
+    assert all(len(adj.out_arcs[v]) == 2 for v in range(1, 5))
+    assert all(len(adj.in_arcs[v]) == 2 for v in range(1, 5))
 
 
 def test_union_rejects_mismatched_inputs():
@@ -216,11 +229,19 @@ def test_union_degree_invariants_hold_for_random_cycles(n, directed, seed):
     y = random_cycle(n, rng, directed)
     g = build_union(x, y)
     assert len(g.tail) == 2 * n
+    adj = adjacency(g)
     for v in range(1, n + 1):
-        assert len(g.inc[v]) == 4
+        assert len(adj.inc[v]) == 4
         if directed:
-            assert len(g.out_arcs[v]) == 2
-            assert len(g.in_arcs[v]) == 2
+            assert len(adj.out_arcs[v]) == 2
+            assert len(adj.in_arcs[v]) == 2
+    # the slot table is that layout, in edge-id order: slot v holds v's
+    # incidence list, or its out-arcs when directed, and slot n+1+v its
+    # in-arcs; slots 0 and n+1 are empty
+    assert g.slots == (adj.out_arcs + adj.in_arcs if directed else adj.inc)
+    assert g.slots[0] == []
+    if directed:
+        assert g.slots[n + 1] == []
     # partner linking is an involution and preserves endpoints
     for e, mate in enumerate(g.partner):
         if mate is not None:
@@ -242,10 +263,10 @@ def test_alternating_cycle_labels_split_the_ports(n, seed):
         HamCycle.from_order(x.order, False), HamCycle.from_order(y.order, False)
     )
     assert undirected.cycle_of == []
-    labels = g.cycle_of
+    labels, adj = g.cycle_of, adjacency(g)
     assert len(labels) == len(g.tail)
     for v in range(1, n + 1):
-        for a, b in (g.out_arcs[v], g.in_arcs[v]):
+        for a, b in (adj.out_arcs[v], adj.in_arcs[v]):
             assert labels[a] == labels[b]
     members = {}
     for e in range(len(g.tail)):

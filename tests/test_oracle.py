@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+import hamdec.oracle as oracle
 from hamdec.instances import InstanceKind, InstanceSpec, generate_instance
 from hamdec.multigraph import HamCycle, build_union, normalize_pairs
 from hamdec.oracle import enumerate_decompositions, has_second_decomposition
@@ -144,6 +145,26 @@ def test_agrees_with_vertex_order_enumeration():
             assert keys_of(enumerate_decompositions(g)) == (
                 cycle_pair_decompositions(g)
             ), f"n={n} seed={seed} directed={directed}"
+
+
+def test_every_complete_assignment_meets_the_degree_contract(monkeypatch):
+    # each slot has 2 cap edges and the propagation lets neither factor
+    # take more than cap of them, so no leaf of the search is broken;
+    # counts left off by one after a failed placement let broken leaves in
+    leaves = []
+
+    class Leaf(oracle.TwoFactorPair):
+        def __init__(self, graph, sides):
+            super().__init__(graph, sides)
+            leaves.append(not self.broken)
+
+    monkeypatch.setattr(oracle, "TwoFactorPair", Leaf)
+    for kind in InstanceKind:
+        for directed in (False, True):
+            for seed in range(4):
+                spec = InstanceSpec(kind, 10, directed, seed)
+                enumerate_decompositions(generate_instance(spec)[2])
+    assert len(leaves) > 100 and all(leaves)
 
 
 def test_large_inputs_are_rejected():
