@@ -189,6 +189,23 @@ def run_instance(algorithm, x, y, g, instance_id, generator, params,
 
 # ------------------------------------------------------------ commands
 
+def _earlier_entries(path: Path, entries) -> list:
+    """The entries of the manifest at `path` whose files `entries` do not
+    rewrite; none if it is missing or not one that generate writes."""
+    try:
+        files = json.loads(path.read_text())["files"]
+    except (OSError, ValueError, LookupError, TypeError):
+        return []
+    if not (isinstance(files, list)
+            and all(isinstance(f, dict) and f.keys() == {"file", "seed"}
+                    and isinstance(f["file"], str) and type(f["seed"]) is int
+                    for f in files)
+            and len({f["file"] for f in files}) == len(files)):
+        return []
+    rewritten = {e["file"] for e in entries}
+    return [f for f in files if f["file"] not in rewritten]
+
+
 def cmd_generate(args) -> int:
     if args.count < 0:
         raise ValueError("--count must be at least 0")
@@ -203,17 +220,16 @@ def cmd_generate(args) -> int:
         name = instance_basename(spec, i)
         write_instance(out_dir / f"{name}.json", x, y)
         entries.append({"file": f"{name}.json", "seed": spec.seed})
+    path = out_dir / "manifest.json"
     manifest = {
         "kind": first.kind.value,
         "n": args.n,
         "count": args.count,
         "directed": args.directed,
         "base_seed": args.seed,
-        "files": entries,
+        "files": _earlier_entries(path, entries) + entries,
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=1) + "\n"
-    )
+    path.write_text(json.dumps(manifest, indent=1) + "\n")
     print(f"wrote {args.count} instances to {out_dir}")
     return 0
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .ilp import GE, LE, IlpModel
+from .ilp import EQ, GE, LE, IlpModel, LinearConstraint
 from .multigraph import (
     ORIGIN_X,
     ORIGIN_Y,
@@ -49,10 +49,11 @@ from .multigraph import (
 
 def _add_parallel_split(model, g, z_terms):
     """Exactly one copy of each parallel pair belongs to Z."""
-    for e, mate in enumerate(g.partner[:g.n]):  # x's copy is the lower id
-        if mate is not None:
-            terms = [(1, v) for v in z_terms[e] + z_terms[mate]]
-            model.add_eq(terms, 1, f"par_{e}_{mate}")
+    ones = (1,) * (2 * len(z_terms[0]))
+    pairs = enumerate(g.partner[:g.n])  # x's copy is the lower id
+    model.add_rows([LinearConstraint(ones, z_terms[e] + z_terms[mate], EQ, 1,
+                                     f"par_{e}_{mate}")
+                    for e, mate in pairs if mate is not None])
 
 
 def higher_copy_terms(g: UnionMultigraph, z_terms) -> list:
@@ -66,22 +67,24 @@ def higher_copy_terms(g: UnionMultigraph, z_terms) -> list:
 def build_dfj_base(g: UnionMultigraph) -> tuple[IlpModel, list]:
     """Degree + forbidden-pair + parallel-split core; no subtour cuts yet."""
     model = IlpModel()
-    z_var = [model.add_binary(f"z_{e}") for e in range(2 * g.n)]
+    # declared first on a fresh model, z_e is variable e, so each list
+    # of edge ids below is already a list of var ids
+    z_vars = model.add_binaries([f"z_{e}" for e in range(2 * g.n)])
+    z_terms = [(z,) for z in z_vars]
 
-    # per vertex, Z takes `cap` edges of each of its slots
+    # per vertex, Z takes `cap` edges of each of its slots, which all hold
+    # 2 * cap (the union is 4-regular)
     slots, mate, cap = g.slots, g.slot_mate, g.cap
+    ones = (1,) * (2 * cap)
     names = ("outdeg", "indeg") if g.directed else ("deg",)
-    for v in range(1, g.n + 1):
-        for name, s in zip(names, (v, mate[v])):
-            model.add_eq([(1, z_var[e]) for e in slots[s]], cap, f"{name}_{v}")
-
+    rows = [LinearConstraint(ones, tuple(slots[s]), EQ, cap, f"{name}_{v}")
+            for v in range(1, g.n + 1)
+            for name, s in zip(names, (v, mate[v]))]
     for origin, tag in ((ORIGIN_X, "x"), (ORIGIN_Y, "y")):
-        unique = g.unique_edge_ids(origin)
-        model.add_le(
-            [(1, z_var[e]) for e in unique], len(unique) - 1, f"forbid_{tag}"
-        )
-
-    z_terms = [(z,) for z in z_var]
+        unique = tuple(g.unique_edge_ids(origin))
+        rows.append(LinearConstraint((1,) * len(unique), unique, LE,
+                                     len(unique) - 1, f"forbid_{tag}"))
+    model.add_rows(rows)
     _add_parallel_split(model, g, z_terms)
     return model, z_terms
 
@@ -166,19 +169,20 @@ def build_mtz_directed(g: UnionMultigraph) -> tuple[IlpModel, list]:
         raise ValueError("directed formulation needs a directed union")
     model, z_terms = build_dfj_base(g)
     n = g.n
-    alpha = {i: model.add_int(f"a_{i}", 2, n) for i in range(2, n + 1)}
-    beta = {i: model.add_int(f"b_{i}", 2, n) for i in range(2, n + 1)}
+    # alpha_i is variable a + i and beta_i is b + i; z_e is variable e
+    a = model.add_ints([f"{f}_{i}" for f in "ab" for i in range(2, n + 1)],
+                       2, n).start - 2
+    b = a + n - 1
+    z_up, w_up = (1, -1, n), (1, -1, -n)
+    rows = []
     for e, (i, j) in enumerate(zip(g.tail, g.head)):
-        if i == 1 or j == 1:
-            continue
-        (z,) = z_terms[e]
-        model.add_le(
-            [(1, alpha[i]), (-1, alpha[j]), (n, z)], n - 1, f"ord_z_{e}"
-        )
-        # order along W arcs: the same bound with z inverted
-        model.add_le(
-            [(1, beta[i]), (-1, beta[j]), (-n, z)], -1, f"ord_w_{e}"
-        )
+        if i != 1 and j != 1:
+            rows.append(LinearConstraint(z_up, (a + i, a + j, e), LE, n - 1,
+                                         f"ord_z_{e}"))
+            # order along W arcs: the same bound with z inverted
+            rows.append(LinearConstraint(w_up, (b + i, b + j, e), LE, -1,
+                                         f"ord_w_{e}"))
+    model.add_rows(rows)
     return model, z_terms
 
 
@@ -187,52 +191,48 @@ def build_mtz_undirected(g: UnionMultigraph) -> tuple[IlpModel, list]:
     if g.directed:
         raise ValueError("undirected formulation needs an undirected union")
     model = IlpModel()
-    n = g.n
-    z_fwd, z_rev, w_fwd, w_rev = [], [], [], []
-    ends = list(enumerate(zip(g.tail, g.head)))
-    for e, (t, h) in ends:
-        z_fwd.append(model.add_binary(f"z_{e}_{t}_{h}"))
-        z_rev.append(model.add_binary(f"z_{e}_{h}_{t}"))
-        w_fwd.append(model.add_binary(f"w_{e}_{t}_{h}"))
-        w_rev.append(model.add_binary(f"w_{e}_{h}_{t}"))
-    for e in range(2 * n):
-        model.add_eq(
-            [(1, z_fwd[e]), (1, z_rev[e]), (1, w_fwd[e]), (1, w_rev[e])],
-            1,
-            f"pick_{e}",
-        )
-
-    tail, slots = g.tail, g.slots
+    n, tail, slots = g.n, g.tail, g.slots
+    ends = list(enumerate(zip(tail, g.head)))
+    # per edge z_fwd, z_rev, w_fwd, w_rev: variables 4e to 4e + 3
+    ids = model.add_binaries([f"{f}_{e}_{u}_{v}" for e, (t, h) in ends
+                              for f in "zw" for u, v in ((t, h), (h, t))])
+    z_fwd, z_rev, w_fwd, w_rev = (ids[k::4] for k in range(4))
+    # alpha_i is variable a + i and beta_i is b + i
+    a = model.add_ints([f"{f}_{i}" for f in "ab" for i in range(2, n + 1)],
+                       2, n).start - 2
+    b = a + n - 1
+    ones = (1,) * 4
+    rows = [LinearConstraint(ones, (z_fwd[e], z_rev[e], w_fwd[e], w_rev[e]),
+                             EQ, 1, f"pick_{e}") for e in range(2 * n)]
     for factor, fwd, rev in (("z", z_fwd, z_rev), ("w", w_fwd, w_rev)):
         for v in range(1, n + 1):
             # the copy of each incident edge that leaves v, and enters it
-            outs = [(1, fwd[e] if tail[e] == v else rev[e]) for e in slots[v]]
-            ins = [(1, rev[e] if tail[e] == v else fwd[e]) for e in slots[v]]
-            model.add_eq(outs, 1, f"{factor}_out_{v}")
-            model.add_eq(ins, 1, f"{factor}_in_{v}")
+            outs = [fwd[e] if tail[e] == v else rev[e] for e in slots[v]]
+            ins = [rev[e] if tail[e] == v else fwd[e] for e in slots[v]]
+            rows += (LinearConstraint(ones, tuple(outs), EQ, 1,
+                                      f"{factor}_out_{v}"),
+                     LinearConstraint(ones, tuple(ins), EQ, 1,
+                                      f"{factor}_in_{v}"))
 
-    alpha = {i: model.add_int(f"a_{i}", 2, n) for i in range(2, n + 1)}
-    beta = {i: model.add_int(f"b_{i}", 2, n) for i in range(2, n + 1)}
-    order = {"z": (alpha, z_fwd, z_rev), "w": (beta, w_fwd, w_rev)}
-    for factor, (rank, fwd, rev) in order.items():
+    up = (1, -1, n)
+    for factor, rank, fwd, rev in (("z", a, z_fwd, z_rev),
+                                   ("w", b, w_fwd, w_rev)):
         for e, (t, h) in ends:
             for u, v, var in ((t, h, fwd[e]), (h, t, rev[e])):
-                if u == 1 or v == 1:
-                    continue
-                model.add_le(
-                    [(1, rank[u]), (-1, rank[v]), (n, var)],
-                    n - 1,
-                    f"ord_{factor}_{e}_{u}_{v}",
-                )
+                if u != 1 and v != 1:
+                    rows.append(LinearConstraint(
+                        up, (rank + u, rank + v, var), LE, n - 1,
+                        f"ord_{factor}_{e}_{u}_{v}"))
 
     # both factors must differ from both generating cycles
     for origin, tag in ((ORIGIN_X, "x"), (ORIGIN_Y, "y")):
         unique = g.unique_edge_ids(origin)
         for factor, fwd, rev in (("z", z_fwd, z_rev), ("w", w_fwd, w_rev)):
-            terms = [(1, fwd[e]) for e in unique] + [
-                (1, rev[e]) for e in unique
-            ]
-            model.add_le(terms, len(unique) - 1, f"forbid_{tag}_{factor}")
+            rows.append(LinearConstraint(
+                (1,) * (2 * len(unique)),
+                tuple([fwd[e] for e in unique] + [rev[e] for e in unique]),
+                LE, len(unique) - 1, f"forbid_{tag}_{factor}"))
+    model.add_rows(rows)
 
     z_terms = list(zip(z_fwd, z_rev))
     _add_parallel_split(model, g, z_terms)

@@ -1,6 +1,7 @@
 """Integer feasibility engine and LP-format text round trip.
 
-All variables carry finite integer domains.  There is no objective:
+All variables carry finite integer domains; a model takes variables
+and rows in checked batches (see `IlpModel`).  There is no objective:
 the solver answers a `Verdict`, FEASIBLE (with a verified assignment),
 INFEASIBLE or TIMED_OUT.  The search is depth-first domain splitting
 with bounds propagation to a fixpoint at every node; binaries branch
@@ -99,7 +100,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from operator import index, le, mul
 from typing import NamedTuple
 
@@ -135,9 +136,12 @@ class SolveOutcome:
 class IlpModel:
     """Variables with finite integer domains, and linear rows over them.
 
-    A variable's `lo`/`hi` are fixed once it is declared.  The model
-    keeps only what it is given: each search builds its own bounds,
-    doubleton classes and half index from it (see the module docstring).
+    `add_binaries`, `add_ints` and `add_rows` check a whole batch with
+    C-level predicates, and else go entry by entry (rows through
+    `add_constraint`) to raise the error of the first bad entry; a batch
+    that fails adds nothing.  A variable's `lo`/`hi` are fixed once it is
+    declared.  The model keeps only what it is given: each search builds
+    its own bounds, doubleton classes and half index from it.
     """
 
     def __init__(self):
@@ -148,39 +152,78 @@ class IlpModel:
         self.hi: list[int] = []
         self.constraints: list[LinearConstraint] = []
 
+    def add_ints(self, names, lo: int, hi: int) -> range:
+        """Declare general integers, each with domain [lo, hi]."""
+        return self._declare(list(names), lo, hi, False)
+
+    def add_binaries(self, names) -> range:
+        """Declare 0/1 variables; all precede every general, as in LP text."""
+        return self._declare(list(names), 0, 1, True)
+
     def add_int(self, name: str, lo: int, hi: int) -> int:
-        # the name must read back from export_lp text as one new token
-        bad = name.split() != [name] or ":" in name or name.isdigit()
-        if bad or name in (LE, GE, EQ, "+", "-"):
-            raise ValueError(f"variable name {name!r} is not one LP token")
-        if name in self.var_of:
-            raise ValueError(f"duplicate variable name {name!r}")
-        try:  # int() would truncate 2.5 to 2
-            lo, hi = index(lo), index(hi)
-        except TypeError:
-            raise ValueError(
-                f"variable {name!r} has a non-integer bound"
-            ) from None
-        if lo > hi:
-            raise ValueError(f"empty domain for {name}")
-        self.var_of[name] = len(self.names)
-        self.names.append(name)
-        self.lo.append(lo)
-        self.hi.append(hi)
-        self.binary.append(False)
-        return len(self.names) - 1
+        return self.add_ints([name], lo, hi)[0]
 
     def add_binary(self, name: str) -> int:
-        """Declare a 0/1 variable; every binary precedes every general.
+        return self.add_binaries([name])[0]
 
-        export_lp writes all binaries before all generals, so only this
-        order reads back from parse_lp with the same variable indices.
-        """
-        if self.binary and not self.binary[-1]:
-            raise ValueError(f"binary {name} declared after a general integer")
-        v = self.add_int(name, 0, 1)
-        self.binary[v] = True
-        return v
+    def _declare(self, names, lo, hi, binary) -> range:
+        if binary and names and self.binary and not self.binary[-1]:
+            raise ValueError(
+                f"binary {names[0]} declared after a general integer")
+        if not ({str} == set(map(type, names))
+                and (joined := " ".join(names)).split() == names
+                and ":" not in joined and not any(map(str.isdigit, names))
+                and {LE, GE, EQ, "+", "-"}.isdisjoint(names)
+                and len(set(names)) == len(names)
+                and self.var_of.keys().isdisjoint(names)
+                and type(lo) is int and type(hi) is int and lo <= hi):
+            for i, name in enumerate(names):  # the rules name by name
+                if (name.split() != [name] or ":" in name or name.isdigit()
+                        or name in (LE, GE, EQ, "+", "-")):
+                    raise ValueError(
+                        f"variable name {name!r} is not one LP token")
+                if name in self.var_of or name in names[:i]:
+                    raise ValueError(f"duplicate variable name {name!r}")
+                try:  # int() would truncate 2.5 to 2
+                    lo, hi = index(lo), index(hi)
+                except TypeError:
+                    raise ValueError(f"variable {name!r} has a non-integer"
+                                     " bound") from None
+                if lo > hi:
+                    raise ValueError(f"empty domain for {name}")
+        start = len(self.names)
+        self.var_of.update(zip(names, range(start, start + len(names))))
+        self.names += names
+        self.lo += [lo] * len(names)
+        self.hi += [hi] * len(names)
+        self.binary += [binary] * len(names)
+        return range(start, len(self.names))
+
+    def add_rows(self, rows) -> None:
+        """Add `LinearConstraint` rows, checked as a batch (see above)."""
+        rows = list(rows)
+        if {LinearConstraint} == set(map(type, rows)):
+            coefs, vars_, senses, rhs, names = zip(*rows)
+            if ({tuple} == set(map(type, coefs + vars_))
+                    and list(map(len, coefs)) == list(map(len, vars_))
+                    and {str} == set(map(type, names))
+                    and " ".join(names).split() == list(names)
+                    and all(map((LE, GE, EQ).__contains__, senses))):
+                shared = {id(c): c for c in coefs}.values()  # each tuple once
+                flat = list(chain(*vars_))
+                if ({int} == set(map(type, chain(rhs, *shared, flat)))
+                        and 0 not in chain(*shared)
+                        and 0 <= min(flat, default=0)
+                        and max(flat, default=-1) < len(self.names)):
+                    self.constraints += rows
+                    return
+        trial = IlpModel()  # over the same variables, so a failure
+        trial.names = self.names  # leaves this model as it was
+        for coefs, vars_, sense, rhs, name in rows:
+            if len(coefs) != len(vars_):
+                raise ValueError(f"constraint {name} has unpaired terms")
+            trial.add_constraint(zip(coefs, vars_), sense, rhs, name)
+        self.constraints += trial.constraints
 
     def add_constraint(self, terms, sense: str, rhs: int, name: str) -> None:
         if sense not in (LE, GE, EQ):
@@ -270,7 +313,8 @@ class _Presolve:
                 raise ValueError(f"a search resumes only with rows that "
                                  f"join no classes, not {row.name}")
         declared, binary, lit = self.declared, self.model.binary, self.lit
-        bound_terms, start = self.bound_terms, len(self.halves)
+        halves, minact, le_at = self.halves, self.minact, self.le_at
+        bound_terms, pairs, start = self.bound_terms, self.pairs, len(halves)
         for coefs, vars_, sense, rhs, _ in rows:  # step 2: fold, index
             if (len(vars_) <= 3  # two general integers and 0 or 1 binary
                     and len(vars_) - sum(map(binary.__getitem__, vars_)) == 2
@@ -287,7 +331,7 @@ class _Presolve:
                 else:
                     folded[k] = c
             own, negated = sense != GE, sense != LE  # which halves it has
-            h = len(self.halves)  # the own half; the negated one is h + own
+            h = len(halves)  # the own half; the negated one is h + own
             terms = []  # (a, k): one per representative, a * y_k
             least = neg_least = reach = 0
             for k, c in folded.items():
@@ -306,10 +350,15 @@ class _Presolve:
                     neg_least += c * bound[k ^ 1]
                     bound_terms[k ^ 1].append((h + own, c))
             if own and (terms or rhs < 0):
-                self._add_half(terms, rhs, least, reach)
+                halves.append((terms, rhs))
+                minact.append(least)
+                le_at.append(rhs - reach)
+                pairs.append(None)
             if negated and (terms or rhs > 0):
-                self._add_half([(a, k ^ 1) for a, k in terms], -rhs,
-                               neg_least, reach)
+                halves.append(([(a, k ^ 1) for a, k in terms], -rhs))
+                minact.append(neg_least)
+                le_at.append(-rhs - reach)
+                pairs.append(None)
         return start
 
     def _join(self, row) -> bool:
@@ -361,15 +410,11 @@ class _Presolve:
                 self.arcs.setdefault(arc[4], []).append(arc)
             if a:
                 self.arcs.setdefault(b, []).append(h)
-            self._add_half((), r, bound[u1] + bound[u2] + a * bound[b],
-                           reach, pair)
+            self.halves.append(((), r))
+            self.minact.append(bound[u1] + bound[u2] + a * bound[b])
+            self.le_at.append(r - reach)
+            self.pairs.append(pair)
         return True
-
-    def _add_half(self, terms, rhs, least, reach, pair=None):
-        self.halves.append((terms, rhs))
-        self.minact.append(least)
-        self.le_at.append(rhs - reach)
-        self.pairs.append(pair)
 
 
 class _Deadline(Exception):

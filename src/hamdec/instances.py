@@ -175,6 +175,27 @@ class Pcg64:
             out.pop()
         return [low + v for v in out] if low else out
 
+    def fisher_yates(self, items: list) -> None:
+        """`fisher_yates` on this stream: the draws of `integers(0, i + 1)`
+        for i from len(items) - 1 down to 1, with the LCG step inline."""
+        state, inc, half = self._state, self._inc, self._half
+        for i in range(len(items) - 1, 0, -1):
+            span = i + 1
+            while True:
+                if half is None:
+                    state = (state * _PCG_MULT + inc) & _MASK128
+                    # the XSL-RR output in the low 64 bits, as above
+                    w = (state ^ state >> 64 ^ state << 64) >> (state >> 122)
+                    m, half = (w & _MASK32) * span, w >> 32 & _MASK32
+                else:
+                    m, half = half * span, None
+                # Lemire: reject below 2**32 % span, which is below span
+                if m & _MASK32 >= span or m & _MASK32 >= (1 << 32) % span:
+                    break
+            j = m >> 32
+            items[i], items[j] = items[j], items[i]
+        self._state, self._half = state, half
+
 
 class InstanceKind(str, enum.Enum):
     RANDOM_PERMUTATION = "random-permutation"
@@ -216,6 +237,9 @@ class InstanceSpec:
 
 def fisher_yates(items: list, rng: Pcg64) -> None:
     """In-place uniform shuffle."""
+    if type(rng) is Pcg64:
+        rng.fisher_yates(items)
+        return
     for i in range(len(items) - 1, 0, -1):
         j = int(rng.integers(0, i + 1))
         items[i], items[j] = items[j], items[i]

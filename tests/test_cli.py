@@ -57,6 +57,50 @@ def test_generate_writes_instances_and_manifest(tmp_path):
         assert g.n == 12 and not g.directed
 
 
+def test_generate_keeps_earlier_files_in_the_manifest(tmp_path):
+    out = tmp_path / "batch"
+
+    def generate(*args):
+        rc = main(["generate", "--n", "10", "--out-dir", str(out), *args])
+        assert rc == 0
+        return json.loads((out / "manifest.json").read_text())
+
+    generate("--kind", "pyramidal", "--count", "2", "--seed", "3")
+    generate("--kind", "four-peak", "--count", "1", "--directed")
+    # instance names number from 0: this call rewrites the first file
+    manifest = generate("--kind", "pyramidal", "--count", "1", "--seed", "9")
+    assert manifest["files"] == [
+        {"file": "pyramidal_n10_und_0001.json", "seed": 4},
+        {"file": "four-peak_n10_dir_0000.json", "seed": 0},
+        {"file": "pyramidal_n10_und_0000.json", "seed": 9},
+    ]
+    assert (manifest["kind"], manifest["count"], manifest["base_seed"],
+            manifest["directed"]) == ("pyramidal", 1, 9, False)
+    on_disk = sorted(p.name for p in out.glob("*_n10_*.json"))
+    assert sorted(f["file"] for f in manifest["files"]) == on_disk
+    x, _, _ = read_instance(out / "pyramidal_n10_und_0000.json")
+    want = tmp_path / "want"
+    main(["generate", "--kind", "pyramidal", "--n", "10", "--count", "1",
+          "--seed", "9", "--out-dir", str(want)])
+    assert x == read_instance(want / "pyramidal_n10_und_0000.json")[0]
+
+
+@pytest.mark.parametrize("text", [
+    "not json", "[]", '{"files": 3}', '{"files": [{"file": "a.json"}]}',
+    '{"files": [{"file": "a.json", "seed": 1.5}]}',
+    '{"files": [{"file": "a.json", "seed": 1}, {"file": "a.json", "seed": 2}]}',
+])
+def test_generate_replaces_a_malformed_manifest(tmp_path, text):
+    out = tmp_path / "batch"
+    out.mkdir()
+    (out / "manifest.json").write_text(text)
+    assert main(["generate", "--kind", "pyramidal", "--n", "10", "--count",
+                 "1", "--seed", "2", "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["files"] == [
+        {"file": "pyramidal_n10_und_0000.json", "seed": 2}]
+
+
 def test_generate_reruns_byte_identical(tmp_path):
     args = ["generate", "--kind", "random-permutation", "--n", "10",
             "--count", "3", "--seed", "1", "--directed"]

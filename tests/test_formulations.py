@@ -66,6 +66,20 @@ def test_core_model_shape(ring6):
     assert len(par) == 1 and par[0].rhs == 1
 
 
+@pytest.mark.parametrize("directed", [False, True], ids=["und", "dir"])
+def test_core_model_declares_z_e_as_variable_e(directed):
+    # the builders write each row's vars straight from lists of edge ids
+    x, y, g = random_instance(12, 3, directed)
+    for build in [build_dfj_base] + [build_mtz_directed] * directed:
+        model, z_terms = build(g)
+        assert z_terms == [(e,) for e in range(2 * g.n)]
+        assert model.names[:2 * g.n] == [f"z_{e}" for e in range(2 * g.n)]
+        slots = {tuple(g.slots[v]) for v in range(len(g.slots))}
+        degree = [c for c in model.constraints if "deg_" in c.name]
+        assert len(degree) == (2 if directed else 1) * g.n
+        assert {c.vars for c in degree} <= slots
+
+
 def test_core_model_solutions_match_reference_exactly(ring6):
     x, y = ring6
     g = build_union(x, y)

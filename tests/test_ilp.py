@@ -18,6 +18,7 @@ from hamdec.ilp import (
     GE,
     LE,
     IlpModel,
+    LinearConstraint,
     Verdict,
     export_lp,
     parse_lp,
@@ -1147,6 +1148,144 @@ def test_non_integer_numbers_are_rejected_with_their_name():
     row = m.constraints[-1]
     assert (m.lo[g], m.hi[g], row.coefs, row.rhs) == (0, 2, (2, 1), 2)
     assert all(type(c) is int for c in row.coefs + (row.rhs, m.hi[g]))
+
+
+# ----------------------------------------------------------- batch calls
+
+def model_state(m):
+    return (list(m.names), dict(m.var_of), list(m.binary), list(m.lo),
+            list(m.hi), list(m.constraints))
+
+
+def binaries_xy():
+    m = IlpModel()
+    m.add_binaries(["x", "y"])
+    return m
+
+
+# a space, a colon, all digits, a sense, a name twice in the batch, a
+# name already in the model; each batch opens with a good name
+BAD_NAME_BATCHES = [["ok", "a b"], ["ok", "x:"], ["ok", "7"], ["ok", "<="],
+                    ["ok", "d", "d"], ["ok", "x"]]
+
+
+@pytest.mark.parametrize("names", BAD_NAME_BATCHES, ids=str)
+@pytest.mark.parametrize("kind", ["binaries", "ints"])
+def test_batch_declarations_name_the_first_bad_name(kind, names):
+    def declare(m, batch):
+        if kind == "binaries":
+            return m.add_binaries(batch)
+        return m.add_ints(batch, -1, 2)
+
+    one = binaries_xy()
+    with pytest.raises(ValueError) as want:
+        for name in names:  # one-element calls, up to the bad one
+            declare(one, [name])
+    m = binaries_xy()
+    before = model_state(m)
+    with pytest.raises(ValueError) as got:
+        declare(m, names)
+    assert str(got.value) == str(want.value)
+    assert model_state(m) == before
+
+
+@pytest.mark.parametrize("lo, hi", [(0.5, 2), (0, 2.5), (3, 1)])
+def test_batch_ints_reject_bounds_as_one_element_calls_do(lo, hi):
+    with pytest.raises(ValueError) as want:
+        binaries_xy().add_int("ok", lo, hi)
+    m = binaries_xy()
+    before = model_state(m)
+    with pytest.raises(ValueError) as got:
+        m.add_ints(["ok", "ok2"], lo, hi)
+    assert str(got.value) == str(want.value)
+    assert model_state(m) == before
+
+
+def test_batch_binaries_after_a_general_are_rejected():
+    m = binaries_xy()
+    m.add_ints(["g"], 0, 3)
+    before = model_state(m)
+    with pytest.raises(ValueError, match="binary b declared after"):
+        m.add_binaries(["b", "c"])
+    assert model_state(m) == before
+    assert m.add_binaries([]) == range(3, 3)
+
+
+GOOD_ROW = LinearConstraint((1, 1), (0, 1), GE, 1, "good")
+BAD_ROWS = {
+    "float coef": GOOD_ROW._replace(coefs=(1.5, 1)),
+    "float rhs": GOOD_ROW._replace(rhs=1.0),
+    "numpy float": GOOD_ROW._replace(coefs=(np.float64(1), 1)),
+    "negative var": GOOD_ROW._replace(vars=(0, -1)),
+    "unknown var": GOOD_ROW._replace(vars=(0, 2)),
+    "zero coef": GOOD_ROW._replace(coefs=(0, 1)),
+    "unknown sense": GOOD_ROW._replace(sense="<"),
+    "name with space": GOOD_ROW._replace(name="a b"),
+    "empty name": GOOD_ROW._replace(name=""),
+    "unequal lengths": GOOD_ROW._replace(vars=(0,)),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ROWS)
+def test_batch_rows_name_the_first_bad_row(case):
+    bad = BAD_ROWS[case]
+    one = binaries_xy()
+    with pytest.raises(ValueError) as want:
+        if len(bad.coefs) == len(bad.vars):
+            one.add_constraint(zip(bad.coefs, bad.vars), bad.sense, bad.rhs,
+                               bad.name)
+        else:  # no list of terms pairs them: the one-element batch
+            one.add_rows([bad])
+    assert one.constraints == []
+    m = binaries_xy()
+    m.add_rows([GOOD_ROW])
+    before = model_state(m)
+    with pytest.raises(ValueError) as got:
+        m.add_rows([GOOD_ROW, GOOD_ROW, bad, GOOD_ROW])
+    assert str(got.value) == str(want.value)
+    assert model_state(m) == before
+
+
+def test_batches_store_other_integers_as_python_ints():
+    m = IlpModel()
+    assert m.add_binaries(name for name in ["x", "y"]) == range(2)
+    assert m.add_ints(["g", "h"], np.int64(-1), True) == range(2, 4)
+    m.add_rows([
+        LinearConstraint((np.int64(2), True), (np.int32(0), 3), LE,
+                         np.int64(2), "r"),
+        LinearConstraint([1], [True], EQ, False, "s"),  # lists, not tuples
+    ])
+    assert (m.lo, m.hi) == ([0, 0, -1, -1], [1, 1, 1, 1])
+    assert m.constraints == [((2, 1), (0, 3), LE, 2, "r"),
+                             ((1,), (1,), EQ, 0, "s")]
+    for row in m.constraints:
+        assert type(row) is LinearConstraint
+        assert type(row.coefs) is tuple and type(row.vars) is tuple
+        assert all(type(c) is int
+                   for c in row.coefs + row.vars + (row.rhs,))
+    assert all(type(b) is int for b in m.lo + m.hi)
+
+
+def test_batches_build_what_one_element_calls_build():
+    rng = np.random.default_rng(5)
+    rows = [LinearConstraint(
+        tuple(int(c) for c in rng.choice([-3, -1, 1, 2], size=3)),
+        tuple(int(v) for v in rng.choice(6, size=3, replace=False)),
+        [LE, GE, EQ][k % 3], int(rng.integers(-2, 4)), f"r_{k}")
+        for k in range(20)]
+    batch, one = IlpModel(), IlpModel()
+    batch.add_binaries([f"x_{i}" for i in range(4)])
+    batch.add_ints(["g", "h"], -2, 5)
+    batch.add_rows(rows)
+    for i in range(4):
+        one.add_binary(f"x_{i}")
+    for name in ("g", "h"):
+        one.add_int(name, -2, 5)
+    for row in rows:
+        one.add_constraint(zip(row.coefs, row.vars), row.sense, row.rhs,
+                           row.name)
+    assert model_state(batch) == model_state(one)
+    assert export_lp(batch) == export_lp(one)
 
 
 # ---------------------------------------------------------------- LP text

@@ -66,7 +66,9 @@ def test_every_traced_name_resolves():
 # entry points that only a user, a test or argparse calls
 ENTRY_POINTS = {
     ("ilp", None, "parse_lp"),
+    ("ilp", "IlpModel", "add_le"),
     ("ilp", "IlpModel", "add_ge"),
+    ("ilp", "IlpModel", "add_eq"),
     ("oracle", None, "has_second_decomposition"),
     ("cli", "_Parser", "error"),
 }

@@ -12,7 +12,9 @@ from hamdec.instances import (
     InstanceKind,
     InstanceSpec,
     Pcg64,
+    _PCG_MULT,
     _child_streams,
+    fisher_yates,
     four_peak_cycle,
     generate_instance,
     pyramidal_tour,
@@ -127,3 +129,40 @@ def test_a_span_of_one_draws_nothing():
 def test_integers_rejects_what_it_cannot_draw(low, high, size):
     with pytest.raises(ValueError):
         _child_streams(0)[0].integers(low, high, size=size)
+
+
+@pytest.mark.parametrize("pending", [False, True], ids=["whole", "half"])
+@pytest.mark.parametrize("size", [1, 2, 3, 97])
+def test_shuffle_on_a_stream_equals_numpys_draws(size, pending):
+    # the package's stream shuffles in one inline loop; numpy's takes
+    # successive integers(0, i + 1) draws, through the same function
+    ours = _child_streams(11)[0]
+    theirs = numpy_children(11)[0]
+    if pending:  # a 32-bit draw leaves the step's high half waiting
+        assert ours.integers(0, 5) == theirs.integers(0, 5)
+        assert ours._half is not None
+    for _ in range(3):
+        got, want = list(range(size)), list(range(size))
+        fisher_yates(got, ours)
+        fisher_yates(want, theirs)
+        assert got == want
+        assert package_state(ours) == numpy_state(theirs)
+
+
+@pytest.mark.parametrize("size", [3, 97])
+def test_shuffle_on_a_stream_rejects_as_numpy_does(size):
+    # a state whose next step outputs 0: both halves of it fall below
+    # 2**32 % span, so Lemire's rule rejects two draws in a row
+    inc = (7 << 1) | 1
+    state = -inc * pow(_PCG_MULT, -1, 2**128) % 2**128
+    ours = Pcg64(0, 7)
+    ours._state, ours._inc = state, inc
+    theirs = np.random.Generator(np.random.PCG64())
+    theirs.bit_generator.state = {
+        "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+        "has_uint32": 0, "uinteger": 0}
+    got, want = list(range(size)), list(range(size))
+    fisher_yates(got, ours)
+    fisher_yates(want, theirs)
+    assert got == want
+    assert package_state(ours) == numpy_state(theirs)
