@@ -248,15 +248,6 @@ class IlpModel:
         self.constraints.append(
             LinearConstraint(coefs, vars_, sense, rhs, name))
 
-    def add_le(self, terms, rhs, name):
-        self.add_constraint(terms, LE, rhs, name)
-
-    def add_ge(self, terms, rhs, name):
-        self.add_constraint(terms, GE, rhs, name)
-
-    def add_eq(self, terms, rhs, name):
-        self.add_constraint(terms, EQ, rhs, name)
-
     def check(self, assignment) -> bool:
         """Exact check: one value per variable, in its declared domain,
         satisfying every constraint."""

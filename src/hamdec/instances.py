@@ -10,6 +10,9 @@ The streams are numpy's, reproduced bit for bit in pure Python so that
 no run imports numpy: `SeedSequence(seed).spawn(2)`, a `PCG64` bit
 generator per child (O'Neill, 2014) and `Generator.integers`, which
 bounds 32-bit draws by Lemire's rejection (ACM TOMACS 29(1), 2019).
+One loop, `Pcg64._draws`, makes every draw of a shuffle or a `size=`
+call.  The builders also accept a numpy `Generator`, which the tests
+use as the reference.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from operator import index
 from .multigraph import HamCycle, UnionMultigraph, build_union, peaks
 
 _MASK32 = 0xFFFFFFFF
-_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 # numpy/random/bit_generator.pyx: SeedSequence's hash and mix constants
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -105,9 +107,10 @@ class Pcg64:
     """numpy's `Generator(PCG64)`, as far as `integers` with a span of
     at most 2**32 goes.
 
-    Each step of the 128-bit LCG gives one XSL-RR 64-bit output; a
-    32-bit draw takes its low half and keeps the high half for the
-    next draw.  The builders below accept this or a numpy `Generator`.
+    One loop, `_draws`, makes every draw: each LCG step gives one XSL-RR
+    64-bit output, whose low half is a 32-bit draw and whose high half
+    waits for the next.  The builders below accept this or, as the
+    tests' reference, a numpy `Generator`.
     """
 
     __slots__ = ("_state", "_inc", "_half")
@@ -118,29 +121,28 @@ class Pcg64:
         self._state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
         self._half = None
 
-    def _next32(self) -> int:
-        half = self._half
-        if half is not None:
-            self._half = None
-            return half
-        state = (self._state * _PCG_MULT + self._inc) & _MASK128
-        self._state = state
-        x = (state >> 64 ^ state) & _MASK64
-        rot = state >> 122
-        x = (x >> rot | x << 64 - rot) & _MASK64
-        self._half = x >> 32
-        return x & _MASK32
-
-    def _below(self, span: int) -> int:
-        """Uniform in [0, span): Lemire's multiply and reject."""
-        if span == 1:
-            return 0  # numpy draws nothing for a single value
-        m = self._next32() * span
-        if m & _MASK32 < span:
-            threshold = (1 << 32) % span
-            while m & _MASK32 < threshold:
-                m = self._next32() * span
-        return m >> 32
+    def _draws(self, spans) -> list:
+        """One uniform draw in [0, span) per span, each above 1, in order:
+        Lemire's multiply and reject on 32-bit draws."""
+        state, inc, half = self._state, self._inc, self._half
+        out = []
+        for span in spans:
+            while True:
+                if half is None:
+                    state = (state * _PCG_MULT + inc) & _MASK128
+                    # bits 0..127 hold the XSL-RR xor twice over: shifting
+                    # by the rotation leaves the output in the low bits
+                    w = (state ^ state >> 64 ^ state << 64) >> (state >> 122)
+                    m, half = (w & _MASK32) * span, w >> 32 & _MASK32
+                else:
+                    m, half = half * span, None
+                # reject below 2**32 % span, which is below span; a power
+                # of two rejects nothing and keeps the draw's top bits
+                if m & _MASK32 >= span or m & _MASK32 >= (1 << 32) % span:
+                    break
+            out.append(m >> 32)
+        self._state, self._half = state, half
+        return out
 
     def integers(self, low: int, high: int, size: int | None = None):
         """Uniform ints in [low, high): one, or a list of `size`."""
@@ -149,52 +151,12 @@ class Pcg64:
             raise ValueError("integers needs 0 < high - low <= 2**32")
         if size is not None and size < 0:
             raise ValueError("size must be at least 0")
+        if span == 1:  # numpy draws nothing for a single value
+            return low if size is None else [low] * size
         if size is None:
-            return low + self._below(span)
-        if span & (span - 1) or span == 1:
-            return [low + self._below(span) for _ in range(size)]
-        # a power of two: the top bits of each 32-bit draw, never a
-        # rejection; the LCG step is inline, two draws per step
-        out = []
-        shift, mask = 33 - span.bit_length(), span - 1
-        if size and self._half is not None:
-            out.append(self._half >> shift)
-            self._half = None
-            size -= 1
-        state, inc = self._state, self._inc
-        for _ in range(size + 1 >> 1):
-            state = (state * _PCG_MULT + inc) & _MASK128
-            # bits 0..127 hold the XSL-RR xor twice over, so shifting by
-            # the rotation leaves the 64-bit output in the low bits
-            w = (state ^ state >> 64 ^ state << 64) >> (state >> 122)
-            out.append(w >> shift & mask)
-            out.append(w >> 32 + shift & mask)
-        self._state = state
-        if size & 1:  # the last step's high half waits for the next draw
-            self._half = w >> 32 & _MASK32
-            out.pop()
+            return low + self._draws((span,))[0]
+        out = self._draws([span] * size)
         return [low + v for v in out] if low else out
-
-    def fisher_yates(self, items: list) -> None:
-        """`fisher_yates` on this stream: the draws of `integers(0, i + 1)`
-        for i from len(items) - 1 down to 1, with the LCG step inline."""
-        state, inc, half = self._state, self._inc, self._half
-        for i in range(len(items) - 1, 0, -1):
-            span = i + 1
-            while True:
-                if half is None:
-                    state = (state * _PCG_MULT + inc) & _MASK128
-                    # the XSL-RR output in the low 64 bits, as above
-                    w = (state ^ state >> 64 ^ state << 64) >> (state >> 122)
-                    m, half = (w & _MASK32) * span, w >> 32 & _MASK32
-                else:
-                    m, half = half * span, None
-                # Lemire: reject below 2**32 % span, which is below span
-                if m & _MASK32 >= span or m & _MASK32 >= (1 << 32) % span:
-                    break
-            j = m >> 32
-            items[i], items[j] = items[j], items[i]
-        self._state, self._half = state, half
 
 
 class InstanceKind(str, enum.Enum):
@@ -235,13 +197,15 @@ class InstanceSpec:
             )
 
 
-def fisher_yates(items: list, rng: Pcg64) -> None:
-    """In-place uniform shuffle."""
+def fisher_yates(items: list, rng: Pcg64 | numpy.random.Generator) -> None:
+    """In-place uniform shuffle: for i from the top down to 1, swap
+    items[i] with a uniform draw in [0, i]."""
+    top = len(items) - 1
     if type(rng) is Pcg64:
-        rng.fisher_yates(items)
-        return
-    for i in range(len(items) - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
+        draws = rng._draws(range(top + 1, 1, -1))
+    else:
+        draws = (int(rng.integers(0, i + 1)) for i in range(top, 0, -1))
+    for i, j in zip(range(top, 0, -1), draws):
         items[i], items[j] = items[j], items[i]
 
 

@@ -272,9 +272,10 @@ def pigeonhole(m):
         for i in range(m + 1)
     ]
     for i in range(m + 1):
-        model.add_ge([(1, v) for v in p[i]], 1, f"pigeon_{i}")
+        model.add_constraint([(1, v) for v in p[i]], GE, 1, f"pigeon_{i}")
     for j in range(m):
-        model.add_le([(1, p[i][j]) for i in range(m + 1)], 1, f"hole_{j}")
+        model.add_constraint([(1, p[i][j]) for i in range(m + 1)], LE, 1,
+                             f"hole_{j}")
     return model
 
 
@@ -289,7 +290,7 @@ def test_empty_model_is_feasible():
 def test_empty_sum_constraint_is_infeasible():
     m = IlpModel()
     m.add_binary("x_0")
-    m.add_le([], -1, "impossible")
+    m.add_constraint([], LE, -1, "impossible")
     out = solve(m, 10)
     assert out.status is Verdict.INFEASIBLE
 
@@ -306,7 +307,7 @@ def test_binaries_branch_one_first_in_declaration_order():
 def test_integer_domains_split_toward_upper_half():
     m = IlpModel()
     x = m.add_int("y_0", 2, 9)
-    m.add_le([(1, x)], 5, "cap")
+    m.add_constraint([(1, x)], LE, 5, "cap")
     out = solve(m, 10)
     assert out.status is Verdict.FEASIBLE
     assert out.assignment == [5]
@@ -315,7 +316,7 @@ def test_integer_domains_split_toward_upper_half():
 def test_equalities_propagate_to_fixpoint():
     m = IlpModel()
     xs = [m.add_binary(f"x_{i}") for i in range(4)]
-    m.add_eq([(1, v) for v in xs], 4, "all")
+    m.add_constraint([(1, v) for v in xs], EQ, 4, "all")
     out = solve(m, 10)
     assert out.status is Verdict.FEASIBLE
     assert out.assignment == [1, 1, 1, 1]
@@ -331,9 +332,9 @@ def test_root_propagation_tightens_wide_general_integer(sense):
     x = m.add_binary("x")
     y = m.add_int("y", 0, 10)
     if sense == LE:
-        m.add_le([(1, y), (1, x)], 5, "cap")
+        m.add_constraint([(1, y), (1, x)], LE, 5, "cap")
     else:
-        m.add_ge([(-1, y), (-1, x)], -5, "cap")
+        m.add_constraint([(-1, y), (-1, x)], GE, -5, "cap")
     out = solve(m, 10)
     assert out.status is Verdict.FEASIBLE
     assert out.assignment == [1, 4]
@@ -344,8 +345,8 @@ def test_infeasible_by_conflicting_equalities():
     m = IlpModel()
     x = m.add_binary("x_0")
     y = m.add_binary("x_1")
-    m.add_eq([(1, x), (1, y)], 2, "both")
-    m.add_le([(1, x), (1, y)], 1, "not-both")
+    m.add_constraint([(1, x), (1, y)], EQ, 2, "both")
+    m.add_constraint([(1, x), (1, y)], LE, 1, "not-both")
     assert solve(m, 10).status is Verdict.INFEASIBLE
 
 
@@ -389,9 +390,9 @@ def test_deadline_is_checked_inside_root_propagation():
     # root, so the root fixpoint alone passes the 1024-pop clock check
     m = IlpModel()
     xs = [m.add_binary(f"x_{i}") for i in range(2001)]
-    m.add_ge([(1, xs[0])], 1, "force")
+    m.add_constraint([(1, xs[0])], GE, 1, "force")
     for i in range(2000):
-        m.add_le([(1, xs[i]), (-1, xs[i + 1])], 0, f"chain_{i}")
+        m.add_constraint([(1, xs[i]), (-1, xs[i + 1])], LE, 0, f"chain_{i}")
     full = solve(m, 10)
     assert (full.status, full.nodes, full.pops) == (Verdict.FEASIBLE, 1, 2001)
     out = solve(m, 1e-9)
@@ -406,9 +407,10 @@ def test_deadline_is_checked_inside_arc_propagation():
     m = IlpModel()
     z = m.add_binary("z")
     a = [m.add_int(f"a_{i}", 0, 1999) for i in range(2000)]
-    m.add_ge([(1, z)], 1, "on")
+    m.add_constraint([(1, z)], GE, 1, "on")
     for i in range(1999):
-        m.add_le([(1, a[i]), (-1, a[i + 1]), (2000, z)], 1999, f"chain_{i}")
+        m.add_constraint([(1, a[i]), (-1, a[i + 1]), (2000, z)], LE, 1999,
+                         f"chain_{i}")
     full = solve(m, 10)
     assert (full.status, full.nodes) == (Verdict.FEASIBLE, 1)
     assert full.assignment == [1] + list(range(2000))
@@ -427,10 +429,10 @@ def difference_cycle(width):
     m = IlpModel()
     z = m.add_binary("z")
     a = [m.add_int(f"a_{i}", 0, width) for i in range(3)]
-    m.add_ge([(1, z)], 1, "on")
+    m.add_constraint([(1, z)], GE, 1, "on")
     for i in range(3):
-        m.add_le([(1, a[i]), (-1, a[(i + 1) % 3]), (width + 1, z)], width,
-                 f"order_{i}")
+        m.add_constraint([(1, a[i]), (-1, a[(i + 1) % 3]), (width + 1, z)],
+                         LE, width, f"order_{i}")
     return m
 
 
@@ -451,7 +453,7 @@ def test_leaf_that_fails_the_exact_check_raises(monkeypatch):
     # lets a bad leaf through must fail loudly, also under python -O
     m = IlpModel()
     xs = [m.add_binary(f"x_{i}") for i in range(3)]
-    m.add_le([(1, v) for v in xs], 2, "two")
+    m.add_constraint([(1, v) for v in xs], LE, 2, "two")
     assert solve(m, 10).status is Verdict.FEASIBLE
     monkeypatch.setattr(IlpModel, "check", lambda self, assignment: False)
     with pytest.raises(AssertionError, match="bad leaf"):
@@ -465,11 +467,11 @@ def test_search_pops_no_row_whose_slack_stays_at_reach():
     m = IlpModel()
     xs = [m.add_binary(f"x_{i}") for i in range(10)]
     mixed = [(1, v) for v in xs[:5]] + [(-1, v) for v in xs[5:]]
-    m.add_le(mixed, 6, "wide_mixed_le")
-    m.add_le([(1, v) for v in xs], 11, "wide_le")
-    m.add_ge([(-c, v) for c, v in mixed], -6, "wide_mixed_ge")
-    m.add_ge([(-1, v) for v in xs], -11, "wide_ge")
-    m.add_le([(1, xs[0]), (1, xs[1])], 1, "tight")
+    m.add_constraint(mixed, LE, 6, "wide_mixed_le")
+    m.add_constraint([(1, v) for v in xs], LE, 11, "wide_le")
+    m.add_constraint([(-c, v) for c, v in mixed], GE, -6, "wide_mixed_ge")
+    m.add_constraint([(-1, v) for v in xs], GE, -11, "wide_ge")
+    m.add_constraint([(1, xs[0]), (1, xs[1])], LE, 1, "tight")
     out = solve(m, 10)
     assert out.status is Verdict.FEASIBLE
     assert out.assignment == [1, 0] + [1] * 8
@@ -587,7 +589,7 @@ def test_solve_matches_reference_on_doubleton_models():
                                             f"seed {seed}, {step} solve")
             statuses.add(out.status)
             for k, (terms, rhs) in enumerate(late):
-                m.add_eq(terms, rhs, f"late_{k}")
+                m.add_constraint(terms, EQ, rhs, f"late_{k}")
     assert statuses == {Verdict.FEASIBLE, Verdict.INFEASIBLE}
 
 
@@ -599,11 +601,11 @@ def test_bound_raised_twice_in_one_wave_closes_no_cycle():
     m = IlpModel()
     z = m.add_binary("z")
     p, s, x, t = (m.add_int(name, 0, 100) for name in "psxt")
-    m.add_ge([(1, z)], 1, "on")
-    m.add_ge([(1, p)], 5, "p_floor")
+    m.add_constraint([(1, z)], GE, 1, "on")
+    m.add_constraint([(1, p)], GE, 5, "p_floor")
     for name, (tail, head), gap in (("first", (p, s), 1), ("s_x", (s, x), 1),
                                     ("s_t", (s, t), 1), ("second", (t, x), 10)):
-        m.add_le([(1, tail), (-1, head), (50, z)], 50 - gap, name)
+        m.add_constraint([(1, tail), (-1, head), (50, z)], LE, 50 - gap, name)
     out = solve(m, 10)
     assert (out.status, out.assignment, out.nodes) == reference_solve(m)
     assert out.status is Verdict.FEASIBLE
@@ -631,7 +633,7 @@ def difference_model(seed):
         lo = int(rng.integers(-3, 3))
         ys.append(m.add_int(f"y_{i}", lo, lo + int(rng.integers(1, 6))))
     if rng.random() < 0.5:
-        m.add_eq([(1, xs[0]), (1, xs[1])], 1, "flip")
+        m.add_constraint([(1, xs[0]), (1, xs[1])], EQ, 1, "flip")
     point = [int(rng.integers(lo, hi + 1)) for lo, hi in zip(m.lo, m.hi)]
     kinds = dict.fromkeys(ROW_KINDS, 0)
 
@@ -749,12 +751,12 @@ def test_doubleton_joining_classes_after_a_solve_rebuilds_the_index():
     # classes and index must then express
     m = IlpModel()
     xs = [m.add_binary(f"x_{i}") for i in range(4)]
-    m.add_eq([(1, xs[0]), (1, xs[1])], 1, "d_01")
-    m.add_ge([(1, xs[0]), (1, xs[2]), (-1, xs[3])], 1, "wide")
+    m.add_constraint([(1, xs[0]), (1, xs[1])], EQ, 1, "d_01")
+    m.add_constraint([(1, xs[0]), (1, xs[2]), (-1, xs[3])], GE, 1, "wide")
     first = solve(m, 10)
     assert first.assignment == [1, 0, 1, 1]
-    m.add_eq([(1, xs[1]), (-1, xs[2])], 0, "d_12")
-    m.add_le([(1, xs[0]), (1, xs[3])], 1, "cap")
+    m.add_constraint([(1, xs[1]), (-1, xs[2])], EQ, 0, "d_12")
+    m.add_constraint([(1, xs[0]), (1, xs[3])], LE, 1, "cap")
     out = solve(m, 10)
     assert_matches_folded_reference(out, m)
     assert out.assignment == [1, 0, 0, 0]
@@ -805,7 +807,7 @@ def test_check_rejects_wrong_lengths_and_values_outside_domains():
     m = IlpModel()
     x, y = m.add_binary("x"), m.add_binary("y")
     u = m.add_int("u", -1, 2)
-    m.add_le([(1, x), (1, y), (1, u)], 3, "loose")
+    m.add_constraint([(1, x), (1, y), (1, u)], LE, 3, "loose")
     assert m.check([1, 1, 0])
     assert not m.check([2, 0, 0])  # satisfies the row, not x's domain
     assert not m.check([1, 1, 3])
@@ -891,15 +893,15 @@ def test_row_index_follows_rows_and_variables_added_between_solves():
     # solve must match the same model read back from LP text in one go
     m = IlpModel()
     xs = [m.add_binary(f"x_{i}") for i in range(6)]
-    m.add_eq([(1, v) for v in xs], 3, "three")
-    m.add_le([(1, xs[0]), (1, xs[1])], 1, "pair")
+    m.add_constraint([(1, v) for v in xs], EQ, 3, "three")
+    m.add_constraint([(1, xs[0]), (1, xs[1])], LE, 1, "pair")
     snapshots = [(export_lp(m), solve(m, 10))]
-    m.add_ge([(1, xs[5]), (-1, xs[0])], 0, "order")
+    m.add_constraint([(1, xs[5]), (-1, xs[0])], GE, 0, "order")
     xs.append(m.add_binary("x_6"))
-    m.add_le([(1, xs[6]), (1, xs[2])], 1, "late")
+    m.add_constraint([(1, xs[6]), (1, xs[2])], LE, 1, "late")
     u = m.add_int("u", -2, 5)
-    m.add_le([(2, u), (3, xs[2]), (-1, xs[3])], 4, "ranked")
-    m.add_ge([(1, u), (1, xs[4]), (-2, xs[6])], 3, "floor")
+    m.add_constraint([(2, u), (3, xs[2]), (-1, xs[3])], LE, 4, "ranked")
+    m.add_constraint([(1, u), (1, xs[4]), (-2, xs[6])], GE, 3, "floor")
     snapshots.append((export_lp(m), solve(m, 10)))
     snapshots.append((export_lp(m), solve(m, 10)))
     for text, out in snapshots:
@@ -919,17 +921,17 @@ def test_resumed_search_rewakes_a_cut_fixed_above_its_frames():
     xs = [m.add_binary(f"x_{i}") for i in range(4)]
     first = solve(m, 10)
     assert first.assignment == [1, 1, 1, 1]
-    m.add_le([(1, xs[0]), (1, xs[1])], 1, "cut")
+    m.add_constraint([(1, xs[0]), (1, xs[1])], LE, 1, "cut")
     out = solve(m, 10, (), first)
     fresh = solve(parse_lp(export_lp(m)), 10)
     assert (out.status, out.assignment) == (fresh.status, fresh.assignment)
     assert out.assignment == [1, 0, 1, 1]
     # the leaf, the backtracks to x_3, x_2 and x_1, then x_2 and x_3 high
     assert out.nodes == 6
-    m.add_ge([(1, xs[1]), (1, xs[2])], 2, "both")
+    m.add_constraint([(1, xs[1]), (1, xs[2])], GE, 2, "both")
     again = solve(m, 10, (), out)
     assert (again.status, again.assignment) == (Verdict.FEASIBLE, [0, 1, 1, 1])
-    m.add_le([(1, xs[2]), (1, xs[3])], 0, "neither")
+    m.add_constraint([(1, xs[2]), (1, xs[3])], LE, 0, "neither")
     assert solve(m, 10, (), again).status is Verdict.INFEASIBLE
 
 
@@ -968,10 +970,10 @@ def test_resumed_search_takes_the_first_difference_row():
     # past a's domain, so the search goes on at z = 0
     m = IlpModel()
     z, a, b = m.add_binary("z"), m.add_int("a", 0, 5), m.add_int("b", 0, 5)
-    m.add_le([(1, a), (1, a), (1, z)], 6, "a_twice")
+    m.add_constraint([(1, a), (1, a), (1, z)], LE, 6, "a_twice")
     first = solve(m, 10)
     assert first.assignment == [1, 2, 5]
-    m.add_le([(1, b), (-1, a), (3, z)], 0, "late")
+    m.add_constraint([(1, b), (-1, a), (3, z)], LE, 0, "late")
     out = solve(m, 10, (), first)
     fresh = solve(parse_lp(export_lp(m)), 10)
     assert (out.status, out.assignment) == (fresh.status, fresh.assignment)
@@ -987,7 +989,8 @@ REFUSED_RESUMES = {
         m.add_binary("x_3"), solve(m, 10, [2], first)),
     # a joining doubleton rewrites the classes the search runs over
     "joining doubleton": lambda m, first: (
-        m.add_eq([(1, 0), (1, 1)], 1, "join"), solve(m, 10, [2], first)),
+        m.add_constraint([(1, 0), (1, 1)], EQ, 1, "join"),
+        solve(m, 10, [2], first)),
     "other zeros": lambda m, first: solve(m, 10, [], first),
     "other model": lambda m, first: solve(pigeonhole(2), 10, [2], first),
     # an outcome already resumed from
@@ -1004,7 +1007,7 @@ REFUSED_RESUMES = {
 def test_resume_after_a_change_other_than_rows_is_refused(case):
     m = IlpModel()
     xs = [m.add_binary(f"x_{i}") for i in range(3)]
-    m.add_le([(1, xs[0]), (1, xs[1])], 1, "pair")
+    m.add_constraint([(1, xs[0]), (1, xs[1])], LE, 1, "pair")
     first = solve(m, 10, [2])
     assert first.status is Verdict.FEASIBLE
     with pytest.raises(ValueError, match="resume"):
@@ -1016,7 +1019,7 @@ def test_resume_after_a_join_in_a_model_without_rows_is_refused():
     m = IlpModel()
     xs = [m.add_binary(f"x_{i}") for i in range(2)]
     first = solve(m, 10)
-    m.add_eq([(1, xs[0]), (1, xs[1])], 1, "join")
+    m.add_constraint([(1, xs[0]), (1, xs[1])], EQ, 1, "join")
     with pytest.raises(ValueError, match="resume"):
         solve(m, 10, (), first)
 
@@ -1026,14 +1029,14 @@ def test_resume_keeps_a_doubleton_inside_one_class_as_a_row():
     # folds to 0 = 0, and x_0 - x_1 = 0 folds to 2 x_0 = 1: a conflict
     m = IlpModel()
     xs = [m.add_binary(f"x_{i}") for i in range(3)]
-    m.add_eq([(1, xs[0]), (1, xs[1])], 1, "join")
+    m.add_constraint([(1, xs[0]), (1, xs[1])], EQ, 1, "join")
     first = solve(m, 10)
     assert first.assignment == [1, 0, 1]
-    m.add_eq([(2, xs[1]), (2, xs[0])], 2, "again")
-    m.add_le([(1, xs[0]), (1, xs[2])], 1, "cut")
+    m.add_constraint([(2, xs[1]), (2, xs[0])], EQ, 2, "again")
+    m.add_constraint([(1, xs[0]), (1, xs[2])], LE, 1, "cut")
     out = solve(m, 10, (), first)
     assert (out.status, out.assignment) == (Verdict.FEASIBLE, [1, 0, 0])
-    m.add_eq([(1, xs[0]), (-1, xs[1])], 0, "odd")
+    m.add_constraint([(1, xs[0]), (-1, xs[1])], EQ, 0, "odd")
     assert solve(m, 10, (), out).status is Verdict.INFEASIBLE
     assert solve(parse_lp(export_lp(m)), 10).status is Verdict.INFEASIBLE
 
@@ -1063,8 +1066,8 @@ def test_termless_halves_that_fail_stay_conflicts():
                              ((1, 1), 1, 0)):
         m = IlpModel()
         xs = [m.add_binary(f"x_{i}") for i in range(2)]
-        m.add_eq([(1, xs[0]), (1, xs[1])], 1, "join")
-        m.add_eq(list(zip(again, xs)), rhs, "again")
+        m.add_constraint([(1, xs[0]), (1, xs[1])], EQ, 1, "join")
+        m.add_constraint(list(zip(again, xs)), EQ, rhs, "again")
         index = ilp._Presolve(m)
         index.admit(index.declared, False)
         assert len(index.halves) == kept
@@ -1084,14 +1087,14 @@ def test_solve_leaves_its_model_as_it_found_it():
     m = IlpModel()
     xs = [m.add_binary(f"x_{i}") for i in range(4)]
     a, b = m.add_int("a", 0, 5), m.add_int("b", 0, 5)
-    m.add_eq([(1, xs[0]), (1, xs[1])], 1, "d_01")
-    m.add_le([(1, xs[0]), (1, xs[1]), (1, xs[2])], 1, "folds")
-    m.add_le([(1, a), (-1, b), (6, xs[3])], 5, "order")
+    m.add_constraint([(1, xs[0]), (1, xs[1])], EQ, 1, "d_01")
+    m.add_constraint([(1, xs[0]), (1, xs[1]), (1, xs[2])], LE, 1, "folds")
+    m.add_constraint([(1, a), (-1, b), (6, xs[3])], LE, 5, "order")
     before = copy.deepcopy(vars(m))
     first = solve(m, 10, [xs[2]])
     assert first.status is Verdict.FEASIBLE
     assert vars(m) == before
-    m.add_ge([(1, b), (-1, a)], 1, "late")
+    m.add_constraint([(1, b), (-1, a)], GE, 1, "late")
     before = copy.deepcopy(vars(m))
     out = solve(m, 10, [xs[2]], first)
     assert out.status is Verdict.FEASIBLE
@@ -1105,7 +1108,7 @@ def test_zeros_other_than_binaries_of_the_model_are_refused(zero):
     m = IlpModel()
     xs = [m.add_binary(f"x_{i}") for i in range(2)]
     u = m.add_int("u", -3, 3)
-    m.add_le([(1, u)], -1, "neg")
+    m.add_constraint([(1, u)], LE, -1, "neg")
     zero = u if zero == "u" else zero
     with pytest.raises(ValueError, match="not a binary"):
         solve(m, 5, [xs[0], zero])
@@ -1115,7 +1118,7 @@ def test_zeros_other_than_binaries_of_the_model_are_refused(zero):
 def test_terms_may_be_an_iterator():
     m = IlpModel()
     xs = [m.add_binary(f"x_{i}") for i in range(3)]
-    m.add_le(((1, v) for v in xs), 1, "r")
+    m.add_constraint(((1, v) for v in xs), LE, 1, "r")
     assert m.constraints[0].vars == (0, 1, 2)
     assert solve(m, 10).assignment == [1, 0, 0]
     assert " r: x_0 + x_1 + x_2 <= 1" in export_lp(m).splitlines()
@@ -1125,7 +1128,7 @@ def test_zero_coefficient_is_rejected_with_the_row_name():
     m = IlpModel()
     x, y = m.add_binary("x"), m.add_binary("y")
     with pytest.raises(ValueError, match="r_zero"):
-        m.add_le([(0, x), (1, y)], 0, "r_zero")
+        m.add_constraint([(0, x), (1, y)], LE, 0, "r_zero")
     assert m.constraints == []
 
 
@@ -1135,16 +1138,16 @@ def test_non_integer_numbers_are_rejected_with_their_name():
     m = IlpModel()
     x = m.add_binary("x")
     with pytest.raises(ValueError, match="r_rhs"):
-        m.add_ge([(1, x)], 1.5, "r_rhs")
+        m.add_constraint([(1, x)], GE, 1.5, "r_rhs")
     with pytest.raises(ValueError, match="r_coef"):
-        m.add_le([(1.7, x)], 1, "r_coef")
+        m.add_constraint([(1.7, x)], LE, 1, "r_coef")
     with pytest.raises(ValueError, match="'g'"):
         m.add_int("g", 0.5, 2.5)
     assert m.constraints == [] and m.names == ["x"]
     assert solve(m, 10).status is Verdict.FEASIBLE
     # integers of other types still pass, as Python ints
     g = m.add_int("g", np.int64(0), np.int32(2))
-    m.add_le([(np.int64(2), x), (1, g)], np.int64(2), "r_np")
+    m.add_constraint([(np.int64(2), x), (1, g)], LE, np.int64(2), "r_np")
     row = m.constraints[-1]
     assert (m.lo[g], m.hi[g], row.coefs, row.rhs) == (0, 2, (2, 1), 2)
     assert all(type(c) is int for c in row.coefs + (row.rhs, m.hi[g]))
@@ -1320,10 +1323,10 @@ def test_round_trip_covers_awkward_pieces():
     m = IlpModel()
     x = m.add_binary("z_0")
     y = m.add_int("a_2", 2, 6)
-    m.add_le([], -1, "empty")
-    m.add_le([(-1, x), (6, y)], -1, "mixed")
-    m.add_ge([(1, y)], 3, "floor")
-    m.add_eq([(2, x)], 2, "pin")
+    m.add_constraint([], LE, -1, "empty")
+    m.add_constraint([(-1, x), (6, y)], LE, -1, "mixed")
+    m.add_constraint([(1, y)], GE, 3, "floor")
+    m.add_constraint([(2, x)], EQ, 2, "pin")
     text = export_lp(m)
     assert "empty: 0 <= -1" in text
     again = parse_lp(text)
@@ -1345,7 +1348,7 @@ def test_binary_after_general_integer_is_rejected():
 def test_long_constraints_wrap_and_reparse():
     m = IlpModel()
     vs = [m.add_binary(f"z_{i}") for i in range(40)]
-    m.add_le([(1, v) for v in vs], 39, "wide")
+    m.add_constraint([(1, v) for v in vs], LE, 39, "wide")
     text = export_lp(m)
     assert max(len(line) for line in text.splitlines()) < 120
     assert model_signature(parse_lp(text)) == model_signature(m)
@@ -1376,7 +1379,8 @@ def with_general(lo, hi):
 
 def test_small_lp_is_what_export_writes():
     m = IlpModel()
-    m.add_le([(1, m.add_binary("z_0")), (1, m.add_binary("z_1"))], 1, "c")
+    m.add_constraint([(1, m.add_binary("z_0")), (1, m.add_binary("z_1"))],
+                     LE, 1, "c")
     assert export_lp(m) == SMALL_LP
     assert model_signature(parse_lp(SMALL_LP)) == model_signature(m)
 
@@ -1442,7 +1446,7 @@ def test_duplicate_variable_name_is_rejected():
         m.add_binary("x")
     with pytest.raises(ValueError, match="duplicate"):
         m.add_int("x", 0, 3)
-    m.add_le([(1, x)], 0, "c")
+    m.add_constraint([(1, x)], LE, 0, "c")
     assert m.names == ["x"] and m.var_of == {"x": 0}
     assert model_signature(parse_lp(export_lp(m))) == model_signature(m)
 
@@ -1463,7 +1467,7 @@ def test_row_name_that_is_not_one_lp_token_is_rejected(name):
     m = IlpModel()
     v = m.add_binary("x")
     with pytest.raises(ValueError, match="one LP token"):
-        m.add_le([(1, v)], 1, name)
+        m.add_constraint([(1, v)], LE, 1, name)
     assert m.constraints == []
 
 

@@ -132,10 +132,12 @@ def test_integers_rejects_what_it_cannot_draw(low, high, size):
 
 
 @pytest.mark.parametrize("pending", [False, True], ids=["whole", "half"])
-@pytest.mark.parametrize("size", [1, 2, 3, 97])
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 97])
 def test_shuffle_on_a_stream_equals_numpys_draws(size, pending):
-    # the package's stream shuffles in one inline loop; numpy's takes
-    # successive integers(0, i + 1) draws, through the same function
+    # the package's stream makes a shuffle's draws in the loop that its
+    # size= draws use; numpy's takes successive integers(0, i + 1) draws,
+    # through the same function.  The size= draws between the shuffles,
+    # one of odd size, hand the kept high half on in both directions
     ours = _child_streams(11)[0]
     theirs = numpy_children(11)[0]
     if pending:  # a 32-bit draw leaves the step's high half waiting
@@ -147,6 +149,10 @@ def test_shuffle_on_a_stream_equals_numpys_draws(size, pending):
         fisher_yates(want, theirs)
         assert got == want
         assert package_state(ours) == numpy_state(theirs)
+        for high, count in ((8, 5), (95, 4)):
+            assert (ours.integers(0, high, size=count)
+                    == theirs.integers(0, high, size=count).tolist())
+            assert package_state(ours) == numpy_state(theirs)
 
 
 @pytest.mark.parametrize("size", [3, 97])
