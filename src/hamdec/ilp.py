@@ -56,14 +56,15 @@ and k2 -> k1^1, each bound[head] >= bound[tail] + a*bound[kb] - rhs
 (Cotton & Maler, SAT 2006).  Once the queue runs dry, the arcs out of
 each general integer bound raised since are relaxed, then each arc
 whose binary rose is inserted, in row order (mirror arcs run the other
-way: in reverse).  A relaxation that raises starts a wave: a bound
-rises as it leaves the heap, largest rise first, so once per wave
-unless an arc not yet inserted raises it again, and then relaxes its
-arcs and their rows' binary rule.  A raise of a bound up the chain of
-raises that reached it closes a positive cycle, which rows would climb
-one unit per lap: a conflict at once.  A pop takes one half off the
-queue or one bound off a heap; propagation checks the deadline every
-1024 pops, so a budget holds even when a fixpoint is long.
+way: in reverse).  A relaxation that raises starts a wave: a bound rises
+as it leaves the heap, largest rise first (`settle` raises it in place,
+not through `raise_bound`), so once per wave unless an arc not yet
+inserted raises it again, and then relaxes its arcs and their rows'
+binary rule.  A raise of a bound up the chain of raises that reached it
+closes a positive cycle, which rows would climb one unit per lap: a
+conflict at once.  A pop takes one half off the queue or one bound off
+a heap; propagation checks the deadline every 1024 pops, so a budget
+holds even when a fixpoint is long.
 
 Each search owns its classes and half index; the model keeps only its
 rows, so no solve changes it.  One step admits the rows added since the
@@ -89,15 +90,19 @@ re-queues those listed since that are past it there (a difference
 half keeps the least activity it was admitted with, so each backtrack
 relaxes the arcs out of its tails).  (3) Only a search's last outcome
 resumes, if FEASIBLE, on its model and zeros with no variable added and
-no new doubleton joining two of its classes; else ValueError.  `nodes`
-and `pops` count one call's work.
+no new doubleton joining two of its classes; else ValueError, before
+any class changes.  (4) A search's first leaf is checked against every
+row, each later leaf against every row it did not join: a joined row
+c*x + c*y = c or c*x - c*y = 0 sets y to 1 - x or x through its
+literal, so it holds at both values of x once it holds at one leaf, and
+by (3) no class changes.  `nodes` and `pops` count one call's work.
 """
 
 from __future__ import annotations
 
 import enum
 import time
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import chain, zip_longest
@@ -248,15 +253,16 @@ class IlpModel:
         self.constraints.append(
             LinearConstraint(coefs, vars_, sense, rhs, name))
 
-    def check(self, assignment) -> bool:
+    def check(self, assignment, rows=None) -> bool:
         """Exact check: one value per variable, in its declared domain,
-        satisfying every constraint."""
+        satisfying each of `rows` (default: every constraint)."""
         if len(assignment) != len(self.names) or not (
                 all(map(le, self.lo, assignment))
                 and all(map(le, assignment, self.hi))):
             return False
         value = assignment.__getitem__
-        for coefs, vars_, sense, rhs, _ in self.constraints:
+        for coefs, vars_, sense, rhs, _ in (
+                self.constraints if rows is None else rows):
             acc = sum(map(mul, coefs, map(value, vars_)))
             if sense == LE and acc > rhs:
                 return False
@@ -270,7 +276,7 @@ class IlpModel:
 class _Presolve:
     """One search's declared bounds, doubleton classes and half index
     over its model's rows (see the module docstring); `admit` grows the
-    classes and the index."""
+    classes, the list of rows kept unjoined and the index."""
 
     def __init__(self, model):
         self.model = model
@@ -288,28 +294,70 @@ class _Presolve:
         # out-arcs or, for a binary, the halves whose arcs it weighs
         self.halves, self.minact, self.le_at, self.pairs = [], [], [], []
         self.bound_terms = [[] for _ in declared]
-        self.arcs: dict[int, list] = {}
+        self.arcs: dict[int, list] = defaultdict(list)
+        self.kept = []  # the rows admitted without joining, in row order
 
-    def admit(self, bound, resume: bool) -> int:
+    def admit(self, bound, resume: bool) -> None:
         """Admit the rows added since the last call, with least
-        activities at `bound`; return the first new half.  A resume
-        refuses a doubleton that joins two classes."""
+        activities at `bound`.  A resume refuses a doubleton that joins
+        two classes, before it joins."""
         new = self.model.constraints[self.rows:]
         self.rows += len(new)
-        rows = []
-        for row in new:  # step 1: join the binary doubletons
-            if len(row.vars) != 2 or row.sense != EQ or not self._join(row):
-                rows.append(row)
-            elif resume:
-                raise ValueError(f"a search resumes only with rows that "
-                                 f"join no classes, not {row.name}")
         declared, binary, lit = self.declared, self.model.binary, self.lit
+        members, kept, mark = self.members, self.kept, len(self.kept)
+        for row in new:  # step 1: join the binary doubletons
+            coefs, vars_, sense, rhs, name = row
+            if len(vars_) == 2 and sense == EQ:
+                (c, d), (x, y) = coefs, vars_
+                r, s = lit[x] >> 1, lit[y] >> 1
+                if r != s and binary[x] and binary[y] and (
+                        c == d == rhs or c == -d and rhs == 0):
+                    if resume:
+                        raise ValueError("a search resumes only with rows "
+                                         f"that join no classes, not {name}")
+                    # y = 1 - x if c == d, else y = x: the classes' flip
+                    f = (lit[x] ^ lit[y] ^ (c == d)) & 1
+                    if len(members[r]) < len(members[s]):
+                        r, s = s, r
+                    for v in members[s]:
+                        lit[v] = 2 * r + ((lit[v] ^ f) & 1)
+                    members[r] += members[s]
+                    members[s] = []
+                    continue
+            kept.append(row)
         halves, minact, le_at = self.halves, self.minact, self.le_at
-        bound_terms, pairs, start = self.bound_terms, self.pairs, len(halves)
-        for coefs, vars_, sense, rhs, _ in rows:  # step 2: fold, index
-            if (len(vars_) <= 3  # two general integers and 0 or 1 binary
-                    and len(vars_) - sum(map(binary.__getitem__, vars_)) == 2
-                    and self._add_arcs(coefs, vars_, sense, rhs, bound)):
+        bound_terms, pairs, arcs = self.bound_terms, self.pairs, self.arcs
+        for coefs, vars_, sense, rhs, _ in kept[mark:]:  # step 2: fold, index
+            k1 = k2 = -2  # set by a difference row (see the module docstring)
+            if len(vars_) <= 3:
+                a, kb, d_rhs = 0, 0, rhs
+                for c, v in zip(coefs, vars_):
+                    if binary[v] and not a:  # c * (1 - r): c to the rhs
+                        kb = lit[v]
+                        d_rhs -= c if kb & 1 else 0
+                        a, kb = (c, kb) if c > 0 else (-c, kb ^ 1)
+                    elif binary[v] or c * c != 1 or k1 >= 0 or v == k2 >> 1:
+                        k1 = -2  # a second binary or third general, or a
+                        break  # general twice or with coefficient not +-1
+                    else:  # a general's literal is 2v
+                        k1, k2 = k2, 2 * v + (c < 0)
+            if k1 >= 0:
+                reach = max(-declared[k1] - declared[k1 ^ 1],
+                            -declared[k2] - declared[k2 ^ 1],
+                            a * -(declared[kb] + declared[kb ^ 1]))
+                for f in (0, 1)[sense == GE:1 + (sense != LE)]:
+                    h, rf = len(halves), -d_rhs if f else d_rhs
+                    u1, u2, b = k1 ^ f, k2 ^ f, kb ^ f
+                    # arcs (head, a, kb, rhs, tail); the half has no terms
+                    pair = (u2 ^ 1, a, b, rf, u1), (u1 ^ 1, a, b, rf, u2)
+                    arcs[u1].append(pair[0])
+                    arcs[u2].append(pair[1])
+                    if a:
+                        arcs[b].append(h)
+                    halves.append(((), rf))
+                    minact.append(bound[u1] + bound[u2] + a * bound[b])
+                    le_at.append(rf - reach)
+                    pairs.append(pair)
                 continue
             folded = {}  # 2r -> the row's summed coefficient on r
             for c, v in zip(coefs, vars_):
@@ -350,62 +398,6 @@ class _Presolve:
                 minact.append(neg_least)
                 le_at.append(-rhs - reach)
                 pairs.append(None)
-        return start
-
-    def _join(self, row) -> bool:
-        """Whether `row`, an = row with two terms, joins two classes."""
-        (c, d), (x, y) = row.coefs, row.vars
-        binary, lit = self.model.binary, self.lit
-        r, s = lit[x] >> 1, lit[y] >> 1
-        if r == s or not (binary[x] and binary[y] and (
-                c == d == row.rhs or c == -d and row.rhs == 0)):
-            return False
-        # y = 1 - x if c == d, else y = x: the flip between the classes
-        f = (lit[x] ^ lit[y] ^ (c == d)) & 1
-        members = self.members
-        if len(members[r]) < len(members[s]):
-            r, s = s, r
-        for v in members[s]:
-            lit[v] = 2 * r + ((lit[v] ^ f) & 1)
-        members[r] += members[s]
-        members[s] = []
-        return True
-
-    def _add_arcs(self, coefs, vars_, sense, rhs, bound) -> bool:
-        """Index a difference row (see the module docstring), unless its
-        general integers are one, or one's coefficient is not +-1."""
-        declared, ks = self.declared, []
-        a = kb = 0
-        for c, v in zip(coefs, vars_):
-            if self.model.binary[v]:
-                kb = self.lit[v]
-                rhs -= c if kb & 1 else 0
-                a, kb = (c, kb) if c > 0 else (-c, kb ^ 1)
-            elif c * c != 1:
-                return False
-            else:
-                ks.append(2 * v + (c < 0))  # a general's literal is 2v
-        k1, k2 = ks
-        if k1 >> 1 == k2 >> 1:
-            return False
-        reach = max(-declared[k1] - declared[k1 ^ 1],
-                    -declared[k2] - declared[k2 ^ 1],
-                    a * -(declared[kb] + declared[kb ^ 1]))
-        for f in (0, 1)[sense == GE:1 + (sense != LE)]:  # own, negated
-            h, r = len(self.halves), -rhs if f else rhs
-            u1, u2, b = k1 ^ f, k2 ^ f, kb ^ f
-            # arcs (head, a, kb, rhs, tail); kb lists the half, and no
-            # bound its terms: propagate never pops it
-            pair = (u2 ^ 1, a, b, r, u1), (u1 ^ 1, a, b, r, u2)
-            for arc in pair:
-                self.arcs.setdefault(arc[4], []).append(arc)
-            if a:
-                self.arcs.setdefault(b, []).append(h)
-            self.halves.append(((), r))
-            self.minact.append(bound[u1] + bound[u2] + a * bound[b])
-            self.le_at.append(r - reach)
-            self.pairs.append(pair)
-        return True
 
 
 class _Deadline(Exception):
@@ -471,7 +463,8 @@ def _search(model, zeros, deadline):
     # past their threshold; those listed at the root sit below every
     # frame's mark, so no backtrack re-wakes them
     def admit(resume):
-        start = index.admit(bound, resume)
+        start = len(halves)
+        index.admit(bound, resume)
         queued.extend([False] * (len(halves) - start))
         for h in range(start, len(halves)):
             if minact[h] > le_at[h]:
@@ -565,19 +558,25 @@ def _search(model, zeros, deadline):
                 pops += 1
                 if not pops & 1023 and time.monotonic() > deadline:
                     raise _Deadline
-                seen[u], up[u] = waves, z
-                if raise_bound(u, new):
+                seen[u], up[u] = waves, z  # and, in place, raise_bound(u, new)
+                old, bound[u] = bound[u], new
+                if stamp[u] != segment:
+                    stamp[u] = segment
+                    trail.extend((u, old))
+                for h, a in bound_terms[u]:
+                    act = minact[h] + a * (new - old)
+                    minact[h] = act
+                    if act > le_at[h] and not queued[h]:
+                        queued[h] = True
+                        push_back(h)
+                if new + bound[u ^ 1] > 0:
                     return True
                 out = arcs.get(u, ())
-                if out:
-                    touched.pop()  # u's arcs are relaxed right here
         return False
 
     def propagate() -> bool:
-        """Fixpoint bounds propagation; True means conflict.
-
-        Raises _Deadline once the deadline has passed.
-        """
+        """Fixpoint bounds propagation; True means conflict.  Raises
+        _Deadline once the deadline has passed."""
         nonlocal pops
         while True:
             while pending:
@@ -612,7 +611,7 @@ def _search(model, zeros, deadline):
     def outcome(status, assignment=None):
         return SolveOutcome(status, assignment, nodes, pops)
 
-    nodes = 1
+    nodes, rows = 1, None  # the rows a leaf checks: the first, all
     try:
         # v = 0 raises bound k ^ 1 of v's literal k = 2r + f to f: -r >= 0,
         # or r >= 1 if v = 1 - r
@@ -639,8 +638,9 @@ def _search(model, zeros, deadline):
                 if v == nvars:
                     # lo(x) is bound[k] + f for x's literal k = 2r + f
                     assignment = [bound[k] + (k & 1) for k in lit]
-                    if not model.check(assignment):
+                    if not model.check(assignment, rows):
                         raise AssertionError("propagation accepted a bad leaf")
+                    rows = index.kept  # rule 4 of the module docstring
                     *sent, deadline = yield outcome(Verdict.FEASIBLE,
                                                     assignment)
                     if sent != [model, zeros] or len(model.names) != nvars:

@@ -25,6 +25,7 @@ from hamdec.ilp import (
     solve,
 )
 from hamdec.instances import InstanceKind, InstanceSpec, generate_instance
+from hamdec.solvers import solve_dfj
 
 from conftest import random_instance
 
@@ -449,15 +450,106 @@ def test_positive_cycle_is_refuted_without_climbing():
 
 
 def test_leaf_that_fails_the_exact_check_raises(monkeypatch):
-    # a leaf is re-checked against every row; a propagation fault that
-    # lets a bad leaf through must fail loudly, also under python -O
+    # a leaf is re-checked against the model's rows; a propagation fault
+    # that lets a bad leaf through must fail loudly, also under python -O
     m = IlpModel()
     xs = [m.add_binary(f"x_{i}") for i in range(3)]
     m.add_constraint([(1, v) for v in xs], LE, 2, "two")
     assert solve(m, 10).status is Verdict.FEASIBLE
-    monkeypatch.setattr(IlpModel, "check", lambda self, assignment: False)
+    monkeypatch.setattr(IlpModel, "check",
+                        lambda self, assignment, rows=None: False)
     with pytest.raises(AssertionError, match="bad leaf"):
         solve(m, 10)
+
+
+def joined_doubletons(model):
+    """Names of the rows a fresh search joins: the binary doubletons
+    c*x + c*y = c and c*x - c*y = 0 whose x and y are in two classes
+    when the row comes, in row order (a union-find of the test's own)."""
+    parent = list(range(len(model.names)))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    joined = set()
+    for coefs, vars_, sense, rhs, name in model.constraints:
+        if sense != EQ or len(vars_) != 2:
+            continue
+        (c, d), (x, y) = coefs, vars_
+        if (model.binary[x] and model.binary[y] and root(x) != root(y)
+                and (c == d == rhs or c == -d and rhs == 0)):
+            parent[root(x)] = root(y)
+            joined.add(name)
+    return joined
+
+
+def record_checks(monkeypatch, later=None):
+    """Record, per leaf check, the model's row names and the names of
+    the rows summed; `later`, if given, answers every check but the
+    first of a search in place of the real one."""
+    calls, real = [], IlpModel.check
+
+    def check(self, assignment, rows=None):
+        calls.append(([row.name for row in self.constraints],
+                      [row.name for row in (
+                          self.constraints if rows is None else rows)]))
+        if later is not None and rows is not None:
+            return later
+        return real(self, assignment, rows)
+
+    monkeypatch.setattr(IlpModel, "check", check)
+    return calls
+
+
+def test_a_resumed_leaf_sums_every_row_but_the_joined_doubletons(
+        monkeypatch):
+    # x_1 = 1 - x_0 and x_3 = x_2 join; "inside" then lies in one class
+    # and stays a row.  The first leaf sums every row, the resumed leaf
+    # every row but the two joins, with the cut admitted at its resume
+    m = IlpModel()
+    xs = [m.add_binary(f"x_{i}") for i in range(4)]
+    m.add_constraint([(1, xs[0]), (1, xs[1])], EQ, 1, "join")
+    m.add_constraint([(2, xs[2]), (-2, xs[3])], EQ, 0, "same")
+    m.add_constraint([(3, xs[1]), (3, xs[0])], EQ, 3, "inside")
+    m.add_constraint([(1, xs[0]), (1, xs[2])], LE, 2, "wide")
+    calls = record_checks(monkeypatch)
+    first = solve(m, 10)
+    assert first.assignment == [1, 0, 1, 1]
+    m.add_constraint([(1, xs[0]), (1, xs[3])], LE, 1, "cut")
+    out = solve(m, 10, (), first)
+    assert out.assignment == [1, 0, 0, 0]
+    assert [summed for _, summed in calls] == [
+        ["join", "same", "inside", "wide"], ["inside", "wide", "cut"]]
+    # a resumed leaf whose check fails raises, as a first leaf does
+    m.add_constraint([(1, xs[1]), (1, xs[2])], LE, 1, "late")
+    record_checks(monkeypatch, later=False)
+    with pytest.raises(AssertionError, match="bad leaf"):
+        solve(m, 10, (), out)
+
+
+@pytest.mark.parametrize("n, directed", [(64, True), (32, False)])
+def test_each_leaf_of_a_cutting_run_sums_the_rows_that_can_change(
+        monkeypatch, n, directed):
+    # one search per run: its first leaf sums every row; each later one
+    # every row but the joined doubletons, so also each cut row
+    calls = record_checks(monkeypatch)
+    later = 0
+    for seed in range(6):
+        spec = InstanceSpec(InstanceKind.RANDOM_PERMUTATION, n, directed,
+                            seed)
+        _, _, g = generate_instance(spec)
+        del calls[:]
+        model = solve_dfj(g, None, None, 60).model
+        joined = joined_doubletons(model)
+        assert joined
+        assert calls[0][0] == calls[0][1]
+        for rows, summed in calls[1:]:
+            assert summed == [name for name in rows if name not in joined]
+            assert summed[-1].startswith("sec_")
+        later += len(calls) - 1
+    assert later > 10, later
 
 
 def test_search_pops_no_row_whose_slack_stays_at_reach():
@@ -622,10 +714,13 @@ def difference_model(seed):
     is sometimes joined to 1 - x_0, so that a binary term can be
     flipped.  Mixed in are near-misses that must stay halves: an integer
     twice, an integer with coefficient 2, two binaries.  Rows pass near
-    one random point.  Returns (model, late, kinds): `late` rows arrive
-    after a first solve; `kinds` counts the rows made of each kind.
+    one random point.  Each row's term order is drawn from a stream of
+    its own, so the binary comes first, between or last.  Returns
+    (model, late, kinds): `late` rows arrive after a first solve;
+    `kinds` counts the rows made of each kind.
     """
     rng = np.random.default_rng(seed)
+    order = np.random.default_rng([seed, 1])
     m = IlpModel()
     xs = [m.add_binary(f"x_{i}") for i in range(int(rng.integers(2, 6)))]
     ys = []
@@ -656,7 +751,7 @@ def difference_model(seed):
         sense = (LE, GE, EQ, LE, GE)[int(rng.integers(0, 5))]
         rhs = sum(c * point[v] for c, v in terms)
         rhs += {LE: 1, GE: -1, EQ: 0}[sense] * int(rng.integers(-1, 3))
-        return terms, sense, rhs
+        return [terms[int(k)] for k in order.permutation(len(terms))], sense, rhs
 
     for k in range(int(rng.integers(2, 9))):
         terms, sense, rhs = row()
@@ -667,9 +762,11 @@ def difference_model(seed):
 
 def test_solve_matches_reference_on_difference_models():
     # the first solve, a fresh solve after each late row, and the
-    # resumed search that takes each late row, against the sweep
+    # resumed search that takes each late row, against the sweep; the
+    # binary of a difference row sits at each place in its terms
     statuses, resumed = set(), 0
     kinds = dict.fromkeys(ROW_KINDS, 0)
+    binary_at = [0, 0, 0]
     for seed in range(300):
         m, late, made = difference_model(seed)
         for kind, count in made.items():
@@ -687,9 +784,14 @@ def test_solve_matches_reference_on_difference_models():
                                             f"seed {seed}, row {k}")
             assert (out.status, out.assignment) == (
                 fresh.status, fresh.assignment), f"seed {seed}, row {k}"
+        for row in m.constraints:
+            flags = [m.binary[v] for v in row.vars]
+            if len(flags) == 3 and sum(flags) == 1:
+                binary_at[flags.index(True)] += 1
     assert statuses == {Verdict.FEASIBLE, Verdict.INFEASIBLE}
     assert resumed > 100, resumed
     assert min(kinds.values()) > 50, kinds
+    assert min(binary_at) > 100, binary_at
 
 
 # (rows, zeros, status, assignment) over binaries x_0..x_3 and a general
